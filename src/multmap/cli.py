@@ -185,11 +185,29 @@ def _field_spec(text: str):
     raise argparse.ArgumentTypeError("expected rational or quadratic:<d>")
 
 
+def _count_at_least(minimum: int):
+    """An argparse type for integers no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     common.add_argument(
-        "--samples", type=int, default=50, help="fuzz sample count (default 50)"
+        "--samples",
+        type=_count_at_least(1),
+        default=50,
+        help="fuzz sample count, at least 1 (default 50)",
     )
     common.add_argument(
         "--field",
@@ -246,7 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("sl", "gl", "unitriangular"))
     p.add_argument("--n", type=int, required=True, help="matrix size")
     p.add_argument(
-        "--length", type=int, default=None, help="word length for sl/gl (default 4n)"
+        "--length",
+        type=_count_at_least(0),
+        default=None,
+        help="word length for sl/gl, at least 0 (default 4n)",
     )
     p.set_defaults(run=cmd_gen)
 

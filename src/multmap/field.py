@@ -14,6 +14,7 @@ with no whitespace permitted inside a scalar.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import isqrt
@@ -293,23 +294,30 @@ def compose_homs(outer: RingHom, inner: RingHom) -> RingHom:
 # --- scalar grammar ---------------------------------------------------------
 
 
+def _scan_digits(text: str, i: int, context: str) -> int:
+    """End of the digit run starting at i. The run must be nonempty, hold
+    only the ASCII digits 0-9, and stay within the interpreter's
+    limit on converting strings to int (none before Python 3.10.7)."""
+    start = i
+    while i < len(text) and "0" <= text[i] <= "9":
+        i += 1
+    if i == start:
+        raise ParseError(f"expected digits{context}", i)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and i - start > limit:
+        raise ParseError(f"more than {limit} digits in one number", start)
+    return i
+
+
 def _parse_fraction(text: str, i: int) -> tuple[Fraction, int]:
     start = i
     if i < len(text) and text[i] == "-":
         i += 1
-    num_start = i
-    while i < len(text) and text[i].isdigit():
-        i += 1
-    if i == num_start:
-        raise ParseError("expected digits", i)
+    i = _scan_digits(text, i, "")
     num = int(text[start:i])
     if i < len(text) and text[i] == "/":
-        i += 1
-        den_start = i
-        while i < len(text) and text[i].isdigit():
-            i += 1
-        if i == den_start:
-            raise ParseError("expected digits after '/'", i)
+        den_start = i + 1
+        i = _scan_digits(text, den_start, " after '/'")
         den = int(text[den_start:i])
         if den == 0:
             raise ParseError("zero denominator", den_start)

@@ -175,35 +175,14 @@ class Matrix:
         bookkeeping (det of the original matrix when square, else None)."""
         if self._reduced is not None:
             return self._reduced
-        rows = [list(r) for r in self.rows]
-        nr, nc = self.n_rows, self.n_cols
-        det = one(self.field)
-        pivots = []
-        r = 0
-        for c in range(nc):
-            p = next((i for i in range(r, nr) if not rows[i][c].is_zero), None)
-            if p is None:
-                continue
-            if p != r:
-                rows[p], rows[r] = rows[r], rows[p]
-                det = -det
-            pv = rows[r][c]
-            det = det * pv
-            inv = pv.inv()
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(nr):
-                if i != r and not rows[i][c].is_zero:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
+        rows, pivots, det = _eliminate(
+            self.field, [list(r) for r in self.rows], self.n_cols
+        )
         if self.is_square:
-            det_value = det if len(pivots) == nr else zero(self.field)
+            det_value = det if len(pivots) == self.n_rows else zero(self.field)
         else:
             det_value = None
-        reduced = (tuple(tuple(r) for r in rows), tuple(pivots), det_value)
+        reduced = (tuple(tuple(r) for r in rows), pivots, det_value)
         object.__setattr__(self, "_reduced", reduced)
         return reduced
 
@@ -224,14 +203,10 @@ class Matrix:
         if self._inv is not None:
             return self._inv
         n = self._require_square("inverse")
-        aug_rows = [
-            list(r) + [one(self.field) if i == j else zero(self.field) for j in range(n)]
-            for i, r in enumerate(self.rows)
-        ]
-        reduced, pivots, _ = Matrix(self.field, aug_rows)._reduce()
-        if len(pivots) < n or pivots[:n] != tuple(range(n)):
+        rows, pivots, _ = _eliminate(self.field, _augment_identity(self), n)
+        if len(pivots) < n:
             raise SingularMatrix("matrix is not invertible")
-        inv = Matrix(self.field, [row[n:] for row in reduced])
+        inv = Matrix(self.field, [row[n:] for row in rows])
         object.__setattr__(self, "_inv", inv)
         return inv
 
@@ -270,20 +245,45 @@ class Matrix:
     def cofactor(self) -> "Matrix":
         """Signed-minor matrix C(A) with C(A)_ij = (-1)^(i+j) det(A without
         row i and column j). Satisfies C(AB) = C(A) C(B) on every square
-        matrix and A C(A)^T = det(A) I; defined for size two and up."""
+        matrix and A C(A)^T = det(A) I; defined for size two and up.
+
+        One elimination of [A | I] gives the rank of A:
+          - rank n: C = det(A) (A^-1)^T;
+          - rank n - 1: C = c y x^T, where A x = 0 comes from the reduced
+            left block, y^T A = 0 is the right block of the row whose left
+            part vanished, and c comes from one (n-1)-minor at a position
+            where y and x are both nonzero;
+          - rank n - 2 or less: every minor vanishes, so C = 0.
+        Nothing is cached on self: the elimination runs on a copy."""
         n = self._require_square("cofactor")
         if n < 2:
             raise DimensionMismatch("cofactor needs size at least two")
-        out = []
-        for i in range(n):
-            row = []
-            rest_rows = [r for r in range(n) if r != i]
-            for j in range(n):
-                minor = self.submatrix(rest_rows, [c for c in range(n) if c != j])
-                m = minor.det
-                row.append(m if (i + j) % 2 == 0 else -m)
-            out.append(row)
-        return Matrix(self.field, out)
+        fd = self.field
+        rows, pivots, det = _eliminate(fd, _augment_identity(self), n)
+        rank = len(pivots)
+        if rank == n:
+            return Matrix(fd, [[det * rows[j][n + i] for j in range(n)] for i in range(n)])
+        if rank < n - 1:
+            return zeros(fd, n)
+        free = next(c for c in range(n) if c not in pivots)
+        x = [zero(fd)] * n
+        x[free] = one(fd)
+        for r, pc in enumerate(pivots):
+            x[pc] = -rows[r][free]
+        y = rows[n - 1][n:]
+        i = next(k for k in range(n) if not y[k].is_zero)
+        # C is a nonzero multiple of y x^T and x[free] = 1, so the minor at
+        # (i, free) is nonsingular and alone fixes the scale
+        minor = [
+            [v for col, v in enumerate(row) if col != free]
+            for k, row in enumerate(self.rows)
+            if k != i
+        ]
+        _, _, signed = _eliminate(fd, minor, n - 1)
+        if (i + free) % 2:
+            signed = -signed
+        c = signed / y[i]
+        return Matrix(fd, [[c * yi * xj for xj in x] for yi in y])
 
     def is_idempotent(self) -> bool:
         return self.is_square and self * self == self
@@ -319,6 +319,53 @@ class Matrix:
                 raise ParseError(f"each row must list {n} scalars")
             rows.append([parse_scalar(x, fd) for x in r])
         return cls(fd, rows)
+
+
+# -- elimination ------------------------------------------------------------------
+
+
+def _eliminate(fd: FieldDescriptor, rows: list[list[FieldElem]], n_pivot_cols: int):
+    """Gauss-Jordan elimination of rows, in place, choosing pivots in the
+    first n_pivot_cols columns only. Every pivot row is scaled to a leading
+    one and its column is cleared in every other row.
+
+    Returns (rows, pivots, det): the pivot columns as a tuple, and the
+    signed product of the pivots, which is the determinant of the leading
+    square block when all of its columns are pivots."""
+    nr = len(rows)
+    det = one(fd)
+    pivots = []
+    r = 0
+    for c in range(n_pivot_cols):
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if not rows[i][c].is_zero), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[p], rows[r] = rows[r], rows[p]
+            det = -det
+        pv = rows[r][c]
+        det = det * pv
+        inv = pv.inv()
+        rows[r] = [x if x.is_zero else x * inv for x in rows[r]]
+        pivot_row = rows[r]
+        for i in range(nr):
+            f = rows[i][c]
+            if i != r and not f.is_zero:
+                rows[i] = [
+                    x if y.is_zero else x - f * y for x, y in zip(rows[i], pivot_row)
+                ]
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots), det
+
+
+def _augment_identity(m: Matrix) -> list[list[FieldElem]]:
+    """The rows of [m | I] for square m."""
+    n = m.n_rows
+    o, z = one(m.field), zero(m.field)
+    return [list(r) + [o if i == j else z for j in range(n)] for i, r in enumerate(m.rows)]
 
 
 # -- constructors --------------------------------------------------------------
@@ -433,29 +480,34 @@ class Swap:
 Generator = Transvection | DiagUnit | Swap
 
 
-def gen_matrix(gen: Generator, fd: FieldDescriptor, n: int) -> Matrix:
-    """Realize an elementary generator as an n x n matrix."""
+def _check_generator(gen: Generator, fd: FieldDescriptor, n: int) -> None:
+    """Raise unless gen is an elementary generator of n x n matrices over fd."""
     if isinstance(gen, Transvection):
         _check_index(n, gen.i, gen.j)
         if gen.k.field != fd:
             raise FieldMismatch("transvection scalar outside the field")
-        m = [list(r) for r in identity(fd, n).rows]
-        m[gen.i - 1][gen.j - 1] = gen.k
-        return Matrix(fd, m)
-    if isinstance(gen, DiagUnit):
+    elif isinstance(gen, DiagUnit):
         _check_index(n, gen.i)
         if gen.k.field != fd:
             raise FieldMismatch("diagonal scalar outside the field")
-        m = [list(r) for r in identity(fd, n).rows]
-        m[gen.i - 1][gen.i - 1] = gen.k
-        return Matrix(fd, m)
-    if isinstance(gen, Swap):
+    elif isinstance(gen, Swap):
         _check_index(n, gen.i, gen.j)
-        m = [list(r) for r in identity(fd, n).rows]
+    else:
+        raise TypeError(f"not an elementary generator: {gen!r}")
+
+
+def gen_matrix(gen: Generator, fd: FieldDescriptor, n: int) -> Matrix:
+    """Realize an elementary generator as an n x n matrix."""
+    _check_generator(gen, fd, n)
+    m = [list(r) for r in identity(fd, n).rows]
+    if isinstance(gen, Transvection):
+        m[gen.i - 1][gen.j - 1] = gen.k
+    elif isinstance(gen, DiagUnit):
+        m[gen.i - 1][gen.i - 1] = gen.k
+    else:
         a, b = gen.i - 1, gen.j - 1
         m[a], m[b] = m[b], m[a]
-        return Matrix(fd, m)
-    raise TypeError(f"not an elementary generator: {gen!r}")
+    return Matrix(fd, m)
 
 
 def solve_exact(a: Matrix, b: Matrix) -> Matrix:
@@ -467,11 +519,11 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix:
     if a.n_rows != b.n_rows:
         raise DimensionMismatch("row counts disagree in linear solve")
     m = a.n_cols
-    aug = Matrix(a.field, [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)])
-    reduced, pivots, _ = aug._reduce()
+    aug = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
+    rows, pivots, _ = _eliminate(a.field, aug, m + b.n_cols)
     if pivots != tuple(range(m)):
         raise SingularMatrix("linear system is rank deficient or inconsistent")
-    return Matrix(a.field, [row[m:] for row in reduced[:m]])
+    return Matrix(a.field, [row[m:] for row in rows[:m]])
 
 
 # -- structural recoveries -------------------------------------------------------

@@ -33,6 +33,7 @@ from .matrix import (
     Matrix,
     Swap,
     Transvection,
+    _check_generator,
     gen_matrix,
     identity,
 )
@@ -60,8 +61,7 @@ def evaluate_word(word, fd: FieldDescriptor, n: int) -> Matrix:
 
 def _apply_left(rows, gen: Generator, fd: FieldDescriptor, n: int) -> None:
     """Left-multiply the row list by one generator, in place."""
-    # realizing the generator checks indices and field
-    gen_matrix(gen, fd, n)
+    _check_generator(gen, fd, n)
     if isinstance(gen, Transvection):
         i, j, k = gen.i - 1, gen.j - 1, gen.k
         rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]

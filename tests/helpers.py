@@ -2,7 +2,9 @@
 
 laplace_det and laplace_cofactor recompute determinants by recursive first
 row expansion, a deliberately different route from the Gaussian elimination
-inside Matrix, so the two can cross-check each other.
+inside Matrix, so the two can cross-check each other. minor_cofactor is the
+direct definition of the cofactor map, one eliminated determinant per minor,
+kept as a second reference for Matrix.cofactor.
 """
 
 from fractions import Fraction
@@ -53,6 +55,19 @@ def laplace_cofactor(m: Matrix) -> Matrix:
                 [r for r in range(n) if r != i], [c for c in range(n) if c != j]
             )
             d = laplace_det(minor)
+            row.append(d if (i + j) % 2 == 0 else -d)
+        out.append(row)
+    return Matrix(m.field, out)
+
+
+def minor_cofactor(m: Matrix) -> Matrix:
+    n = m.n_rows
+    out = []
+    for i in range(n):
+        row = []
+        rest_rows = [r for r in range(n) if r != i]
+        for j in range(n):
+            d = m.submatrix(rest_rows, [c for c in range(n) if c != j]).det
             row.append(d if (i + j) % 2 == 0 else -d)
         out.append(row)
     return Matrix(m.field, out)

@@ -210,6 +210,14 @@ def test_decompose_output_reproduces_the_input(tmp_path):
     assert d1 * evaluate_word(word, RATIONAL, 3) == m
 
 
+def test_decompose_oversized_scalar_exits_2(tmp_path):
+    mat = write_doc(tmp_path, "big.json", matrix_doc(2, [["9" * 5000, "0"], ["0", "1"]]))
+    proc = run_cli("decompose", mat, expect=2)
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "position" in proc.stderr
+
+
 def test_decompose_singular_exits_1(tmp_path):
     mat = write_doc(tmp_path, "z.json", matrix_doc(2, [["0", "0"], ["0", "0"]]))
     proc = run_cli("decompose", mat, expect=1)
@@ -231,6 +239,13 @@ def test_verify_adjugate_transpose_fails_as_data():
 def test_verify_cofactor_passes():
     doc = json.loads(run_cli("verify", "cofactor:3", "--samples", "30").stdout)
     assert doc == {"pass": True, "counterexample": None, "samples": 30, "seed": 0}
+
+
+def test_verify_rejects_sample_counts_below_one():
+    for bad in ("-5", "0", "x"):
+        proc = run_cli("verify", "cofactor:2", "--samples", bad, expect=2)
+        assert proc.stdout == ""
+        assert "--samples" in proc.stderr
 
 
 def test_verify_two_maps_equality(tmp_path):
@@ -287,6 +302,13 @@ def test_gen_kinds_and_field_flag():
 def test_gen_bad_sizes_exit_3():
     run_cli("gen", "sl", "--n", "1", expect=3)
     run_cli("gen", "unitriangular", "--n", "0", expect=3)
+
+
+def test_gen_length_must_not_be_negative():
+    proc = run_cli("gen", "sl", "--n", "2", "--length", "-1", expect=2)
+    assert "--length" in proc.stderr
+    empty = json.loads(run_cli("gen", "sl", "--n", "2", "--length", "0").stdout)
+    assert empty["entries"] == [["1", "0"], ["0", "1"]]
 
 
 def test_bad_field_flag_is_a_usage_error():

@@ -132,7 +132,20 @@ def test_parse_frozen_examples():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "1/0", "1+2", "1+2*t", "1 + 2*s", "2*s", "--3", "1/2/3", "3x"],
+    [
+        "",
+        "1/0",
+        "1+2",
+        "1+2*t",
+        "1 + 2*s",
+        "2*s",
+        "--3",
+        "1/2/3",
+        "3x",
+        "\u00b2",
+        "\uff13",
+        "\u0663",
+    ],
 )
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
@@ -149,6 +162,15 @@ def test_parse_error_carries_position():
         parse_scalar("1/0", Q2)
     assert err.value.pos == 2
     assert "position 2" in str(err.value)
+
+
+def test_parse_rejects_numbers_past_the_int_digit_limit():
+    # 5000 digits is past the interpreter's default limit of 4300
+    big = "9" * 5000
+    for text, pos in ((big, 0), ("1/" + big, 2), ("1-" + big + "*s", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text, Q2)
+        assert err.value.pos == pos
 
 
 def test_hom_apply_registered():

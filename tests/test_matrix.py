@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multmap.errors import (
     DimensionMismatch,
@@ -37,6 +39,7 @@ from helpers import (
     int_matrix,
     laplace_cofactor,
     laplace_det,
+    minor_cofactor,
     rand_invertible,
     rand_matrix,
     rand_singular,
@@ -114,6 +117,34 @@ def test_cofactor_on_singular_quadratic():
         a = rand_singular(rng, Q2, 3)
         b = rand_matrix(rng, Q2, 3, span=2)
         assert (a * b).cofactor() == a.cofactor() * b.cofactor()
+
+
+@pytest.mark.parametrize(
+    "n, rank", [(n, rank) for n in (2, 3, 4, 5) for rank in range(n + 1)]
+)
+@settings(max_examples=10, deadline=None)
+@given(
+    fd=st.sampled_from((RATIONAL, Q2, quadratic(-1))),
+    seed=st.integers(0, 2**32),
+    primed=st.booleans(),
+)
+def test_cofactor_matches_both_references_at_every_rank(n, rank, fd, seed, primed):
+    rng = random.Random(seed)
+    if rank == n:
+        a = rand_invertible(rng, fd, n)
+    else:
+        a = rand_singular(rng, fd, n, rank)
+    assert a.rank == rank
+    a = Matrix(fd, a.rows)
+    if primed:
+        a.rank
+    reduced = a._reduced
+    c = a.cofactor()
+    # the cofactor leaves no elimination data behind on its argument
+    assert a._inv is None
+    assert a._reduced is reduced
+    assert c == laplace_cofactor(a)
+    assert c == minor_cofactor(a)
 
 
 def test_cofactor_size_guard():

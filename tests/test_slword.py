@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from multmap.errors import NotSpecialLinear, ParseError, SingularMatrix
+from multmap.errors import (
+    FieldMismatch,
+    IndexOutOfRange,
+    NotSpecialLinear,
+    ParseError,
+    SingularMatrix,
+)
 from multmap.field import RATIONAL, as_elem, one, quadratic
 from multmap.matrix import DiagUnit, Swap, Transvection, gen_matrix, identity
 from multmap.slword import (
@@ -34,6 +40,21 @@ def test_evaluate_word_order_frozen():
     # [P_12(1), D_1(2)] means P_12(1) * D_1(2)
     word = [Transvection(1, 2, r(1)), DiagUnit(1, r(2))]
     assert evaluate_word(word, RATIONAL, 2) == int_matrix(RATIONAL, [[2, 1], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "gen, error",
+    [
+        (Transvection(1, 4, one(RATIONAL)), IndexOutOfRange),
+        (DiagUnit(4, as_elem(RATIONAL, 2)), IndexOutOfRange),
+        (Swap(4, 1), IndexOutOfRange),
+        (Transvection(1, 2, one(Q2)), FieldMismatch),
+        (DiagUnit(1, one(Q2)), FieldMismatch),
+    ],
+)
+def test_evaluate_word_rejects_bad_generators(gen, error):
+    with pytest.raises(error):
+        evaluate_word([Transvection(1, 2, one(RATIONAL)), gen], RATIONAL, 3)
 
 
 def test_decompose_rotation_is_three_transvections():
