@@ -23,11 +23,11 @@ from .errors import (
     ParseError,
     ProbeMiss,
     RankLadderViolation,
+    ScalarTooLarge,
     SingularConjugator,
     SingularMatrix,
     SingularRecovery,
     UnregisteredHom,
-    UnrecognizedHom,
     UnsupportedDimension,
     VerificationFailed,
 )

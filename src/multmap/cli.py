@@ -95,6 +95,9 @@ def _load_doc(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc.msg}", pos=exc.pos) from exc
+    except ValueError as exc:
+        # a JSON number with more digits than the interpreter converts
+        raise ParseError(f"{path} holds a number too long to read: {exc}") from exc
 
 
 def _resolve_oracle(target: str, fd):

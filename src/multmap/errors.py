@@ -29,6 +29,11 @@ class ParseError(MultmapError):
         self.pos = pos
 
 
+class ScalarTooLarge(MultmapError):
+    """A scalar too long to print: one of its numbers has more digits than
+    the interpreter converts to a string (4300 by default)."""
+
+
 class ProbeMiss(MultmapError):
     """A sampled homomorphism or character was queried off its table."""
 
@@ -79,10 +84,6 @@ class RankLadderViolation(NotMultiplicative):
 
 class NonDiagonalizableTrivial(MultmapError):
     """Trivial-class probe images could not be simultaneously diagonalized."""
-
-
-class UnrecognizedHom(MultmapError):
-    """Probe-consistent homomorphism outside the registered family."""
 
 
 class VerificationFailed(MultmapError):

@@ -1,10 +1,17 @@
 """Exact scalar arithmetic over Q and over quadratic extensions Q(sqrt d).
 
-Elements are stored as a + b*sqrt(d) with Fraction coefficients; rational
-fields keep b = 0. All arithmetic is exact, no floats anywhere. The module
-also carries the small registered family of ring homomorphisms (identity and
-Galois conjugation) plus finite sampled tables used by the classifier, and the
-canonical string grammar for scalars:
+An element (p + q*sqrt(d))/den is stored as three integers p, q and den,
+normalized so that den > 0 and gcd(p, q, den) = 1; rational fields keep
+q = 0. Equal values therefore have equal triples, and equality and hashing
+compare triples. The rational coordinates a = p/den and b = q/den are
+Fraction properties. All arithmetic is exact, no floats anywhere. The
+private helpers _integer_vector, _dot and _sub_mul let the matrix layer
+work on the triples directly: a dot product is one integer accumulation
+over a common denominator, normalized once.
+
+The module also carries the small registered family of ring homomorphisms
+(identity and Galois conjugation) plus finite sampled tables used by the
+classifier, and the canonical string grammar for scalars:
 
     rational  := '-'? digits ('/' nonzero-digits)?
     quadratic := rational (('+'|'-') rational '*s')?      # s = sqrt(d)
@@ -17,15 +24,21 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import isqrt
+from math import gcd
+from operator import mul
 
 from .errors import (
     DivisionByZero,
     FieldMismatch,
     ParseError,
     ProbeMiss,
+    ScalarTooLarge,
     UnregisteredHom,
 )
+
+# Largest |d| accepted as a radicand. The squarefree test is trial division
+# up to sqrt|d|, so this keeps it under a million steps.
+MAX_RADICAND = 10**12
 
 
 def _is_squarefree(d: int) -> bool:
@@ -52,6 +65,10 @@ class FieldDescriptor:
             if self.d is not None:
                 raise FieldMismatch("rational field takes no radicand")
         elif self.kind == "quadratic":
+            if self.d is not None and abs(self.d) > MAX_RADICAND:
+                raise FieldMismatch(
+                    f"quadratic radicand must be at most {MAX_RADICAND} in absolute value"
+                )
             if self.d is None or self.d in (0, 1) or not _is_squarefree(self.d):
                 raise FieldMismatch(
                     f"quadratic radicand must be squarefree and not 0 or 1, got {self.d}"
@@ -90,69 +107,141 @@ def quadratic(d: int) -> FieldDescriptor:
     return FieldDescriptor("quadratic", d)
 
 
-@dataclass(frozen=True)
 class FieldElem:
-    """One scalar a + b*sqrt(d); immutable, hashable, componentwise equality."""
+    """One scalar a + b*sqrt(d) = (p + q*sqrt(d))/den; immutable, hashable,
+    equal exactly when the values are equal.
 
-    field: FieldDescriptor
-    a: Fraction
-    b: Fraction = Fraction(0)
+    FieldElem(field, a, b=0) takes ints or Fractions for a and b. The
+    triple is held in private slots and read through the properties p, q
+    and den; a and b are Fractions computed on demand."""
 
-    def __post_init__(self) -> None:
-        if not self.field.is_quadratic and self.b != 0:
+    __slots__ = ("_field", "_p", "_q", "_den")
+
+    def __init__(self, field: FieldDescriptor, a: int | Fraction, b: int | Fraction = 0) -> None:
+        an, ad = a.numerator, a.denominator
+        bn, bd = b.numerator, b.denominator
+        if bn and not field.is_quadratic:
             raise FieldMismatch("rational scalar with a surd component")
+        # over den = lcm(ad, bd) the triple is already in lowest terms
+        den = ad // gcd(ad, bd) * bd
+        self._field = field
+        self._p = an * (den // ad)
+        self._q = bn * (den // bd)
+        self._den = den
+
+    @property
+    def field(self) -> FieldDescriptor:
+        return self._field
+
+    @property
+    def p(self) -> int:
+        return self._p
+
+    @property
+    def q(self) -> int:
+        return self._q
+
+    @property
+    def den(self) -> int:
+        return self._den
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._den)
 
     def _check(self, other: "FieldElem") -> None:
-        if self.field != other.field:
-            raise FieldMismatch(f"fields differ: {self.field} vs {other.field}")
+        if self._field is not other._field and self._field != other._field:
+            raise FieldMismatch(f"fields differ: {self._field} vs {other._field}")
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self._p and not self._q
 
     @property
     def is_one(self) -> bool:
-        return self.a == 1 and self.b == 0
+        return self._p == 1 and self._den == 1 and not self._q
 
     @property
     def is_rational_value(self) -> bool:
-        return self.b == 0
+        return not self._q
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FieldElem):
+            return NotImplemented
+        return (
+            self._p == other._p
+            and self._q == other._q
+            and self._den == other._den
+            and (self._field is other._field or self._field == other._field)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._field, self._p, self._q, self._den))
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
         if not isinstance(other, FieldElem):
             return NotImplemented
         self._check(other)
-        return FieldElem(self.field, self.a + other.a, self.b + other.b)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _norm(self._field, self._p + other._p, self._q + other._q, d1)
+        return _norm(
+            self._field,
+            self._p * d2 + other._p * d1,
+            self._q * d2 + other._q * d1,
+            d1 * d2,
+        )
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
         if not isinstance(other, FieldElem):
             return NotImplemented
         self._check(other)
-        return FieldElem(self.field, self.a - other.a, self.b - other.b)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _norm(self._field, self._p - other._p, self._q - other._q, d1)
+        return _norm(
+            self._field,
+            self._p * d2 - other._p * d1,
+            self._q * d2 - other._q * d1,
+            d1 * d2,
+        )
 
     def __neg__(self) -> "FieldElem":
-        return FieldElem(self.field, -self.a, -self.b)
+        return _raw(self._field, -self._p, -self._q, self._den)
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
         if not isinstance(other, FieldElem):
             return NotImplemented
         self._check(other)
-        d = self.field.d if self.field.is_quadratic else 0
-        return FieldElem(
-            self.field,
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-        )
+        p1, q1, p2, q2 = self._p, self._q, other._p, other._q
+        if q1 or q2:
+            return _norm(
+                self._field,
+                p1 * p2 + self._field.d * q1 * q2,
+                p1 * q2 + q1 * p2,
+                self._den * other._den,
+            )
+        return _norm(self._field, p1 * p2, 0, self._den * other._den)
 
     def inv(self) -> "FieldElem":
-        """Multiplicative inverse via the Galois norm a^2 - d*b^2."""
-        if self.is_zero:
-            raise DivisionByZero("cannot invert zero")
-        d = self.field.d if self.field.is_quadratic else 0
-        norm = self.a * self.a - d * self.b * self.b
-        # norm = 0 with (a, b) != 0 would make sqrt(d) rational; d squarefree
+        """Multiplicative inverse via the Galois norm p^2 - d*q^2:
+        den/(p + q*s) = den*(p - q*s)/(p^2 - d*q^2)."""
+        p, q, den = self._p, self._q, self._den
+        if not q:
+            if not p:
+                raise DivisionByZero("cannot invert zero")
+            # gcd(p, den) = 1, so den/p needs only its sign fixed
+            return _raw(self._field, den, 0, p) if p > 0 else _raw(self._field, -den, 0, -p)
+        # norm = 0 with (p, q) != 0 would make sqrt(d) rational; d squarefree
         # and != 0, 1 rules that out.
-        return FieldElem(self.field, self.a / norm, -self.b / norm)
+        norm = p * p - self._field.d * q * q
+        if norm < 0:
+            den, norm = -den, -norm
+        return _norm(self._field, den * p, -den * q, norm)
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         if not isinstance(other, FieldElem):
@@ -162,7 +251,7 @@ class FieldElem:
     def __pow__(self, exponent: int) -> "FieldElem":
         if exponent < 0:
             return self.inv() ** (-exponent)
-        result = one(self.field)
+        result = one(self._field)
         base = self
         e = exponent
         while e:
@@ -174,7 +263,7 @@ class FieldElem:
 
     def conjugate(self) -> "FieldElem":
         """Galois conjugate a - b*sqrt(d); identity on rational fields."""
-        return FieldElem(self.field, self.a, -self.b)
+        return _raw(self._field, self._p, -self._q, self._den)
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -183,19 +272,86 @@ class FieldElem:
         return f"FieldElem({format_scalar(self)!r})"
 
 
+_new = object.__new__
+
+
+def _raw(fd: FieldDescriptor, p: int, q: int, den: int) -> FieldElem:
+    """The element (p + q*s)/den from a triple already in normal form."""
+    x = _new(FieldElem)
+    x._field = fd
+    x._p = p
+    x._q = q
+    x._den = den
+    return x
+
+
+def _norm(fd: FieldDescriptor, p: int, q: int, den: int) -> FieldElem:
+    """The element (p + q*s)/den for den > 0, divided through by gcd(p, q, den)."""
+    g = gcd(p, q, den)
+    if g != 1:
+        p //= g
+        q //= g
+        den //= g
+    return _raw(fd, p, q, den)
+
+
+def _integer_vector(xs) -> tuple[list[int], list[int], int]:
+    """(ps, qs, den) with xs[k] = (ps[k] + qs[k]*s)/den for every k, den the
+    least common denominator of the entries."""
+    den = 1
+    for x in xs:
+        if den % x._den:
+            den = den // gcd(den, x._den) * x._den
+    if den == 1:
+        # integer entries, the usual case for probes, need no scaling
+        return [x._p for x in xs], [x._q for x in xs], 1
+    scales = [den // x._den for x in xs]
+    ps = [x._p * m for x, m in zip(xs, scales)]
+    qs = [x._q * m for x, m in zip(xs, scales)]
+    return ps, qs, den
+
+
+def _dot(fd: FieldDescriptor, u, v) -> FieldElem:
+    """sum_k u[k]*v[k] for u and v in _integer_vector form: one integer
+    accumulation over the denominator u_den*v_den, normalized once."""
+    up, uq, ud = u
+    vp, vq, vd = v
+    p = sum(map(mul, up, vp))
+    if fd.d is None:
+        return _norm(fd, p, 0, ud * vd)
+    p += fd.d * sum(map(mul, uq, vq))
+    q = sum(map(mul, up, vq)) + sum(map(mul, uq, vp))
+    return _norm(fd, p, q, ud * vd)
+
+
+def _sub_mul(x: FieldElem, f: FieldElem, y: FieldElem) -> FieldElem:
+    """x - f*y over the field of x, normalized once. The caller guarantees
+    that the three share one field."""
+    fp, fq, yp, yq = f._p, f._q, y._p, y._q
+    if fq or yq:
+        mp = fp * yp + x._field.d * fq * yq
+        mq = fp * yq + fq * yp
+    else:
+        mp = fp * yp
+        mq = 0
+    md = f._den * y._den
+    xd = x._den
+    return _norm(x._field, x._p * md - mp * xd, x._q * md - mq * xd, xd * md)
+
+
 def zero(fd: FieldDescriptor) -> FieldElem:
-    return FieldElem(fd, Fraction(0))
+    return _raw(fd, 0, 0, 1)
 
 
 def one(fd: FieldDescriptor) -> FieldElem:
-    return FieldElem(fd, Fraction(1))
+    return _raw(fd, 1, 0, 1)
 
 
 def sqrt_gen(fd: FieldDescriptor) -> FieldElem:
     """The generator sqrt(d) of a quadratic field."""
     if not fd.is_quadratic:
         raise FieldMismatch("sqrt generator exists only in quadratic fields")
-    return FieldElem(fd, Fraction(0), Fraction(1))
+    return _raw(fd, 0, 1, 1)
 
 
 def as_elem(fd: FieldDescriptor, value: "FieldElem | Fraction | int") -> FieldElem:
@@ -204,7 +360,7 @@ def as_elem(fd: FieldDescriptor, value: "FieldElem | Fraction | int") -> FieldEl
         if value.field != fd:
             raise FieldMismatch(f"element of {value.field} used in {fd}")
         return value
-    return FieldElem(fd, Fraction(value))
+    return FieldElem(fd, value)
 
 
 # --- ring homomorphisms ----------------------------------------------------
@@ -348,8 +504,18 @@ def parse_scalar(text: str, fd: FieldDescriptor) -> FieldElem:
 
 
 def format_scalar(x: FieldElem) -> str:
-    """Canonical rendering; parse_scalar(format_scalar(x)) == x."""
-    if x.b == 0:
-        return str(x.a)
-    sign = "+" if x.b > 0 else "-"
-    return f"{x.a}{sign}{abs(x.b)}*s"
+    """Canonical rendering; parse_scalar(format_scalar(x)) == x. Raises
+    ScalarTooLarge when a number has more digits than the interpreter
+    converts to a string."""
+    try:
+        if x.is_rational_value:
+            return str(x.a)
+        b = x.b
+        sign = "+" if b > 0 else "-"
+        return f"{x.a}{sign}{abs(b)}*s"
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        raise ScalarTooLarge(
+            f"scalar has a number with more than {limit} digits, "
+            "the interpreter's limit for printing one"
+        ) from None

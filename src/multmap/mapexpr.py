@@ -445,7 +445,7 @@ class DegenerateForm:
         return {
             "class": "degenerate",
             "phi": _hom_doc(self.phi),
-            "lambda": _lam_doc(self.lam),
+            "lambda": self.lam.to_doc(),
             "eps": "cofactor" if self.eps else "plain",
             "R": self.R.to_doc(),
         }
@@ -497,12 +497,6 @@ def _hom_doc(h: RingHom):
     return {
         "sampled": [[format_scalar(p), format_scalar(v)] for p, v in h.table]
     }
-
-
-def _lam_doc(lam):
-    if isinstance(lam, ScalarCharacter):
-        return lam.to_doc()
-    return lam.to_doc()
 
 
 def canonical_eq(a: CanonicalForm, b: CanonicalForm) -> bool:

@@ -16,7 +16,6 @@ matrix unit images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
@@ -31,6 +30,9 @@ from .errors import (
 from .field import (
     FieldDescriptor,
     FieldElem,
+    _dot,
+    _integer_vector,
+    _sub_mul,
     as_elem,
     format_scalar,
     one,
@@ -53,7 +55,7 @@ class Matrix:
             if len(r) != width:
                 raise DimensionMismatch("ragged rows")
             for x in r:
-                if not isinstance(x, FieldElem) or x.field != fd:
+                if not isinstance(x, FieldElem) or (x._field is not fd and x._field != fd):
                     raise FieldMismatch("entry outside the matrix field")
         object.__setattr__(self, "field", fd)
         object.__setattr__(self, "n_rows", len(tup))
@@ -132,14 +134,15 @@ class Matrix:
         self._check_field(other)
         if self.n_cols != other.n_rows:
             raise DimensionMismatch("inner dimensions disagree in product")
-        cols = list(zip(*other.rows))
-        z = zero(self.field)
+        # every entry is one integer dot product of a row and a column, each
+        # brought to its common denominator once
+        fd = self.field
+        cols = [_integer_vector(c) for c in zip(*other.rows)]
         out = []
         for r in self.rows:
-            out.append(
-                [sum((x * y for x, y in zip(r, c) if not x.is_zero), z) for c in cols]
-            )
-        return Matrix(self.field, out)
+            u = _integer_vector(r)
+            out.append([_dot(fd, u, v) for v in cols])
+        return Matrix(fd, out)
 
     def __rmul__(self, scalar) -> "Matrix":
         if not isinstance(scalar, FieldElem):
@@ -354,7 +357,8 @@ def _eliminate(fd: FieldDescriptor, rows: list[list[FieldElem]], n_pivot_cols: i
             f = rows[i][c]
             if i != r and not f.is_zero:
                 rows[i] = [
-                    x if y.is_zero else x - f * y for x, y in zip(rows[i], pivot_row)
+                    x if y.is_zero else _sub_mul(x, f, y)
+                    for x, y in zip(rows[i], pivot_row)
                 ]
         pivots.append(c)
         r += 1

@@ -5,10 +5,17 @@ row expansion, a deliberately different route from the Gaussian elimination
 inside Matrix, so the two can cross-check each other. minor_cofactor is the
 direct definition of the cofactor map, one eliminated determinant per minor,
 kept as a second reference for Matrix.cofactor.
+
+RefElem is the scalar arithmetic of the package before its integer core:
+a + b*sqrt(d) held as two Fractions. ref_product and ref_det_inverse redo
+the matrix product and Gauss-Jordan elimination on RefElem, as references
+for the differential tests of the integer triples.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
+from multmap.errors import DivisionByZero
 from multmap.field import CONJUGATION_HOM, IDENTITY_HOM, FieldDescriptor, FieldElem, zero
 from multmap.mapexpr import (
     Cof,
@@ -141,3 +148,105 @@ def random_mapexpr(
         expr = MapExpr(n, fd, tuple(atoms))
         if char_powers_bounded(simplify(expr), power_bound):
             return expr
+
+
+@dataclass(frozen=True)
+class RefElem:
+    """a + b*sqrt(d) with Fraction coordinates, componentwise equality."""
+
+    field: FieldDescriptor
+    a: Fraction
+    b: Fraction = Fraction(0)
+
+    @property
+    def _d(self) -> int:
+        return self.field.d if self.field.is_quadratic else 0
+
+    @property
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def __add__(self, other: "RefElem") -> "RefElem":
+        return RefElem(self.field, self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other: "RefElem") -> "RefElem":
+        return RefElem(self.field, self.a - other.a, self.b - other.b)
+
+    def __neg__(self) -> "RefElem":
+        return RefElem(self.field, -self.a, -self.b)
+
+    def __mul__(self, other: "RefElem") -> "RefElem":
+        return RefElem(
+            self.field,
+            self.a * other.a + self.b * other.b * self._d,
+            self.a * other.b + self.b * other.a,
+        )
+
+    def inv(self) -> "RefElem":
+        if self.is_zero:
+            raise DivisionByZero("cannot invert zero")
+        norm = self.a * self.a - self._d * self.b * self.b
+        return RefElem(self.field, self.a / norm, -self.b / norm)
+
+    def __truediv__(self, other: "RefElem") -> "RefElem":
+        return self * other.inv()
+
+    def __pow__(self, exponent: int) -> "RefElem":
+        if exponent < 0:
+            return self.inv() ** (-exponent)
+        result = RefElem(self.field, Fraction(1))
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def conjugate(self) -> "RefElem":
+        return RefElem(self.field, self.a, -self.b)
+
+    def format(self) -> str:
+        if self.b == 0:
+            return str(self.a)
+        sign = "+" if self.b > 0 else "-"
+        return f"{self.a}{sign}{abs(self.b)}*s"
+
+
+def ref_of(x: FieldElem) -> RefElem:
+    return RefElem(x.field, x.a, x.b)
+
+
+def ref_product(a: list[list[RefElem]], b: list[list[RefElem]]) -> list[list[RefElem]]:
+    z = RefElem(a[0][0].field, Fraction(0))
+    out = []
+    for row in a:
+        out_row = []
+        for col in zip(*b):
+            total = z
+            for x, y in zip(row, col):
+                total = total + x * y
+            out_row.append(total)
+        out.append(out_row)
+    return out
+
+
+def ref_det_inverse(a: list[list[RefElem]]):
+    """(det, inverse rows or None) of a square matrix by Gauss-Jordan
+    elimination of [a | I]."""
+    n = len(a)
+    fd = a[0][0].field
+    o, z = RefElem(fd, Fraction(1)), RefElem(fd, Fraction(0))
+    rows = [list(r) + [o if i == j else z for j in range(n)] for i, r in enumerate(a)]
+    det = o
+    for c in range(n):
+        p = next((i for i in range(c, n) if not rows[i][c].is_zero), None)
+        if p is None:
+            return z, None
+        if p != c:
+            rows[p], rows[c] = rows[c], rows[p]
+            det = -det
+        pivot_inv = rows[c][c].inv()
+        det = det * rows[c][c]
+        rows[c] = [x * pivot_inv for x in rows[c]]
+        for i in range(n):
+            if i != c:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det, [r[n:] for r in rows]

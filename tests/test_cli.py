@@ -7,10 +7,14 @@ options (indent=2, sorted keys) so both content and formatting are
 byte-exact contracts.
 """
 
+import hashlib
 import json
 import random
 import subprocess
 import sys
+import time
+
+import pytest
 
 from multmap.field import RATIONAL
 from multmap.matrix import Matrix, gen_matrix
@@ -178,6 +182,23 @@ def test_classify_rejections_map_to_exit_codes(tmp_path):
     assert "positive size" in proc.stderr
 
 
+# sha256 of the classify stdout, probe log included, pinned before the
+# integer scalar core replaced Fraction pairs
+COFACTOR_STDOUT_SHA256 = {
+    (3, "rational"): "c924b66bd5475249efdf04fdd84d08f0f560872ae97756646cfa2ef3e273fcab",
+    (3, "quadratic:2"): "fe34daa8b7b8b85649386d31fd8cb3b788522b30726bcebd61bca55905467756",
+    (4, "rational"): "6f770c2c8ba82353c5181b049e02c565827f88b7b646bbf18a069306e475a528",
+    (4, "quadratic:2"): "1fd41c03a993597c5b00c96b8d31f43a5bbe0802d57b76d991fe1f0ab729de69",
+}
+
+
+@pytest.mark.parametrize("n, field", sorted(COFACTOR_STDOUT_SHA256))
+def test_classify_cofactor_stdout_is_pinned(n, field):
+    proc = run_cli("classify", f"cofactor:{n}", "--field", field, "--seed", "7")
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == COFACTOR_STDOUT_SHA256[n, field]
+
+
 def test_classify_seed_changes_probes_not_answer():
     a = json.loads(run_cli("classify", "cofactor:3", "--seed", "0").stdout)
     b = json.loads(run_cli("classify", "cofactor:3", "--seed", "9").stdout)
@@ -216,6 +237,36 @@ def test_decompose_oversized_scalar_exits_2(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "position" in proc.stderr
+
+
+def test_decompose_with_an_unprintable_result_exits_1(tmp_path):
+    # the determinant 3 * 10**5000 has 5001 digits: past the interpreter's
+    # default limit of 4300 for printing, though each input is within it
+    entries = [["1" + "0" * 3000, "0"], ["0", "3" + "0" * 2000]]
+    mat = write_doc(tmp_path, "big.json", matrix_doc(2, entries))
+    proc = run_cli("decompose", mat, expect=1)
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("multmap: ") and "4300 digits" in proc.stderr
+
+
+def test_huge_radicands_fail_fast(tmp_path):
+    identity_2 = [["1", "0"], ["0", "1"]]
+    doc = {"n": 2, "field": {"kind": "quadratic", "d": 10**18 + 3}, "entries": identity_2}
+    huge = write_doc(tmp_path, "d.json", doc)
+    start = time.perf_counter()
+    proc = run_cli("decompose", huge, expect=3)
+    assert "at most" in proc.stderr
+    assert time.perf_counter() - start < 10
+    # a radicand past the interpreter's digit limit is unreadable JSON
+    unreadable = tmp_path / "long.json"
+    unreadable.write_text(
+        '{"n": 2, "field": {"kind": "quadratic", "d": ' + "7" * 5000 + '}, "entries": '
+        + json.dumps(identity_2) + "}"
+    )
+    proc = run_cli("decompose", str(unreadable), expect=2)
+    assert "Traceback" not in proc.stderr
+    assert "too long" in proc.stderr
 
 
 def test_decompose_singular_exits_1(tmp_path):

@@ -1,15 +1,24 @@
 """Scalar layer: exact arithmetic in Q and Q(sqrt d), homs, and the grammar."""
 
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multmap.errors import DivisionByZero, FieldMismatch, ParseError, ProbeMiss
+from multmap.errors import (
+    DivisionByZero,
+    FieldMismatch,
+    ParseError,
+    ProbeMiss,
+    ScalarTooLarge,
+)
 from multmap.field import (
     CONJUGATION_HOM,
     IDENTITY_HOM,
+    MAX_RADICAND,
     RATIONAL,
     FieldDescriptor,
     FieldElem,
@@ -25,6 +34,8 @@ from multmap.field import (
     sqrt_gen,
     zero,
 )
+
+from helpers import RefElem
 
 Q2 = quadratic(2)
 QM1 = quadratic(-1)
@@ -50,6 +61,17 @@ def test_descriptor_validation():
         quadratic(0)
     assert quadratic(-1).d == -1
     assert quadratic(10).d == 10
+
+
+def test_radicand_past_the_bound_fails_fast():
+    # trial division of 10**18 + 3 would take minutes; the bound answers at once
+    for d in (10**18 + 3, -(10**18 + 3), MAX_RADICAND + 1, 7 * 10**5000):
+        start = time.perf_counter()
+        with pytest.raises(FieldMismatch, match="at most"):
+            quadratic(d)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(FieldMismatch):
+        FieldDescriptor.from_doc({"kind": "quadratic", "d": 10**18 + 3})
 
 
 def test_rational_add_frozen():
@@ -217,3 +239,92 @@ def test_descriptor_docs():
     assert Q2.to_doc() == {"kind": "quadratic", "d": 2}
     with pytest.raises(ParseError):
         FieldDescriptor.from_doc({"kind": "quadratic"})
+
+
+def test_elements_are_immutable():
+    x = q2(1, 2)
+    for attr in ("field", "a", "b", "p", "q", "den", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, 0)
+
+
+def test_format_past_the_digit_limit_raises_a_domain_error():
+    # 10**5000 has 5001 digits, past the interpreter's default limit of 4300
+    for x in (as_elem(RATIONAL, 10**5000), q2(1, Fraction(1, 10**5000))):
+        with pytest.raises(ScalarTooLarge, match="4300 digits"):
+            format_scalar(x)
+
+
+# --- differential test against the Fraction-pair arithmetic -------------------
+
+FIELDS = [RATIONAL, quadratic(2), quadratic(-1), quadratic(-3), quadratic(5)]
+
+coords = st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=60)
+
+
+@st.composite
+def coordinate_pairs(draw, fd: FieldDescriptor):
+    """(a, b) with b = 0 over Q. Half the draws are (p + q*s)/den with a
+    common factor of p, q and den, such as 2/4 + 6/4*s."""
+    if draw(st.booleans()):
+        g = draw(st.integers(2, 12))
+        den = g * draw(st.integers(1, 20))
+        p = g * draw(st.integers(-50, 50))
+        q = g * draw(st.integers(-50, 50)) if fd.is_quadratic else 0
+        return Fraction(p, den), Fraction(q, den)
+    b = draw(coords) if fd.is_quadratic else Fraction(0)
+    return draw(coords), b
+
+
+def assert_same(x: FieldElem, ref: RefElem) -> None:
+    """x holds ref's value as a normalized triple and prints like it."""
+    assert (x.a, x.b) == (ref.a, ref.b)
+    assert x.den > 0 and gcd(x.p, x.q, x.den) == 1
+    assert Fraction(x.p, x.den) == ref.a and Fraction(x.q, x.den) == ref.b
+    text = format_scalar(x)
+    assert text == ref.format()
+    assert parse_scalar(text, x.field) == x
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_scalar_core_matches_fraction_reference(data):
+    fd = data.draw(st.sampled_from(FIELDS))
+    (xa, xb), (ya, yb) = data.draw(coordinate_pairs(fd)), data.draw(coordinate_pairs(fd))
+    x, y = FieldElem(fd, xa, xb), FieldElem(fd, ya, yb)
+    rx, ry = RefElem(fd, xa, xb), RefElem(fd, ya, yb)
+    assert_same(x, rx)
+    assert_same(y, ry)
+    assert_same(x + y, rx + ry)
+    assert_same(x - y, rx - ry)
+    assert_same(x * y, rx * ry)
+    assert_same(-x, -rx)
+    assert_same(x.conjugate(), rx.conjugate())
+    e = data.draw(st.integers(-4, 4))
+    if not ry.is_zero:
+        assert_same(y.inv(), ry.inv())
+        assert_same(x / y, rx / ry)
+        assert_same(y**e, ry**e)
+        # the same value by another route: equal triples, equal hashes
+        back = x * y / y
+        assert back == x and hash(back) == hash(x)
+    else:
+        with pytest.raises(DivisionByZero):
+            y.inv()
+    assert (x == y) == (rx == ry)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+def test_shared_factors_are_divided_out():
+    s = sqrt_gen(Q2)
+    x = FieldElem(Q2, Fraction(2, 4), Fraction(6, 4))
+    assert (x.p, x.q, x.den) == (1, 3, 2)
+    # (1 + s)(1 - s) = -1 and (2 + 2s)/4 = (1 + s)/2
+    y = (one(Q2) + s) * (one(Q2) - s)
+    assert (y.p, y.q, y.den) == (-1, 0, 1)
+    h = FieldElem(Q2, Fraction(1, 4), Fraction(1, 4))
+    assert ((h + h).p, (h + h).q, (h + h).den) == (1, 1, 2)
+    assert FieldElem(Q2, Fraction(1, 2), Fraction(3, 2)) == x
+    assert hash(FieldElem(Q2, Fraction(1, 2), Fraction(3, 2))) == hash(x)
+    assert zero(Q2) == FieldElem(Q2, 0, 0) and one(Q2) == FieldElem(Q2, 1)

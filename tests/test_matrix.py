@@ -37,12 +37,15 @@ from multmap.matrix import (
 
 from helpers import (
     int_matrix,
+    RefElem,
     laplace_cofactor,
     laplace_det,
     minor_cofactor,
     rand_invertible,
     rand_matrix,
     rand_singular,
+    ref_det_inverse,
+    ref_product,
 )
 
 Q2 = quadratic(2)
@@ -145,6 +148,57 @@ def test_cofactor_matches_both_references_at_every_rank(n, rank, fd, seed, prime
     assert a._reduced is reduced
     assert c == laplace_cofactor(a)
     assert c == minor_cofactor(a)
+
+
+def _coordinate_rows(rng, fd, n_rows, n_cols, rank=None):
+    """Fraction pairs (a, b) for an n_rows x n_cols matrix, with small
+    denominators that share factors. With a rank, every row from that index
+    on is an integer combination of the rows before it."""
+
+    def pair():
+        den = rng.choice((1, 2, 3, 4, 6, 12))
+        b = rng.randint(-9, 9) if fd.is_quadratic and rng.random() < 0.6 else 0
+        return Fraction(rng.randint(-9, 9), den), Fraction(b, den)
+
+    rows = [[pair() for _ in range(n_cols)] for _ in range(n_rows)]
+    for i in range(rank if rank is not None else n_rows, n_rows):
+        ks = [rng.randint(-2, 2) for _ in range(rank)]
+        combine = lambda col, t: sum((k * rows[j][col][t] for j, k in enumerate(ks)), Fraction(0))
+        rows[i] = [(combine(col, 0), combine(col, 1)) for col in range(n_cols)]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fd=st.sampled_from((RATIONAL, Q2, quadratic(-1), quadratic(-3), quadratic(5))),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    seed=st.integers(0, 2**32),
+)
+def test_matrix_kernels_match_fraction_reference(fd, shape, seed):
+    rng = random.Random(seed)
+    r, m, c = shape
+
+    def both(rows):
+        return (
+            Matrix(fd, [[FieldElem(fd, a, b) for a, b in row] for row in rows]),
+            [[RefElem(fd, a, b) for a, b in row] for row in rows],
+        )
+
+    def coords(rows):
+        return [[(x.a, x.b) for x in row] for row in rows]
+
+    a, ra = both(_coordinate_rows(rng, fd, r, m))
+    b, rb = both(_coordinate_rows(rng, fd, m, c))
+    assert coords((a * b).rows) == coords(ref_product(ra, rb))
+    rank = rng.choice((None, rng.randrange(m)))
+    sq, rsq = both(_coordinate_rows(rng, fd, m, m, rank))
+    det, inv = ref_det_inverse(rsq)
+    assert (sq.det.a, sq.det.b) == (det.a, det.b)
+    if inv is None:
+        with pytest.raises(SingularMatrix):
+            sq.inverse()
+    else:
+        assert coords(sq.inverse().rows) == coords(inv)
 
 
 def test_cofactor_size_guard():
