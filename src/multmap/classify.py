@@ -12,9 +12,15 @@ class the map belongs to and recovers the parameters:
 where C is the multiplicative cofactor map, phi a field homomorphism applied
 entrywise, and lam a scalar character of the determinant. Every probe goes
 through a Session that memoizes, logs, and enforces a budget of 10 n^2 + 200
-oracle calls. Oracles that break a structural law mid-recovery raise
-NotMultiplicative; recoveries that survive are re-verified against fresh
-random samples before a report is produced, so a returned report is a checked
+oracle calls. Each probe image must match an exact pattern (a transvection, a
+scaled matrix unit, a swap, a diagonal, or the blockdiag(B, 0, I) frame),
+checked by one reader, and the entry map read off the images must pass one
+additivity and multiplicativity check over fixed pair lists. A ring
+homomorphism of Q or Q(sqrt d) is the identity or the conjugation, so phi is
+always one of those two. Oracles that break a structural law mid-recovery
+raise NotMultiplicative; recoveries that survive are re-verified against
+fresh random samples, every one of which the recovered form must evaluate
+and match, before a report is produced, so a returned report is a checked
 claim, not a guess.
 """
 
@@ -23,6 +29,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations, product
 from typing import Callable
 
 from .errors import (
@@ -45,11 +53,8 @@ from .field import (
     FieldDescriptor,
     FieldElem,
     RingHom,
-    as_elem,
-    format_scalar,
     one,
-    sampled_hom,
-    sqrt_gen,
+    scalars,
     zero,
 )
 from .matrix import (
@@ -59,6 +64,7 @@ from .matrix import (
     Transvection,
     coidempotent,
     conjugator_from_units,
+    diag,
     from_columns,
     gen_matrix,
     identity,
@@ -70,12 +76,14 @@ from .matrix import (
     zeros,
 )
 from .mapexpr import (
+    IDENTITY_CHAR,
     CanonicalForm,
     DegenerateForm,
     LambdaTable,
     NonDegenerateForm,
     ScalarCharacter,
     TrivialForm,
+    pairs_doc,
 )
 from .slword import random_gl, random_sl
 
@@ -84,6 +92,23 @@ MapOracle = Callable[[Matrix], Matrix]
 CHAR_POWER_BOUND = 6
 VERIFY_INVERTIBLE = 50
 VERIFY_SINGULAR = 10
+
+# Probe scalars and law pairs as data for field.scalars: each is (entries
+# over every field, entries added over Q(sqrt d) only), and an entry (a, b)
+# stands for a + b*sqrt(d).
+HALF = Fraction(1, 2)
+S, S1 = (0, 1), (1, 1)  # sqrt(d) and 1 + sqrt(d)
+PHI_POOL = ((1, 2, 3, HALF, -1), (S, S1))
+# chosen so that distinct bounded characters stay distinct on it
+LAM_POOL = ((2, 3, 5, -1, HALF), (S, S1))
+# a few entries suffice: the follow-up verification re-tests on words
+TRIVIAL_POOL = ((1, 2, HALF), (S,))
+# the pair (1, -1) lands on the identity transvection and pins phi(-1)
+ADD_PAIRS = (((1, 1), (1, 2), (2, 3), (HALF, HALF), (1, -1)), ((1, S), (S, S)))
+# the invertible-side and matrix-unit recoveries push different products
+# through their probes; each list fixes the probes its recovery makes
+GL_MULT_PAIRS = (((2, 3), (2, HALF), (3, 3)), ((S, S), (S, S1)))
+UNIT_MULT_PAIRS = (((2, 3), (2, HALF)), ((S, S),))
 
 
 class Session:
@@ -134,29 +159,33 @@ class _Working:
     """
 
     def __init__(self, session: Session, s_mat: Matrix, l: int, z_pad: int, s_pad: int):
+        fd = session.fd
         self.session = session
         self.s_mat = s_mat
         self.s_inv = s_mat.inverse()
         self.l = l
-        self.z_pad = z_pad
-        self.s_pad = s_pad
+        self.frame = diag(fd, [zero(fd)] * (l + z_pad) + [one(fd)] * s_pad)
+        self.block = [(i, j) for i in range(l) for j in range(l)]
 
     def __call__(self, a: Matrix) -> Matrix:
-        fd = self.session.fd
-        o, z = one(fd), zero(fd)
-        k = self.session.k
         x = self.s_inv * self.session.call(a) * self.s_mat
-        lo = self.l
-        for i in range(k):
-            for j in range(k):
-                if i < lo and j < lo:
-                    continue
-                expect = o if (i == j and i >= lo + self.z_pad) else z
-                if x[i, j] != expect:
-                    raise NotMultiplicative(
-                        "image violates the fixed zero and identity blocks"
-                    )
-        return x.submatrix(range(lo), range(lo))
+        entries = _read(
+            x, self.frame, self.block, "image violates the fixed zero and identity blocks"
+        )
+        l = self.l
+        return Matrix(self.session.fd, [entries[i : i + l] for i in range(0, l * l, l)])
+
+
+def _read(image: Matrix, background: Matrix, free, law: str) -> list[FieldElem]:
+    """The entries of image at the free positions (zero-based, in the order
+    given), after checking that every other entry equals the background's;
+    a stray entry breaks the named law."""
+    skip = set(free)
+    for i, (row, expected) in enumerate(zip(image.rows, background.rows)):
+        for j, (x, y) in enumerate(zip(row, expected)):
+            if x != y and (i, j) not in skip:
+                raise NotMultiplicative(law)
+    return [image[i, j] for i, j in free]
 
 
 @dataclass(frozen=True)
@@ -203,19 +232,13 @@ class ClassifyReport:
             "lambda": desc.get("lambda"),
             "eps": desc.get("eps"),
             "R": desc.get("R"),
-            "homTable": _table_doc(self.hom_table),
-            "lambdaTable": _table_doc(self.lambda_table),
+            "homTable": pairs_doc(self.hom_table),
+            "lambdaTable": pairs_doc(self.lambda_table),
             "probeLog": [
                 [a.to_doc()["entries"], b.to_doc()["entries"]]
                 for a, b in self.probe_log
             ],
         }
-
-
-def _table_doc(table):
-    if table is None:
-        return None
-    return [[format_scalar(x), format_scalar(y)] for x, y in table]
 
 
 def classify(oracle: MapOracle, fd: FieldDescriptor, n: int, seed: int = 0) -> ClassifyReport:
@@ -240,23 +263,17 @@ def classify(oracle: MapOracle, fd: FieldDescriptor, n: int, seed: int = 0) -> C
         s_total = s_mat
     else:
         w = _Working(session, s_mat, l, z_pad, s_pad)
-        phi_pool, lam_pool = _pools(fd)
-        if l < n:
-            # a shrunken live block leaves no room for any nontrivial image
-            # of the special linear group
-            _is_trivial(w, fd, n, enforcing=True)
-            form, diag = _classify_trivial(w, fd, n, l, lam_pool, k, s_pad)
-            s_total = s_mat * _embed_top_left(diag, k)
-        elif _is_trivial(w, fd, n, enforcing=False):
-            form, diag = _classify_trivial(w, fd, n, l, lam_pool, k, s_pad)
-            s_total = s_mat * _embed_top_left(diag, k)
+        phi_pool, lam_pool = scalars(fd, *PHI_POOL), scalars(fd, *LAM_POOL)
+        # a shrunken live block leaves no room for any nontrivial image of
+        # the special linear group
+        if _is_trivial(w, fd, n, enforcing=l < n):
+            form, p = _classify_trivial(w, fd, n, l, lam_pool, k, s_pad)
+            s_total = s_mat * _embed_top_left(p, k)
         else:
             zero_mat = zeros(fd, n)
             f_cos = [w(coidempotent(fd, n, j)) for j in range(1, n + 1)]
             if all(f == zero_mat for f in f_cos):
-                rec = _classify_gl(w, fd, n, phi_pool, lam_pool)
-                form = DegenerateForm(fd, n, rec.lam, rec.phi, rec.r, rec.eps)
-                hom_table, lam_table = rec.phi_pairs, rec.lam_pairs
+                form, hom_table, lam_table = _classify_gl(w, fd, n, phi_pool, lam_pool)
             else:
                 form, hom_table, lam_table = _recover_nondegenerate(
                     w, fd, n, phi_pool, lam_pool, f_cos
@@ -293,30 +310,6 @@ def _normalize_idempotents(session: Session):
         raise NotMultiplicative(f"images of 0 and I are incompatible: {exc}") from exc
 
 
-# -- probe pools -------------------------------------------------------
-
-
-def _pools(fd: FieldDescriptor):
-    """(entry-map probes, determinant probes). The determinant pool is chosen
-    so that distinct bounded characters stay distinct on it."""
-    phi = [as_elem(fd, v) for v in (1, 2, 3, Fraction(1, 2), -1)]
-    lam = [as_elem(fd, v) for v in (2, 3, 5, -1, Fraction(1, 2))]
-    if fd.is_quadratic:
-        s = sqrt_gen(fd)
-        extra = [s, one(fd) + s]
-        phi += extra
-        lam += extra
-    return tuple(phi), tuple(lam)
-
-
-def _trivial_pool(fd: FieldDescriptor):
-    # a few entries suffice: the follow-up verification re-tests on words
-    xs = [as_elem(fd, v) for v in (1, 2, Fraction(1, 2))]
-    if fd.is_quadratic:
-        xs.append(sqrt_gen(fd))
-    return tuple(xs)
-
-
 # -- trivial class -------------------------------------------------------
 
 
@@ -327,7 +320,7 @@ def _is_trivial(w: _Working, fd: FieldDescriptor, n: int, enforcing: bool) -> bo
     positions = [(i, i + 1) for i in range(1, n)] + [(i + 1, i) for i in range(1, n)]
     if n >= 3:
         positions.append((1, 3))
-    for x in _trivial_pool(fd):
+    for x in scalars(fd, *TRIVIAL_POOL):
         for i, j in positions:
             if w(gen_matrix(Transvection(i, j, x), fd, n)) != il:
                 if enforcing:
@@ -350,36 +343,21 @@ def _classify_trivial(w, fd: FieldDescriptor, n: int, l: int, lam_pool, k: int, 
     if swap_img != w(gen_matrix(DiagUnit(1, -o), fd, n)):
         raise NotMultiplicative("swap image leaves its determinant coset")
 
-    probes: dict[FieldElem, Matrix] = {}
-
+    @cache
     def img(x: FieldElem) -> Matrix:
-        if x not in probes:
-            probes[x] = w(gen_matrix(DiagUnit(1, x), fd, n))
-        return probes[x]
+        return w(gen_matrix(DiagUnit(1, x), fd, n))
 
     base = list(lam_pool)
-    for x in base:
-        img(x)
+    mats = [img(x) for x in base]
     for x, y in zip(base, base[1:]):
         if img(x) * img(y) != img(x * y):
             raise NotMultiplicative("determinant block fails multiplicativity")
-    mats = [probes[x] for x in base]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if mats[i] * mats[j] != mats[j] * mats[i]:
-                raise NotMultiplicative("determinant block images do not commute")
+    if any(a * b != b * a for a, b in combinations(mats, 2)):
+        raise NotMultiplicative("determinant block images do not commute")
 
     candidates = _enumerate_characters(fd, CHAR_POWER_BOUND)
-    cand_vals = []
-    for x in base:
-        vals: list[FieldElem] = []
-        seen = set()
-        for c in candidates:
-            v = c.evaluate(x)
-            if v not in seen:
-                seen.add(v)
-                vals.append(v)
-        cand_vals.append(vals)
+    # the values of the candidates at each probe, first occurrences only
+    cand_vals = [list(dict.fromkeys(c.evaluate(x) for c in candidates)) for x in base]
 
     blocks = _joint_diagonalize(mats, cand_vals, fd, l)
     chars: list[ScalarCharacter] = []
@@ -397,17 +375,8 @@ def _classify_trivial(w, fd: FieldDescriptor, n: int, l: int, lam_pool, k: int, 
     if not p.is_invertible:
         raise NonDiagonalizableTrivial("joint eigenvectors do not span the block")
     p_inv = p.inverse()
-    z = zero(fd)
     for x in base:
-        d = p_inv * probes[x] * p
-        expected = Matrix(
-            fd,
-            [
-                [chars[i].evaluate(x) if i == j else z for j in range(l)]
-                for i in range(l)
-            ],
-        )
-        if d != expected:
+        if p_inv * img(x) * p != diag(fd, [c.evaluate(x) for c in chars]):
             raise NotMultiplicative("diagonalized block disagrees with its characters")
     form = TrivialForm(fd, n, tuple(chars), k - l - s_pad, s_pad)
     return form, p
@@ -447,22 +416,11 @@ def _joint_diagonalize(mats, cand_vals, fd: FieldDescriptor, l: int):
 def _enumerate_characters(fd: FieldDescriptor, bound: int):
     """All determinant characters with exponents in [-bound, bound], small
     ones first so fitting is deterministic and minimal."""
-    out = []
+    span = range(-bound, bound + 1)
     if fd.is_quadratic:
-        pairs = sorted(
-            (
-                (a, b)
-                for a in range(-bound, bound + 1)
-                for b in range(-bound, bound + 1)
-            ),
-            key=lambda ab: (abs(ab[0]) + abs(ab[1]), ab[0], ab[1]),
-        )
-        for a, b in pairs:
-            out.append(ScalarCharacter((("id", a), ("conj", b))))
-    else:
-        for a in sorted(range(-bound, bound + 1), key=lambda a: (abs(a), a)):
-            out.append(ScalarCharacter((("id", a),)))
-    return out
+        pairs = sorted(product(span, span), key=lambda ab: (abs(ab[0]) + abs(ab[1]), ab))
+        return [ScalarCharacter((("id", a), ("conj", b))) for a, b in pairs]
+    return [ScalarCharacter((("id", a),)) for a in sorted(span, key=lambda a: (abs(a), a))]
 
 
 def _fit_character(fd: FieldDescriptor, pairs, bound: int) -> ScalarCharacter | None:
@@ -475,36 +433,24 @@ def _fit_character(fd: FieldDescriptor, pairs, bound: int) -> ScalarCharacter | 
 # -- invertible-side recovery -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _GlRecovery:
-    twist: int
-    phi: RingHom
-    lam: ScalarCharacter | LambdaTable
-    eps: int
-    r: Matrix
-    phi_pairs: tuple[tuple[FieldElem, FieldElem], ...]
-    lam_pairs: tuple[tuple[FieldElem, FieldElem], ...]
-
-
-def _classify_gl(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool) -> _GlRecovery:
-    """Recover lam, phi, eps, R from probes at invertible matrices only.
+def _classify_gl(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool):
+    """Recover lam, phi, eps, R from probes at invertible matrices only;
+    returns (DegenerateForm, entry-map table, determinant-scale table).
 
     Stages: the involutions w(D_i(-1)) fix a determinant twist and a common
     eigenbasis P; swap images fix the diagonal scale T; the corrected
     conjugator turns the oracle into a pure lam(det) C^eps(phi) form, read
     off transvection and dilation images. Each stage checks exact equalities
     that hold for every multiplicative map and fails loudly otherwise."""
-    o, z = one(fd), zero(fd)
+    o = one(fd)
     ident = identity(fd, n)
 
     invs = [w(gen_matrix(DiagUnit(i, -o), fd, n)) for i in range(1, n + 1)]
     for v in invs:
         if v * v != ident:
             raise NotMultiplicative("image of a determinant involution must square to I")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if invs[i] * invs[j] != invs[j] * invs[i]:
-                raise NotMultiplicative("determinant involution images do not commute")
+    if any(a * b != b * a for a, b in combinations(invs, 2)):
+        raise NotMultiplicative("determinant involution images do not commute")
     mults = [n - (v + ident).rank for v in invs]
     m = mults[0]
     if any(mm != m for mm in mults):
@@ -519,9 +465,9 @@ def _classify_gl(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool) -> _GlRecov
         )
 
     sign = -o if twist else o
+    twisted = [sign * v for v in invs]
     cols = []
-    for i in range(n):
-        vh = sign * invs[i]
+    for vh in twisted:
         kern = (vh + ident).kernel_basis()
         if len(kern) != 1:
             raise NotMultiplicative("twisted involution lacks a simple -1 eigenvector")
@@ -529,8 +475,7 @@ def _classify_gl(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool) -> _GlRecov
     p = from_columns(fd, cols)
     if not p.is_invertible:
         raise NotMultiplicative("involution eigenvectors are dependent")
-    for i in range(n):
-        vh = sign * invs[i]
+    for i, vh in enumerate(twisted):
         if vh * p != p * gen_matrix(DiagUnit(i + 1, -o), fd, n):
             raise NotMultiplicative("involutions are not simultaneously diagonalized")
     g = p.inverse()
@@ -539,34 +484,29 @@ def _classify_gl(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool) -> _GlRecov
         img = w(a)
         return a.det * img if twist else img
 
+    # swaps[i] exchanges the zero-based coordinates i and i + 1
+    swaps = [gen_matrix(Swap(i, i + 1), fd, n) for i in range(1, n)]
     scale = []
-    for i in range(1, n):
-        swap = gen_matrix(Swap(i, i + 1), fd, n)
-        m1 = g * what(swap) * p
-        for r_ in range(n):
-            for c_ in range(n):
-                if (r_, c_) in ((i - 1, i), (i, i - 1)):
-                    continue
-                if r_ in (i - 1, i) or c_ in (i - 1, i):
-                    if not m1[r_, c_].is_zero:
-                        raise NotMultiplicative("swap image has entries off its block")
-                elif m1[r_, c_] != (o if r_ == c_ else z):
-                    raise NotMultiplicative("swap image moves the complementary block")
-        b = m1[i - 1, i]
-        if b.is_zero or b * m1[i, i - 1] != o:
+    for i, swap in enumerate(swaps):
+        b, c = _read(
+            g * what(swap) * p,
+            swap,
+            [(i, i + 1), (i + 1, i)],
+            "swap image is not an exchange of the same two coordinates",
+        )
+        if b.is_zero or b * c != o:
             raise NotMultiplicative("swap block is not an exchange of weight one")
         scale.append(b)
     t_diag = [o]
     for b in scale:
         t_diag.append(t_diag[-1] * b)
-    g = _diag(fd, t_diag) * g
+    g = diag(fd, t_diag) * g
     g_inv = g.inverse()
 
     def w2(a: Matrix) -> Matrix:
         return g * what(a) * g_inv
 
-    for i in range(1, n):
-        swap = gen_matrix(Swap(i, i + 1), fd, n)
+    for swap in swaps:
         if w2(swap) != swap:
             raise NotMultiplicative("swap images resist the scale correction")
 
@@ -578,81 +518,36 @@ def _classify_gl(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool) -> _GlRecov
     else:
         raise NotMultiplicative("unit transvection image matches neither orientation")
 
-    # with eps settled, precompose with inverse-transpose so both branches
-    # read the entry map off plain transvections
-    phi_table: dict[FieldElem, FieldElem] = {}
-
-    def trans_probe(i: int, j: int, x: FieldElem) -> FieldElem:
-        src = Transvection(i, j, x) if eps == 0 else Transvection(j, i, -x)
-        mm = w2(gen_matrix(src, fd, n))
-        v = mm[i - 1, j - 1]
-        for r_ in range(n):
-            for c_ in range(n):
-                if (r_, c_) == (i - 1, j - 1):
-                    continue
-                if mm[r_, c_] != (o if r_ == c_ else z):
-                    raise NotMultiplicative(
-                        "transvection image is not a matching transvection"
-                    )
-        return v
-
-    def phi_val(x: FieldElem) -> FieldElem:
-        if x not in phi_table:
-            phi_table[x] = trans_probe(1, 2, x)
-        return phi_table[x]
-
-    for x in phi_pool:
-        phi_val(x)
-    for x in lam_pool:
-        phi_val(x)
-    if phi_val(o) != o:
-        raise NotMultiplicative("entry map does not fix 1")
-
-    two = as_elem(fd, 2)
-    three = as_elem(fd, 3)
-    half = as_elem(fd, Fraction(1, 2))
-    # the pair (1, -1) lands on the identity transvection and pins phi(-1)
-    add_pairs = [(o, o), (o, two), (two, three), (half, half), (o, -o)]
-    if fd.is_quadratic:
-        s_gen = sqrt_gen(fd)
-        add_pairs += [(o, s_gen), (s_gen, s_gen)]
-    for x, y in add_pairs:
-        if phi_val(x + y) != phi_val(x) + phi_val(y):
-            raise NotMultiplicative("entry map is not additive")
-
-    mult_pairs = [(two, three), (two, half), (three, three)]
-    if fd.is_quadratic:
-        s_gen = sqrt_gen(fd)
-        mult_pairs += [(s_gen, s_gen), (s_gen, o + s_gen)]
+    entry = _EntryMap(fd, n, w2, eps)
+    for x in phi_pool + lam_pool:
+        entry(x)
+    _check_laws(entry, _pairs(fd, ADD_PAIRS))
+    mult_pairs = _pairs(fd, GL_MULT_PAIRS)
     if n >= 3:
-        for y in (o, two):
-            if trans_probe(2, 3, y) != phi_val(y):
+        for y in scalars(fd, (1, 2)):
+            if entry.at(2, 3, y) != entry(y):
                 raise NotMultiplicative("transvection images disagree across positions")
-        for x, y in mult_pairs:
-            if trans_probe(1, 3, x * y) != phi_val(x) * phi_val(y):
-                raise NotMultiplicative("entry map is not multiplicative")
+        _check_laws(entry, (), mult_pairs, image=lambda v: entry.at(1, 3, v))
 
+    zero_mat = zeros(fd, n)
+    diagonal = [(i, i) for i in range(n)]
     lam_values = []
     for x in lam_pool:
         src = gen_matrix(DiagUnit(1, x if eps == 0 else x.inv()), fd, n)
-        mm = w2(src)
-        for r_ in range(n):
-            for c_ in range(n):
-                if r_ != c_ and not mm[r_, c_].is_zero:
-                    raise NotMultiplicative("dilation image is not diagonal")
-        s_x = mm[1, 1]
+        d = _read(w2(src), zero_mat, diagonal, "dilation image is not diagonal")
+        s_x = d[1]
         if s_x.is_zero:
             raise NotMultiplicative("dilation image is singular")
-        for r_ in range(2, n):
-            if mm[r_, r_] != s_x:
-                raise NotMultiplicative("dilation image tail is not scalar")
-        if mm[0, 0] != s_x * phi_val(x):
+        if any(v != s_x for v in d[2:]):
+            raise NotMultiplicative("dilation image tail is not scalar")
+        if d[0] != s_x * entry(x):
             raise NotMultiplicative("dilation image disagrees with the entry map")
         uni = [x, x.inv()] if eps == 0 else [x.inv(), x]
-        mm2 = w2(_diag(fd, uni + [o] * (n - 2)))
-        if mm2 != _diag(fd, [phi_val(x), phi_val(x).inv()] + [o] * (n - 2)):
+        if w2(diag(fd, uni + [o] * (n - 2))) != diag(
+            fd, [entry(x), entry(x).inv()] + [o] * (n - 2)
+        ):
             raise NotMultiplicative("unimodular dilation image is off")
-        lam_x = s_x if eps == 0 else (s_x * phi_val(x)).inv()
+        lam_x = s_x if eps == 0 else (s_x * entry(x)).inv()
         if twist:
             lam_x = lam_x / x
         lam_values.append((x, lam_x))
@@ -660,36 +555,87 @@ def _classify_gl(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool) -> _GlRecov
     if n == 2:
         # conjugation by a dilation scales a transvection entry; with the
         # dilation images pinned above this is the multiplicativity check
-        for x, y in mult_pairs:
-            if phi_val(x * y) != phi_val(x) * phi_val(y):
-                raise NotMultiplicative("entry map is not multiplicative")
+        _check_laws(entry, (), mult_pairs)
 
     fitted = _fit_character(fd, lam_values, CHAR_POWER_BOUND)
     lam = fitted if fitted is not None else LambdaTable(tuple(lam_values))
-    phi = _resolve_hom(fd, phi_table)
-    return _GlRecovery(
-        twist,
-        phi,
-        lam,
-        eps,
-        normalize_scale(g),
-        tuple(phi_table.items()),
-        tuple(lam_values),
-    )
+    table = entry.table
+    form = DegenerateForm(fd, n, lam, _resolve_hom(fd, table), normalize_scale(g), eps)
+    return form, tuple(table.items()), tuple(lam_values)
+
+
+class _EntryMap:
+    """The entry map phi of a map normalized so that the image of the
+    transvection P_ij(x) is P_ij(phi(x)); with eps = 1 the probe is the
+    inverse transpose P_ji(-x) instead, so both orientations read phi off
+    plain transvections. Reads are memoized."""
+
+    def __init__(self, fd: FieldDescriptor, n: int, normalized: MapOracle, eps: int):
+        self.fd = fd
+        self.n = n
+        self.normalized = normalized
+        self.eps = eps
+        self.ident = identity(fd, n)
+        self.reads: dict[tuple[int, int, FieldElem], FieldElem] = {}
+
+    def at(self, i: int, j: int, x: FieldElem) -> FieldElem:
+        """phi(x) read off the image entry (i, j), one-based."""
+        key = (i, j, x)
+        if key not in self.reads:
+            src = Transvection(i, j, x) if self.eps == 0 else Transvection(j, i, -x)
+            self.reads[key] = _read(
+                self.normalized(gen_matrix(src, self.fd, self.n)),
+                self.ident,
+                [(i - 1, j - 1)],
+                "transvection image is not a matching transvection",
+            )[0]
+        return self.reads[key]
+
+    def __call__(self, x: FieldElem) -> FieldElem:
+        return self.at(1, 2, x)
+
+    @property
+    def table(self) -> dict[FieldElem, FieldElem]:
+        """phi at every scalar read at (1, 2), in the order first read."""
+        return {x: v for (i, j, x), v in self.reads.items() if (i, j) == (1, 2)}
+
+
+def _pairs(fd: FieldDescriptor, data) -> tuple[tuple[FieldElem, FieldElem], ...]:
+    """The (x, y) pairs of a pair list held as data."""
+    plain, surd = data
+    xs = scalars(fd, [x for x, _ in plain], [x for x, _ in surd])
+    ys = scalars(fd, [y for _, y in plain], [y for _, y in surd])
+    return tuple(zip(xs, ys))
+
+
+def _check_laws(entry: _EntryMap, add_pairs, mult_pairs=(), product=None, image=None) -> None:
+    """Check that the entry map fixes 1, that entry(x + y) = entry(x) +
+    entry(y) on add_pairs, and that product(x, y) = image(xy) on mult_pairs.
+    product defaults to entry(x) entry(y) and image to the entry map itself;
+    a recovery passes readers of other probes to push products through them.
+    Each product is read before its image, so the lists fix the probe order."""
+    o = one(entry.fd)
+    if entry(o) != o:
+        raise NotMultiplicative("entry map does not fix 1")
+    for x, y in add_pairs:
+        if entry(x + y) != entry(x) + entry(y):
+            raise NotMultiplicative("entry map is not additive")
+    product = product or (lambda x, y: entry(x) * entry(y))
+    image = image or entry
+    for x, y in mult_pairs:
+        if product(x, y) != image(x * y):
+            raise NotMultiplicative("entry map is not multiplicative")
 
 
 def _resolve_hom(fd: FieldDescriptor, table: dict) -> RingHom:
+    """The homomorphism that fits the entry map table. A ring homomorphism
+    of Q or Q(sqrt d) is the identity or the conjugation, so a table that
+    fits neither breaks a law."""
     if all(v == x for x, v in table.items()):
         return IDENTITY_HOM
     if fd.is_quadratic and all(v == x.conjugate() for x, v in table.items()):
         return CONJUGATION_HOM
-    pairs = list(table.items())
-    z = zero(fd)
-    # phi(0) = 0 comes free from additivity; recorded so the sampled table
-    # can evaluate sparse matrices
-    if all(x != z for x, _ in pairs):
-        pairs.append((z, z))
-    return sampled_hom(pairs)
+    raise NotMultiplicative("entry map is neither the identity nor the conjugation")
 
 
 def _recover_nondegenerate(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool, f_cos):
@@ -699,7 +645,6 @@ def _recover_nondegenerate(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool, f
     the conjugator directly. When E_11 dies but the corank one idempotents
     survive, only a cofactor twist fits; the invertible-side recovery must
     then come back with eps = 1 and no determinant scale."""
-    o = one(fd)
     zero_mat = zeros(fd, n)
     e11 = w(unit_matrix(fd, n, 1, 1))
 
@@ -713,60 +658,28 @@ def _recover_nondegenerate(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool, f
         except (NotMatrixUnits, SingularRecovery) as exc:
             raise NotMultiplicative(str(exc)) from exc
         r_inv = r.inverse()
-        z = zero(fd)
 
         def unit_probe(i: int, j: int, x: FieldElem) -> FieldElem:
-            mm = r * w(x * unit_matrix(fd, n, i, j)) * r_inv
-            v = mm[i - 1, j - 1]
-            for r_ in range(n):
-                for c_ in range(n):
-                    if (r_, c_) == (i - 1, j - 1):
-                        continue
-                    if not mm[r_, c_].is_zero:
-                        raise NotMultiplicative("scaled unit image is not a scaled unit")
-            return v
+            return _read(
+                r * w(x * unit_matrix(fd, n, i, j)) * r_inv,
+                zero_mat,
+                [(i - 1, j - 1)],
+                "scaled unit image is not a scaled unit",
+            )[0]
 
-        table: dict[FieldElem, FieldElem] = {}
-
-        def trans_val(x: FieldElem) -> FieldElem:
-            if x in table:
-                return table[x]
-            mm = r * w(gen_matrix(Transvection(1, 2, x), fd, n)) * r_inv
-            v = mm[0, 1]
-            for r_ in range(n):
-                for c_ in range(n):
-                    if (r_, c_) == (0, 1):
-                        continue
-                    if mm[r_, c_] != (o if r_ == c_ else z):
-                        raise NotMultiplicative(
-                            "transvection image is not a matching transvection"
-                        )
-            table[x] = v
-            return v
-
-        pool = list(phi_pool) + [x for x in lam_pool if x not in phi_pool]
-        for x in pool:
-            if unit_probe(1, 2, x) != trans_val(x):
+        entry = _EntryMap(fd, n, lambda a: r * w(a) * r_inv, 0)
+        for x in phi_pool + tuple(x for x in lam_pool if x not in phi_pool):
+            if unit_probe(1, 2, x) != entry(x):
                 raise NotMultiplicative("unit and transvection probes disagree")
-        if trans_val(o) != o:
-            raise NotMultiplicative("entry map does not fix 1")
-
-        two = as_elem(fd, 2)
-        three = as_elem(fd, 3)
-        half = as_elem(fd, Fraction(1, 2))
-        add_pairs = [(o, o), (o, two), (two, three), (half, half), (o, -o)]
-        mult_pairs = [(two, three), (two, half)]
-        if fd.is_quadratic:
-            s_gen = sqrt_gen(fd)
-            add_pairs += [(o, s_gen), (s_gen, s_gen)]
-            mult_pairs.append((s_gen, s_gen))
-        for x, y in add_pairs:
-            if trans_val(x + y) != trans_val(x) + trans_val(y):
-                raise NotMultiplicative("entry map is not additive")
-        for x, y in mult_pairs:
-            # (x E_11)(y E_12) = xy E_12 pushes products through the units
-            if unit_probe(1, 1, x) * trans_val(y) != unit_probe(1, 2, x * y):
-                raise NotMultiplicative("entry map is not multiplicative")
+        # (x E_11)(y E_12) = xy E_12 pushes products through the units
+        _check_laws(
+            entry,
+            _pairs(fd, ADD_PAIRS),
+            _pairs(fd, UNIT_MULT_PAIRS),
+            product=lambda x, y: unit_probe(1, 1, x) * entry(y),
+            image=lambda v: unit_probe(1, 2, v),
+        )
+        table = entry.table
         phi = _resolve_hom(fd, table)
         return NonDegenerateForm(fd, n, phi, r, 0), tuple(table.items()), None
 
@@ -780,23 +693,19 @@ def _recover_nondegenerate(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool, f
     if any(f == zero_mat for f in f_cos):
         raise RankLadderViolation("corank one images are inconsistent")
 
-    rec = _classify_gl(w, fd, n, phi_pool, lam_pool)
-    if rec.eps != 1 or not (isinstance(rec.lam, ScalarCharacter) and rec.lam.is_empty):
+    gl_form, hom_table, lam_table = _classify_gl(w, fd, n, phi_pool, lam_pool)
+    if gl_form.eps != 1 or gl_form.lam != IDENTITY_CHAR:
         raise NotMultiplicative(
             "vanishing pattern does not match a cofactor form"
         )
-    form = NonDegenerateForm(fd, n, rec.phi, rec.r, 1)
+    form = NonDegenerateForm(fd, n, gl_form.phi, gl_form.R, 1)
     for j in range(1, n + 1):
         co = coidempotent(fd, n, j)
-        try:
-            predicted = form.evaluate(co)
-        except ProbeMiss:
-            continue
-        if w(co) != predicted:
+        if w(co) != form.evaluate(co):
             raise VerificationFailed(
                 "corank one image disagrees with the recovered cofactor form"
             )
-    return form, rec.phi_pairs, rec.lam_pairs
+    return form, hom_table, lam_table
 
 
 # -- final verification -------------------------------------------------------
@@ -804,11 +713,11 @@ def _recover_nondegenerate(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool, f
 
 def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: int, seed: int):
     """Fresh random samples, invertible and singular, against the rebuilt
-    oracle. Samples the recovered form cannot evaluate (sampled entry maps on
-    unseen scalars) are skipped; everything else must match exactly."""
+    oracle. The recovered form must evaluate every sample and match the
+    oracle on it exactly; a sample it cannot evaluate fails verification."""
     rng = random.Random(seed)
     s_inv = s_total.inverse()
-    _, lam_pool = _pools(fd)
+    lam_pool = scalars(fd, *LAM_POOL)
     for i in range(VERIFY_INVERTIBLE):
         x = lam_pool[i % len(lam_pool)]
         a = gen_matrix(DiagUnit(1, x), fd, n) * random_sl(rng, fd, n, length=8)
@@ -822,8 +731,10 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
 def _check_sample(session, s_total, s_inv, form, a: Matrix) -> None:
     try:
         expected = s_total * form.evaluate(a) * s_inv
-    except ProbeMiss:
-        return
+    except ProbeMiss as exc:
+        raise VerificationFailed(
+            f"recovered form cannot evaluate a fresh sample: {exc}"
+        ) from exc
     if session.call(a) != expected:
         raise VerificationFailed(
             "oracle and recovered form disagree on a fresh sample"
@@ -833,21 +744,9 @@ def _check_sample(session, s_total, s_inv, form, a: Matrix) -> None:
 # -- small helpers -------------------------------------------------------
 
 
-def _diag(fd: FieldDescriptor, entries) -> Matrix:
-    z = zero(fd)
-    es = list(entries)
-    n = len(es)
-    return Matrix(fd, [[es[i] if i == j else z for j in range(n)] for i in range(n)])
-
-
 def _embed_top_left(p: Matrix, k: int) -> Matrix:
-    fd = p.field
-    l = p.n_rows
-    o, z = one(fd), zero(fd)
-    return Matrix(
-        fd,
-        [
-            [p[i, j] if (i < l and j < l) else (o if i == j else z) for j in range(k)]
-            for i in range(k)
-        ],
-    )
+    """blockdiag(p, I) of size k."""
+    rows = [list(r) for r in identity(p.field, k).rows]
+    for i, row in enumerate(p.rows):
+        rows[i][: len(row)] = row
+    return Matrix(p.field, rows)

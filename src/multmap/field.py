@@ -10,8 +10,8 @@ work on the triples directly: a dot product is one integer accumulation
 over a common denominator, normalized once.
 
 The module also carries the small registered family of ring homomorphisms
-(identity and Galois conjugation) plus finite sampled tables used by the
-classifier, and the canonical string grammar for scalars:
+(identity and Galois conjugation) plus finite sampled tables, and the
+canonical string grammar for scalars:
 
     rational  := '-'? digits ('/' nonzero-digits)?
     quadratic := rational (('+'|'-') rational '*s')?      # s = sqrt(d)
@@ -251,15 +251,7 @@ class FieldElem:
     def __pow__(self, exponent: int) -> "FieldElem":
         if exponent < 0:
             return self.inv() ** (-exponent)
-        result = one(self._field)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(one(self._field), self, exponent)
 
     def conjugate(self) -> "FieldElem":
         """Galois conjugate a - b*sqrt(d); identity on rational fields."""
@@ -293,6 +285,17 @@ def _norm(fd: FieldDescriptor, p: int, q: int, den: int) -> FieldElem:
         q //= g
         den //= g
     return _raw(fd, p, q, den)
+
+
+def _power(result, base, e: int):
+    """result * base^e for e >= 0 by repeated squaring; shared by scalars
+    and matrices."""
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
 
 
 def _integer_vector(xs) -> tuple[list[int], list[int], int]:
@@ -354,6 +357,15 @@ def sqrt_gen(fd: FieldDescriptor) -> FieldElem:
     return _raw(fd, 0, 1, 1)
 
 
+def scalars(fd: FieldDescriptor, values, surd_values=()) -> tuple[FieldElem, ...]:
+    """The elements of values, followed over Q(sqrt d) only by those of
+    surd_values, in order. An entry is an int, a Fraction, or a pair (a, b)
+    standing for a + b*sqrt(d)."""
+    if fd.is_quadratic:
+        values = (*values, *surd_values)
+    return tuple(FieldElem(fd, *v) if isinstance(v, tuple) else FieldElem(fd, v) for v in values)
+
+
 def as_elem(fd: FieldDescriptor, value: "FieldElem | Fraction | int") -> FieldElem:
     """Coerce an int, Fraction, or FieldElem into the field fd."""
     if isinstance(value, FieldElem):
@@ -369,7 +381,7 @@ def as_elem(fd: FieldDescriptor, value: "FieldElem | Fraction | int") -> FieldEl
 @dataclass(frozen=True)
 class RingHom:
     """A ring homomorphism tag: identity, Galois conjugation, or a finite
-    sampled table (probe, image) recorded by the classifier."""
+    sampled table of (probe, image) pairs."""
 
     kind: str
     table: tuple[tuple[FieldElem, FieldElem], ...] = dc_field(default=())

@@ -46,10 +46,9 @@ from .field import (
     format_scalar,
     hom_apply,
     one,
-    parse_scalar,
     zero,
 )
-from .matrix import Matrix, identity, normalize_scale, zeros
+from .matrix import Matrix, diag, identity, normalize_scale, zeros
 
 
 # -- determinant characters ---------------------------------------------------
@@ -136,6 +135,14 @@ def char_of_hom(h: RingHom, power: int = 1) -> ScalarCharacter:
     return ScalarCharacter(((h.kind, power),))
 
 
+def pairs_doc(pairs):
+    """(probe, value) pairs rendered as [probe, value] scalar strings; None
+    stays None."""
+    if pairs is None:
+        return None
+    return [[format_scalar(x), format_scalar(y)] for x, y in pairs]
+
+
 @dataclass(frozen=True)
 class LambdaTable:
     """A determinant scale known only on finitely many sampled values."""
@@ -149,11 +156,7 @@ class LambdaTable:
         raise ProbeMiss(f"determinant scale unsampled at {format_scalar(x)}")
 
     def to_doc(self) -> dict:
-        return {
-            "sampled": [
-                [format_scalar(p), format_scalar(v)] for p, v in self.entries
-            ]
-        }
+        return {"sampled": pairs_doc(self.entries)}
 
 
 # -- atoms ---------------------------------------------------------------------
@@ -310,25 +313,16 @@ def _apply_atom(atom: Atom, a: Matrix, fd: FieldDescriptor) -> Matrix:
     if isinstance(atom, Cof):
         return a.cofactor()
     if isinstance(atom, Hom):
-        return Matrix(fd, [[hom_apply(atom.phi, x) for x in r] for r in a.rows])
+        return _apply_hom(atom.phi, a)
     if isinstance(atom, DetScale):
         d = a.det
         if d.is_zero:
             return zeros(fd, a.n_rows)
         return atom.character.evaluate(d) * a
-    t = atom
     d = a.det
-    m, z, s = len(t.chars), t.zero_pad, t.one_pad
-    k = m + z + s
-    diag = [zero(fd)] * k
-    for i in range(k - s, k):
-        diag[i] = one(fd)
-    if not d.is_zero:
-        for i, c in enumerate(t.chars):
-            diag[i] = c.evaluate(d)
-    return Matrix(
-        fd, [[diag[i] if i == j else zero(fd) for j in range(k)] for i in range(k)]
-    )
+    z = zero(fd)
+    chars = [z] * len(atom.chars) if d.is_zero else [c.evaluate(d) for c in atom.chars]
+    return diag(fd, chars + [z] * atom.zero_pad + [one(fd)] * atom.one_pad)
 
 
 def _atom_to_doc(atom: Atom) -> dict:
@@ -442,13 +436,7 @@ class DegenerateForm:
         return scale * _core_evaluate(self, a)
 
     def describe(self) -> dict:
-        return {
-            "class": "degenerate",
-            "phi": _hom_doc(self.phi),
-            "lambda": self.lam.to_doc(),
-            "eps": "cofactor" if self.eps else "plain",
-            "R": self.R.to_doc(),
-        }
+        return {**_core_doc(self), "lambda": self.lam.to_doc()}
 
 
 @dataclass(frozen=True)
@@ -471,31 +459,32 @@ class NonDegenerateForm:
         return _core_evaluate(self, a)
 
     def describe(self) -> dict:
-        return {
-            "class": "nondegenerate",
-            "phi": _hom_doc(self.phi),
-            "eps": "cofactor" if self.eps else "plain",
-            "R": self.R.to_doc(),
-        }
+        return _core_doc(self)
 
 
 CanonicalForm = TrivialForm | DegenerateForm | NonDegenerateForm
 
 
+def _apply_hom(h: RingHom, a: Matrix) -> Matrix:
+    """h applied to every entry of a."""
+    return Matrix(a.field, [[hom_apply(h, x) for x in r] for r in a.rows])
+
+
 def _core_evaluate(form, a: Matrix) -> Matrix:
-    out = Matrix(
-        form.field, [[hom_apply(form.phi, x) for x in r] for r in a.rows]
-    )
+    out = _apply_hom(form.phi, a)
     if form.eps:
         out = out.cofactor()
     return form.R.inverse() * out * form.R
 
 
-def _hom_doc(h: RingHom):
-    if h.is_registered:
-        return h.kind
+def _core_doc(form) -> dict:
+    """The description shared by the two R^-1 C^eps(phi(A)) R classes."""
+    phi = form.phi.kind if form.phi.is_registered else {"sampled": pairs_doc(form.phi.table)}
     return {
-        "sampled": [[format_scalar(p), format_scalar(v)] for p, v in h.table]
+        "class": form.kind,
+        "phi": phi,
+        "eps": "cofactor" if form.eps else "plain",
+        "R": form.R.to_doc(),
     }
 
 
@@ -558,7 +547,7 @@ def simplify(expr: MapExpr) -> CanonicalForm:
         elif isinstance(atom, Hom):
             lam = lam.postcompose(atom.phi)
             phi = compose_homs(atom.phi, phi)
-            r = Matrix(fd, [[hom_apply(atom.phi, x) for x in row] for row in r.rows])
+            r = _apply_hom(atom.phi, r)
         elif isinstance(atom, Cof):
             new_lam = lam.power(n - 1)
             if eps:

@@ -16,6 +16,7 @@ matrix unit images.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (
     DimensionMismatch,
@@ -32,6 +33,7 @@ from .field import (
     FieldElem,
     _dot,
     _integer_vector,
+    _power,
     _sub_mul,
     as_elem,
     format_scalar,
@@ -158,15 +160,7 @@ class Matrix:
         n = self._require_square("power")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = identity(self.field, n)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(identity(self.field, n), self, exponent)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.rows)))
@@ -217,18 +211,11 @@ class Matrix:
         """Basis of the right null space, one vector per free column, in
         column order; deterministic for reproducible conjugators."""
         reduced, pivots, _ = self._reduce()
-        pivot_set = set(pivots)
-        z, o = zero(self.field), one(self.field)
-        basis = []
-        for free in range(self.n_cols):
-            if free in pivot_set:
-                continue
-            v = [z] * self.n_cols
-            v[free] = o
-            for r, pc in enumerate(pivots):
-                v[pc] = -reduced[r][free]
-            basis.append(tuple(v))
-        return basis
+        return [
+            tuple(_null_vector(self.field, reduced, pivots, free, self.n_cols))
+            for free in range(self.n_cols)
+            if free not in pivots
+        ]
 
     def image_basis(self) -> list[tuple[FieldElem, ...]]:
         """Pivot columns of the original matrix, in column order."""
@@ -269,10 +256,7 @@ class Matrix:
         if rank < n - 1:
             return zeros(fd, n)
         free = next(c for c in range(n) if c not in pivots)
-        x = [zero(fd)] * n
-        x[free] = one(fd)
-        for r, pc in enumerate(pivots):
-            x[pc] = -rows[r][free]
+        x = _null_vector(fd, rows, pivots, free, n)
         y = rows[n - 1][n:]
         i = next(k for k in range(n) if not y[k].is_zero)
         # C is a nonzero multiple of y x^T and x[free] = 1, so the minor at
@@ -365,6 +349,16 @@ def _eliminate(fd: FieldDescriptor, rows: list[list[FieldElem]], n_pivot_cols: i
     return rows, tuple(pivots), det
 
 
+def _null_vector(fd: FieldDescriptor, rows, pivots, free: int, width: int) -> list[FieldElem]:
+    """The null vector of the reduced rows with a one at the free column
+    and zeros at the other free columns."""
+    v = [zero(fd)] * width
+    v[free] = one(fd)
+    for r, pc in enumerate(pivots):
+        v[pc] = -rows[r][free]
+    return v
+
+
 def _augment_identity(m: Matrix) -> list[list[FieldElem]]:
     """The rows of [m | I] for square m."""
     n = m.n_rows
@@ -375,9 +369,15 @@ def _augment_identity(m: Matrix) -> list[list[FieldElem]]:
 # -- constructors --------------------------------------------------------------
 
 
+def diag(fd: FieldDescriptor, entries) -> Matrix:
+    """The square matrix with the given diagonal and zeros elsewhere."""
+    es = list(entries)
+    z = zero(fd)
+    return Matrix(fd, [[x if i == j else z for j in range(len(es))] for i, x in enumerate(es)])
+
+
 def identity(fd: FieldDescriptor, n: int) -> Matrix:
-    o, z = one(fd), zero(fd)
-    return Matrix(fd, [[o if i == j else z for j in range(n)] for i in range(n)])
+    return diag(fd, [one(fd)] * n)
 
 
 def zeros(fd: FieldDescriptor, n_rows: int, n_cols: int | None = None) -> Matrix:
@@ -411,8 +411,7 @@ def rank_idempotent(fd: FieldDescriptor, n: int, r: int) -> Matrix:
     """diag(1 ... 1, 0 ... 0) with r ones."""
     if not 0 <= r <= n:
         raise IndexOutOfRange(f"rank {r} outside 0..{n}")
-    o, z = one(fd), zero(fd)
-    return Matrix(fd, [[o if i == j and i < r else z for j in range(n)] for i in range(n)])
+    return diag(fd, [one(fd)] * r + [zero(fd)] * (n - r))
 
 
 def coidempotent(fd: FieldDescriptor, n: int, j: int) -> Matrix:
@@ -560,24 +559,12 @@ def split_idempotent_pair(p_zero: Matrix, p_one: Matrix):
         raise NotCommutingIdempotents("idempotent pair does not split the space")
     basis = from_columns(fd, columns)
     s_inv = basis.inverse()
-    if s_inv * p_zero * basis != _padded_identity(fd, k, l, s, low_only=True):
+    o, z = one(fd), zero(fd)
+    if s_inv * p_zero * basis != diag(fd, [z] * (k - s) + [o] * s):
         raise NotCommutingIdempotents("image of 0 is not the expected projector")
-    if s_inv * p_one * basis != _padded_identity(fd, k, l, s, low_only=False):
+    if s_inv * p_one * basis != diag(fd, [o] * l + [z] * (k - l - s) + [o] * s):
         raise NotCommutingIdempotents("image of I is not the expected projector")
     return basis, s, l
-
-
-def _padded_identity(fd: FieldDescriptor, k: int, l: int, s: int, low_only: bool) -> Matrix:
-    o, z = one(fd), zero(fd)
-    diag = []
-    for i in range(k):
-        if i < l:
-            diag.append(z if low_only else o)
-        elif i < k - s:
-            diag.append(z)
-        else:
-            diag.append(o)
-    return Matrix(fd, [[diag[i] if i == j else z for j in range(k)] for i in range(k)])
 
 
 def conjugator_from_units(units: list[list[Matrix]]) -> Matrix:
@@ -599,15 +586,9 @@ def conjugator_from_units(units: list[list[Matrix]]) -> Matrix:
     if k != n:
         raise DimensionMismatch("full unit recovery needs n x n units in M_n")
     zero_m = zeros(fd, k)
-    for i in range(n):
-        for j in range(n):
-            for p in range(n):
-                for q in range(n):
-                    expected = units[i][q] if j == p else zero_m
-                    if units[i][j] * units[p][q] != expected:
-                        raise NotMatrixUnits(
-                            "matrix unit relations F_ij F_kl = delta_jk F_il violated"
-                        )
+    for i, j, p, q in product(range(n), repeat=4):
+        if units[i][j] * units[p][q] != (units[i][q] if j == p else zero_m):
+            raise NotMatrixUnits("matrix unit relations F_ij F_kl = delta_jk F_il violated")
     f11 = units[0][0]
     v = next((f11.column(c) for c in range(k) if any(not x.is_zero for x in f11.column(c))), None)
     if v is None:

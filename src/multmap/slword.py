@@ -21,11 +21,10 @@ from .errors import NotSpecialLinear, ParseError, SingularMatrix
 from .field import (
     FieldDescriptor,
     FieldElem,
-    as_elem,
     format_scalar,
     one,
     parse_scalar,
-    sqrt_gen,
+    scalars,
 )
 from .matrix import (
     DiagUnit,
@@ -43,12 +42,8 @@ from fractions import Fraction
 
 def default_pool(fd: FieldDescriptor) -> tuple[FieldElem, ...]:
     """Small nonzero scalars used when sampling random words and probes."""
-    base = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3]
-    pool = [as_elem(fd, v) for v in base]
-    if fd.is_quadratic:
-        s = sqrt_gen(fd)
-        pool.extend([s, one(fd) + s])
-    return tuple(pool)
+    half = Fraction(1, 2)
+    return scalars(fd, (1, -1, 2, -2, half, -half, 3), ((0, 1), (1, 1)))
 
 
 def evaluate_word(word, fd: FieldDescriptor, n: int) -> Matrix:

@@ -64,7 +64,7 @@ def _sample_matrix(rng, fd, n, config) -> Matrix:
 
 def _zero_entry(m: Matrix, i: int, j: int) -> Matrix:
     rows = [list(r) for r in m.rows]
-    rows[i][j] = rows[i][j] - rows[i][j]
+    rows[i][j] = zero(m.field)
     return Matrix(m.field, rows)
 
 
@@ -91,22 +91,23 @@ def _shrink(still_fails, a: Matrix, b: Matrix | None):
     return a, b
 
 
+def _fuzz(fails, pairs: bool, fd: FieldDescriptor, n: int, config: FuzzConfig) -> Verdict:
+    """Sample config.pair_count inputs, pairs (A, B) or single matrices A
+    with B = None, and return the first on which fails(A, B) holds, shrunk."""
+    rng = random.Random(config.seed)
+    for done in range(1, config.pair_count + 1):
+        a = _sample_matrix(rng, fd, n, config)
+        b = _sample_matrix(rng, fd, n, config) if pairs else None
+        if fails(a, b):
+            return Verdict(False, _shrink(fails, a, b), done, config.seed)
+    return Verdict(True, None, config.pair_count, config.seed)
+
+
 def check_multiplicative(
     phi, fd: FieldDescriptor, n: int, config: FuzzConfig = FuzzConfig()
 ) -> Verdict:
     """Sample pairs and test Phi(AB) = Phi(A) Phi(B) exactly."""
-    rng = random.Random(config.seed)
-
-    def fails(a: Matrix, b: Matrix) -> bool:
-        return phi(a * b) != phi(a) * phi(b)
-
-    for done in range(1, config.pair_count + 1):
-        a = _sample_matrix(rng, fd, n, config)
-        b = _sample_matrix(rng, fd, n, config)
-        if fails(a, b):
-            a, b = _shrink(lambda x, y: fails(x, y), a, b)
-            return Verdict(False, (a, b), done, config.seed)
-    return Verdict(True, None, config.pair_count, config.seed)
+    return _fuzz(lambda a, b: phi(a * b) != phi(a) * phi(b), True, fd, n, config)
 
 
 def check_equal(
@@ -114,17 +115,7 @@ def check_equal(
 ) -> Verdict:
     """Sample matrices and test f(A) = g(A) exactly; the counterexample
     Verdict carries the offending A with the B slot empty."""
-    rng = random.Random(config.seed)
-
-    def fails(a: Matrix, _b=None) -> bool:
-        return f(a) != g(a)
-
-    for done in range(1, config.pair_count + 1):
-        a = _sample_matrix(rng, fd, n, config)
-        if fails(a):
-            a, _ = _shrink(lambda x, _y: fails(x), a, None)
-            return Verdict(False, (a, None), done, config.seed)
-    return Verdict(True, None, config.pair_count, config.seed)
+    return _fuzz(lambda a, _b: f(a) != g(a), False, fd, n, config)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:

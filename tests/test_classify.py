@@ -1,9 +1,18 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from multmap.classify import ClassifyReport, Session, classify
+from multmap.classify import (
+    ClassifyReport,
+    Session,
+    _final_verification,
+    _read,
+    _resolve_hom,
+    classify,
+)
 from multmap.errors import (
     NonDiagonalizableTrivial,
     NotMultiplicative,
@@ -16,7 +25,12 @@ from multmap.field import (
     CONJUGATION_HOM,
     RATIONAL,
     FieldElem,
+    as_elem,
+    one,
     quadratic,
+    sampled_hom,
+    sqrt_gen,
+    zero,
 )
 from multmap.matrix import Matrix, from_values, identity, zeros
 from multmap.mapexpr import (
@@ -25,6 +39,7 @@ from multmap.mapexpr import (
     DetScale,
     Hom,
     MapExpr,
+    NonDegenerateForm,
     ScalarCharacter,
     TrivialDet,
     canonical_eq,
@@ -290,6 +305,42 @@ def test_liar_caught_by_final_verification():
         classify(liar, RATIONAL, 3)
 
 
+def test_samples_the_form_cannot_evaluate_fail_verification():
+    # an entry map known only at 0 and 1 cannot evaluate a fresh sample;
+    # such samples used to be skipped, so the wrong oracle A -> 2A passed
+    table = sampled_hom([(zero(RATIONAL), zero(RATIONAL)), (one(RATIONAL), one(RATIONAL))])
+    ident = identity(RATIONAL, 3)
+    form = NonDegenerateForm(RATIONAL, 3, table, ident, 0)
+    session = Session(lambda a: a + a, RATIONAL, 3)
+    with pytest.raises(VerificationFailed):
+        _final_verification(session, ident, form, RATIONAL, 3, seed=7)
+    # the sample was rejected before the oracle was asked
+    assert session.log == []
+
+
+def test_entry_map_tables_fit_the_identity_or_the_conjugation_only():
+    s, o = sqrt_gen(Q2), one(Q2)
+    two, three = as_elem(Q2, 2), as_elem(Q2, 3)
+    assert _resolve_hom(Q2, {o: o, s: s}).kind == "id"
+    assert _resolve_hom(Q2, {o: o, s: -s}).kind == "conj"
+    for table in ({o: o, two: three}, {s: s, o + s: o - s}):
+        with pytest.raises(NotMultiplicative):
+            _resolve_hom(Q2, table)
+    with pytest.raises(NotMultiplicative):
+        _resolve_hom(RATIONAL, {one(RATIONAL): -one(RATIONAL)})
+
+
+def test_pattern_reader_returns_free_entries_and_names_the_law():
+    image = int_matrix(RATIONAL, [[1, 7, 0], [0, 1, 0], [5, 0, 1]])
+    ident = identity(RATIONAL, 3)
+    assert _read(image, ident, [(2, 0), (0, 1)], "law") == [
+        as_elem(RATIONAL, 5),
+        as_elem(RATIONAL, 7),
+    ]
+    with pytest.raises(NotMultiplicative, match="transvection law"):
+        _read(image, ident, [(0, 1)], "transvection law")
+
+
 def test_inconsistent_output_size():
     flip = {"v": False}
 
@@ -406,6 +457,82 @@ def test_normalize_idempotents_public():
     assert s_mat.inverse() * p_zero * s_mat == int_matrix(
         RATIONAL, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
     )
+
+
+# -- pinned reports -------------------------------------------------
+
+
+def _x(power):
+    return ScalarCharacter((("id", power),))
+
+
+def report_corpus():
+    """(name, oracle, field, n, seed) for oracles that together reach every
+    branch of classify: l = 0, both trivial branches, the matrix unit
+    branch, the cofactor rank ladder and the degenerate branch."""
+    yield "zero-map", lambda a: zeros(RATIONAL, 3), RATIONAL, 3, 7
+    yield "constant-identity", lambda a: identity(RATIONAL, 3), RATIONAL, 3, 7
+    for name, n, fd, atoms in (
+        ("det-cube-pair", 3, RATIONAL, (TrivialDet((_x(3), _x(3)), 0, 0),)),
+        ("det-full-block", 3, RATIONAL, (TrivialDet((_x(3), _x(2), _x(3)), 0, 0),)),
+        ("identity-q2", 3, Q2, ()),
+        ("conj-hom-q2", 3, Q2, (Hom(CONJUGATION_HOM),)),
+        ("cofactor-n2", 2, RATIONAL, (Cof(),)),
+        ("cofactor-n3", 3, RATIONAL, (Cof(),)),
+        ("det-square-n2", 2, RATIONAL, (DetScale(_x(2)),)),
+        ("det-square-n3", 3, RATIONAL, (DetScale(_x(2)),)),
+        ("det-square-cof-q2", 3, Q2, (DetScale(_x(2)), Cof())),
+    ):
+        yield name, MapExpr(n, fd, atoms).as_oracle(), fd, n, 7
+    rng = random.Random(606)
+    for t in range(20):
+        expr = random_mapexpr(rng, Q2, 3, max_depth=5)
+        yield f"random-{t}", expr.as_oracle(), Q2, 3, t
+
+
+# sha256 of json.dumps(report.to_doc(), sort_keys=True), probe log included,
+# recorded before the classifier's pattern readers and law checks were folded
+REPORT_SHA256 = {
+    "zero-map": "8bfd97bb40db6522e908b4d73a9b589d291dbdcd9f90072802c6d57e1ea677a6",
+    "constant-identity": "62886832a6c980c8962cf3feff3ed6978ee9555b72f67d2953d14be0173e09d4",
+    "det-cube-pair": "9d69baab008cc54796df78c667aa29042b43f25ac7d7a63288faf26e877d3285",
+    "det-full-block": "e1d0e447e2206ddf20f780c10ad4e8f291b365f74d9cfa681ac3f3e0f0b4de6a",
+    "identity-q2": "299c8e18371bd9e967283478d05504e05d755a6c10e9a5c8386ec25eacc18f0b",
+    "conj-hom-q2": "300fdf138c3857f585aedd5c0c4937deac9b7355428b76da7ce05e20b4d72521",
+    "cofactor-n2": "7b61a007367afa93893f92cbd6174ce0f49c52ea06d40b74dcde6cd1e50db8d3",
+    "cofactor-n3": "2afe5d6fa0d21e1a4f6afc4b997d964f85003d419cf423144577f01169729d04",
+    "det-square-n2": "c479666f9fb898c6c4aecbdb482628809d783f24a6c9c5ba4d75c0ab9848a627",
+    "det-square-n3": "60efe967b75ee519e268de01feaa67c059b097b83c959a9933e46476f688ecf6",
+    "det-square-cof-q2": "a41175d99ee00d209f13c164f26881bda75b8af1d8a00b62b7a408b657a6c0f7",
+    "random-0": "ec191d0e3dcda08a8f1be2c4fc91bdbe3e49a6a86fc2ecefd434a56ecb113bb2",
+    "random-1": "c344a0ea000fcce7f7ad7f96e4dc3a8da888c455e09946d80af88016a49b8ad3",
+    "random-2": "84048e7da75616368b5b78bbda07e7aabd86a00a8e0e393104b95471c39b88c9",
+    "random-3": "5a3c4207ace516ed7031d4df15a30d1172d842111874a436322dbe6f1290379a",
+    "random-4": "69d17da21c3ebdc4a35ee11bbc5f1daea7ab6908f488d839328a9de9880a0e67",
+    "random-5": "ac2b96256562c418424e6490ab576f0794cc3a1ced9b72e5a514d5158b32ec09",
+    "random-6": "4e69be0f49f535ba7b82fc04963d7793b8cc414df0c7d8ffb51f0d3901ac7b7e",
+    "random-7": "b4d9136718144cf9fb84894f8118fc96594c99348740d2ede671c31f6f24e720",
+    "random-8": "4607bc8d85cdd385f939b105673472101cdebbf4a3dcb1c66dc096f667a51a78",
+    "random-9": "e75b5f8d94a5dfef2560f9b3e0a0881296fe445d1739cc7123d23a9e1b9222f0",
+    "random-10": "e41b79dee5dc11697e8b048bda4f7aba79de64e2c2143713b0e442301e982e11",
+    "random-11": "fb898cc2606cb6a6eaef4123e47183d6541015d1e15aa922794c6894f74a7df7",
+    "random-12": "6bfaafc8fdc177c97d47171922295ac1cbef92c252c7cd697a499a5a76ab1129",
+    "random-13": "4321cd863ab103529e03516b1a69bfd91c0f24fe08fe48e250c8e8963913a9ef",
+    "random-14": "2ab6a35aa91652ff376f92d135fecb42cb069eea5e0c8f11dfea7afc32503e4f",
+    "random-15": "f6b794f800143ddf7086a9b2a80501b111fcfbdb15ebf589defc46ae960a9865",
+    "random-16": "f28d9e20546d5b36ef4d2abe9b5e4dcacf3dff937e7afe95e5273191727c4ede",
+    "random-17": "dc3fa6e35a35d8e434a9b34e9327a1520a54b90e4e79c33e52f044e4d4cd67a2",
+    "random-18": "ec80933c9775a1194b60b994f2c7c026d75f64205c4158cee5b8abcde756469e",
+    "random-19": "e856f0b183b785a34fadcf7071d3547db6118757d47ffd8cf178f477c74a2f00",
+}
+
+
+def test_whole_reports_are_pinned():
+    digests = {}
+    for name, oracle, fd, n, seed in report_corpus():
+        doc = classify(oracle, fd, n, seed=seed).to_doc()
+        digests[name] = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digests == REPORT_SHA256
 
 
 def test_probe_budget_headroom():

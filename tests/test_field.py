@@ -31,6 +31,7 @@ from multmap.field import (
     parse_scalar,
     quadratic,
     sampled_hom,
+    scalars,
     sqrt_gen,
     zero,
 )
@@ -201,6 +202,23 @@ def test_hom_apply_registered():
     assert hom_apply(CONJUGATION_HOM, x) == q2(3, -5)
     with pytest.raises(FieldMismatch):
         hom_apply(CONJUGATION_HOM, one(RATIONAL))
+
+
+def test_scalars_add_surd_values_over_quadratic_fields_only():
+    q2 = quadratic(2)
+    half = Fraction(1, 2)
+    assert scalars(RATIONAL, (1, half), ((0, 1),)) == (
+        as_elem(RATIONAL, 1),
+        as_elem(RATIONAL, half),
+    )
+    s = sqrt_gen(q2)
+    assert scalars(q2, (1, half), ((0, 1), (1, 1), 3)) == (
+        one(q2),
+        as_elem(q2, half),
+        s,
+        one(q2) + s,
+        as_elem(q2, 3),
+    )
 
 
 def test_sampled_hom_lookup_and_miss():

@@ -23,6 +23,7 @@ from multmap.matrix import (
     Transvection,
     coidempotent,
     conjugator_from_units,
+    diag,
     from_columns,
     from_values,
     gen_matrix,
@@ -256,6 +257,13 @@ def test_unit_and_idempotent_constructors():
         RATIONAL, [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
     )
     assert coidempotent(RATIONAL, 3, 2).cofactor() == unit_matrix(RATIONAL, 3, 2, 2)
+
+
+def test_diag_constructor():
+    entries = [as_elem(RATIONAL, v) for v in (2, 0, -1)]
+    assert diag(RATIONAL, entries) == int_matrix(RATIONAL, [[2, 0, 0], [0, 0, 0], [0, 0, -1]])
+    assert diag(RATIONAL, [one(RATIONAL)] * 3) == identity(RATIONAL, 3)
+    assert diag(RATIONAL, [one(RATIONAL), zero(RATIONAL)]) == rank_idempotent(RATIONAL, 2, 1)
 
 
 def test_split_identity_pair_is_trivial_basis():

@@ -12,7 +12,7 @@ from multmap.errors import (
     ParseError,
     SingularMatrix,
 )
-from multmap.field import RATIONAL, as_elem, one, quadratic
+from multmap.field import RATIONAL, as_elem, one, quadratic, sqrt_gen
 from multmap.matrix import DiagUnit, Swap, Transvection, gen_matrix, identity
 from multmap.slword import (
     decompose_gl,
@@ -133,6 +133,11 @@ def test_default_pool_contents():
     assert as_elem(Q2, 1) in pool and as_elem(Q2, Fraction(-1, 2)) in pool
     assert any(not x.b == 0 for x in pool)
     assert all(not x.is_zero for x in pool)
+    # exact values and order: seeded samplers draw from the pool by index
+    values = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3)
+    assert default_pool(RATIONAL) == tuple(as_elem(RATIONAL, v) for v in values)
+    s = sqrt_gen(Q2)
+    assert pool == tuple(as_elem(Q2, v) for v in values) + (s, one(Q2) + s)
 
 
 def test_word_doc_round_trip():
