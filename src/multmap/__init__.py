@@ -9,6 +9,7 @@ evaluation access, recovering the canonical form exactly.
 
 from .classify import ClassifyReport, Session, classify, normalize_idempotents
 from .errors import (
+    CharacterOutOfBound,
     DimensionMismatch,
     DivisionByZero,
     FieldMismatch,
@@ -55,7 +56,6 @@ from .mapexpr import (
     DegenerateForm,
     DetScale,
     Hom,
-    LambdaTable,
     MapExpr,
     NonDegenerateForm,
     ScalarCharacter,

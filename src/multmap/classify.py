@@ -21,7 +21,10 @@ always one of those two. Oracles that break a structural law mid-recovery
 raise NotMultiplicative; recoveries that survive are re-verified against
 fresh random samples, every one of which the recovered form must evaluate
 and match, before a report is produced, so a returned report is a checked
-claim, not a guess.
+claim, not a guess. Characters, lam and the chi_i alike, have exponents in
+[-CHAR_POWER_BOUND, CHAR_POWER_BOUND]: a map whose probed determinant values
+fit no such character is refused with CharacterOutOfBound, since a scale
+known only at the probed values would be no checked claim.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from itertools import combinations, product
 from typing import Callable
 
 from .errors import (
+    CharacterOutOfBound,
     FieldMismatch,
     NonDiagonalizableTrivial,
     NotCommutingIdempotents,
@@ -79,7 +83,6 @@ from .mapexpr import (
     IDENTITY_CHAR,
     CanonicalForm,
     DegenerateForm,
-    LambdaTable,
     NonDegenerateForm,
     ScalarCharacter,
     TrivialForm,
@@ -164,6 +167,8 @@ class _Working:
         self.s_mat = s_mat
         self.s_inv = s_mat.inverse()
         self.l = l
+        self.z_pad = z_pad
+        self.s_pad = s_pad
         self.frame = diag(fd, [zero(fd)] * (l + z_pad) + [one(fd)] * s_pad)
         self.block = [(i, j) for i in range(l) for j in range(l)]
 
@@ -263,21 +268,18 @@ def classify(oracle: MapOracle, fd: FieldDescriptor, n: int, seed: int = 0) -> C
         s_total = s_mat
     else:
         w = _Working(session, s_mat, l, z_pad, s_pad)
-        phi_pool, lam_pool = scalars(fd, *PHI_POOL), scalars(fd, *LAM_POOL)
         # a shrunken live block leaves no room for any nontrivial image of
         # the special linear group
         if _is_trivial(w, fd, n, enforcing=l < n):
-            form, p = _classify_trivial(w, fd, n, l, lam_pool, k, s_pad)
+            form, p = _classify_trivial(w, fd, n)
             s_total = s_mat * _embed_top_left(p, k)
         else:
             zero_mat = zeros(fd, n)
             f_cos = [w(coidempotent(fd, n, j)) for j in range(1, n + 1)]
             if all(f == zero_mat for f in f_cos):
-                form, hom_table, lam_table = _classify_gl(w, fd, n, phi_pool, lam_pool)
+                form, hom_table, lam_table = _classify_gl(w, fd, n)
             else:
-                form, hom_table, lam_table = _recover_nondegenerate(
-                    w, fd, n, phi_pool, lam_pool, f_cos
-                )
+                form, hom_table, lam_table = _recover_nondegenerate(w, fd, n, f_cos)
             s_total = s_mat
 
     _final_verification(session, s_total, form, fd, n, seed)
@@ -331,7 +333,7 @@ def _is_trivial(w: _Working, fd: FieldDescriptor, n: int, enforcing: bool) -> bo
     return True
 
 
-def _classify_trivial(w, fd: FieldDescriptor, n: int, l: int, lam_pool, k: int, s_pad: int):
+def _classify_trivial(w: _Working, fd: FieldDescriptor, n: int):
     """Recover the determinant characters of a map that kills transvections.
 
     The images of the dilations D_1(x) form a finite commuting family; we
@@ -347,7 +349,7 @@ def _classify_trivial(w, fd: FieldDescriptor, n: int, l: int, lam_pool, k: int, 
     def img(x: FieldElem) -> Matrix:
         return w(gen_matrix(DiagUnit(1, x), fd, n))
 
-    base = list(lam_pool)
+    base = list(scalars(fd, *LAM_POOL))
     mats = [img(x) for x in base]
     for x, y in zip(base, base[1:]):
         if img(x) * img(y) != img(x * y):
@@ -355,19 +357,15 @@ def _classify_trivial(w, fd: FieldDescriptor, n: int, l: int, lam_pool, k: int, 
     if any(a * b != b * a for a, b in combinations(mats, 2)):
         raise NotMultiplicative("determinant block images do not commute")
 
-    candidates = _enumerate_characters(fd, CHAR_POWER_BOUND)
+    candidates = _enumerate_characters(fd)
     # the values of the candidates at each probe, first occurrences only
     cand_vals = [list(dict.fromkeys(c.evaluate(x) for c in candidates)) for x in base]
 
-    blocks = _joint_diagonalize(mats, cand_vals, fd, l)
+    blocks = _joint_diagonalize(mats, cand_vals, fd, w.l)
     chars: list[ScalarCharacter] = []
     columns = []
     for basis, eigs in blocks:
-        c = _fit_character(fd, list(zip(base, eigs)), CHAR_POWER_BOUND)
-        if c is None:
-            raise NonDiagonalizableTrivial(
-                "joint eigenvalues fit no character of bounded degree"
-            )
+        c = _fit_character(fd, list(zip(base, eigs)))
         chars.extend([c] * basis.n_cols)
         for j in range(basis.n_cols):
             columns.append(basis.column(j))
@@ -378,7 +376,7 @@ def _classify_trivial(w, fd: FieldDescriptor, n: int, l: int, lam_pool, k: int, 
     for x in base:
         if p_inv * img(x) * p != diag(fd, [c.evaluate(x) for c in chars]):
             raise NotMultiplicative("diagonalized block disagrees with its characters")
-    form = TrivialForm(fd, n, tuple(chars), k - l - s_pad, s_pad)
+    form = TrivialForm(fd, n, tuple(chars), w.z_pad, w.s_pad)
     return form, p
 
 
@@ -413,27 +411,32 @@ def _joint_diagonalize(mats, cand_vals, fd: FieldDescriptor, l: int):
     return blocks
 
 
-def _enumerate_characters(fd: FieldDescriptor, bound: int):
-    """All determinant characters with exponents in [-bound, bound], small
-    ones first so fitting is deterministic and minimal."""
-    span = range(-bound, bound + 1)
+def _enumerate_characters(fd: FieldDescriptor):
+    """All determinant characters with exponents within CHAR_POWER_BOUND,
+    small ones first so fitting is deterministic and minimal."""
+    span = range(-CHAR_POWER_BOUND, CHAR_POWER_BOUND + 1)
     if fd.is_quadratic:
         pairs = sorted(product(span, span), key=lambda ab: (abs(ab[0]) + abs(ab[1]), ab))
         return [ScalarCharacter((("id", a), ("conj", b))) for a, b in pairs]
     return [ScalarCharacter((("id", a),)) for a in sorted(span, key=lambda a: (abs(a), a))]
 
 
-def _fit_character(fd: FieldDescriptor, pairs, bound: int) -> ScalarCharacter | None:
-    for c in _enumerate_characters(fd, bound):
+def _fit_character(fd: FieldDescriptor, pairs) -> ScalarCharacter:
+    """The first character that takes the value v at x for every (x, v) in
+    pairs. A map whose probed values fit none is refused, not tabulated."""
+    for c in _enumerate_characters(fd):
         if all(c.evaluate(x) == v for x, v in pairs):
             return c
-    return None
+    raise CharacterOutOfBound(
+        "probed determinant values fit no character with exponents in "
+        f"[-{CHAR_POWER_BOUND}, {CHAR_POWER_BOUND}], the bound CHAR_POWER_BOUND"
+    )
 
 
 # -- invertible-side recovery -------------------------------------------------------
 
 
-def _classify_gl(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool):
+def _classify_gl(w, fd: FieldDescriptor, n: int):
     """Recover lam, phi, eps, R from probes at invertible matrices only;
     returns (DegenerateForm, entry-map table, determinant-scale table).
 
@@ -518,6 +521,7 @@ def _classify_gl(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool):
     else:
         raise NotMultiplicative("unit transvection image matches neither orientation")
 
+    phi_pool, lam_pool = scalars(fd, *PHI_POOL), scalars(fd, *LAM_POOL)
     entry = _EntryMap(fd, n, w2, eps)
     for x in phi_pool + lam_pool:
         entry(x)
@@ -557,8 +561,7 @@ def _classify_gl(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool):
         # dilation images pinned above this is the multiplicativity check
         _check_laws(entry, (), mult_pairs)
 
-    fitted = _fit_character(fd, lam_values, CHAR_POWER_BOUND)
-    lam = fitted if fitted is not None else LambdaTable(tuple(lam_values))
+    lam = _fit_character(fd, lam_values)
     table = entry.table
     form = DegenerateForm(fd, n, lam, _resolve_hom(fd, table), normalize_scale(g), eps)
     return form, tuple(table.items()), tuple(lam_values)
@@ -638,7 +641,7 @@ def _resolve_hom(fd: FieldDescriptor, table: dict) -> RingHom:
     raise NotMultiplicative("entry map is neither the identity nor the conjugation")
 
 
-def _recover_nondegenerate(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool, f_cos):
+def _recover_nondegenerate(w, fd: FieldDescriptor, n: int, f_cos):
     """Recover a map that is nonzero on some singular matrix.
 
     When the rank one units survive, their images are matrix units and fix
@@ -667,6 +670,7 @@ def _recover_nondegenerate(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool, f
                 "scaled unit image is not a scaled unit",
             )[0]
 
+        phi_pool, lam_pool = scalars(fd, *PHI_POOL), scalars(fd, *LAM_POOL)
         entry = _EntryMap(fd, n, lambda a: r * w(a) * r_inv, 0)
         for x in phi_pool + tuple(x for x in lam_pool if x not in phi_pool):
             if unit_probe(1, 2, x) != entry(x):
@@ -693,7 +697,7 @@ def _recover_nondegenerate(w, fd: FieldDescriptor, n: int, phi_pool, lam_pool, f
     if any(f == zero_mat for f in f_cos):
         raise RankLadderViolation("corank one images are inconsistent")
 
-    gl_form, hom_table, lam_table = _classify_gl(w, fd, n, phi_pool, lam_pool)
+    gl_form, hom_table, lam_table = _classify_gl(w, fd, n)
     if gl_form.eps != 1 or gl_form.lam != IDENTITY_CHAR:
         raise NotMultiplicative(
             "vanishing pattern does not match a cofactor form"

@@ -35,7 +35,7 @@ class ScalarTooLarge(MultmapError):
 
 
 class ProbeMiss(MultmapError):
-    """A sampled homomorphism or character was queried off its table."""
+    """A sampled homomorphism was queried off its table."""
 
 
 class UnregisteredHom(MultmapError):
@@ -84,6 +84,11 @@ class RankLadderViolation(NotMultiplicative):
 
 class NonDiagonalizableTrivial(MultmapError):
     """Trivial-class probe images could not be simultaneously diagonalized."""
+
+
+class CharacterOutOfBound(MultmapError):
+    """Probed determinant values fit no character with exponents within the
+    classifier's bound, so the map is refused rather than tabulated."""
 
 
 class VerificationFailed(MultmapError):

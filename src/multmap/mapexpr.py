@@ -32,7 +32,6 @@ from .errors import (
     DimensionMismatch,
     FieldMismatch,
     ParseError,
-    ProbeMiss,
     SingularConjugator,
     UnregisteredHom,
 )
@@ -141,22 +140,6 @@ def pairs_doc(pairs):
     if pairs is None:
         return None
     return [[format_scalar(x), format_scalar(y)] for x, y in pairs]
-
-
-@dataclass(frozen=True)
-class LambdaTable:
-    """A determinant scale known only on finitely many sampled values."""
-
-    entries: tuple[tuple[FieldElem, FieldElem], ...]
-
-    def evaluate(self, x: FieldElem) -> FieldElem:
-        for probe, value in self.entries:
-            if probe == x:
-                return value
-        raise ProbeMiss(f"determinant scale unsampled at {format_scalar(x)}")
-
-    def to_doc(self) -> dict:
-        return {"sampled": pairs_doc(self.entries)}
 
 
 # -- atoms ---------------------------------------------------------------------
@@ -417,7 +400,7 @@ class DegenerateForm:
 
     field: FieldDescriptor
     n: int
-    lam: ScalarCharacter | LambdaTable
+    lam: ScalarCharacter
     phi: RingHom
     R: Matrix
     eps: int
@@ -504,14 +487,7 @@ def canonical_eq(a: CanonicalForm, b: CanonicalForm) -> bool:
         return False
     if normalize_scale(a.R) != normalize_scale(b.R):
         return False
-    if isinstance(a, DegenerateForm):
-        la, lb = a.lam, b.lam
-        if isinstance(la, ScalarCharacter) != isinstance(lb, ScalarCharacter):
-            return False
-        if isinstance(la, ScalarCharacter):
-            return la == lb
-        return set(la.entries) == set(lb.entries)
-    return True
+    return not isinstance(a, DegenerateForm) or a.lam == b.lam
 
 
 # -- exact simplification ------------------------------------------------------------

@@ -215,22 +215,15 @@ def word_from_doc(doc: object, fd: FieldDescriptor) -> list[Generator]:
                 Transvection(
                     _doc_index(entry, "i"),
                     _doc_index(entry, "j"),
-                    parse_scalar(_doc_scalar(entry), fd),
+                    parse_scalar(entry.get("k"), fd),
                 )
             )
         elif t == "D":
             word.append(
-                DiagUnit(_doc_index(entry, "i"), parse_scalar(_doc_scalar(entry), fd))
+                DiagUnit(_doc_index(entry, "i"), parse_scalar(entry.get("k"), fd))
             )
         elif t == "S":
             word.append(Swap(_doc_index(entry, "i"), _doc_index(entry, "j")))
         else:
             raise ParseError(f"unknown generator type {t!r}")
     return word
-
-
-def _doc_scalar(entry: dict) -> str:
-    k = entry.get("k")
-    if not isinstance(k, str):
-        raise ParseError("generator scalar 'k' must be a string")
-    return k

@@ -28,9 +28,6 @@ from .slword import default_pool, random_gl, random_unitriangular
 class FuzzConfig:
     seed: int = 0
     pair_count: int = 50
-    word_length: int = 8
-    include_singular: bool = True
-    scalar_pool: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -53,13 +50,15 @@ class Verdict:
         }
 
 
-def _sample_matrix(rng, fd, n, config) -> Matrix:
-    pool = tuple(config.scalar_pool) if config.scalar_pool else default_pool(fd)
-    if config.include_singular and rng.random() < 0.3:
+def _sample_matrix(rng, fd, n) -> Matrix:
+    """A singular-prone entrywise draw three times in ten, else a length 8
+    transvection word times a dilation."""
+    pool = default_pool(fd)
+    if rng.random() < 0.3:
         entries = pool + (zero(fd),)
         rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
         return Matrix(fd, rows)
-    return random_gl(rng, fd, n, length=config.word_length, pool=pool)
+    return random_gl(rng, fd, n, length=8, pool=pool)
 
 
 def _zero_entry(m: Matrix, i: int, j: int) -> Matrix:
@@ -96,8 +95,8 @@ def _fuzz(fails, pairs: bool, fd: FieldDescriptor, n: int, config: FuzzConfig) -
     with B = None, and return the first on which fails(A, B) holds, shrunk."""
     rng = random.Random(config.seed)
     for done in range(1, config.pair_count + 1):
-        a = _sample_matrix(rng, fd, n, config)
-        b = _sample_matrix(rng, fd, n, config) if pairs else None
+        a = _sample_matrix(rng, fd, n)
+        b = _sample_matrix(rng, fd, n) if pairs else None
         if fails(a, b):
             return Verdict(False, _shrink(fails, a, b), done, config.seed)
     return Verdict(True, None, config.pair_count, config.seed)

@@ -117,7 +117,7 @@ def char_powers_bounded(form, bound: int) -> bool:
     chars = []
     if isinstance(form, TrivialForm):
         chars.extend(form.chars)
-    elif isinstance(form, DegenerateForm) and isinstance(form.lam, ScalarCharacter):
+    elif isinstance(form, DegenerateForm):
         chars.append(form.lam)
     return all(abs(p) <= bound for c in chars for _, p in c.factors)
 

@@ -14,6 +14,7 @@ from multmap.classify import (
     classify,
 )
 from multmap.errors import (
+    CharacterOutOfBound,
     NonDiagonalizableTrivial,
     NotMultiplicative,
     OracleBudgetExceeded,
@@ -248,6 +249,37 @@ def test_honest_jordan_block_is_flagged_not_diagonalizable():
 
     with pytest.raises(NonDiagonalizableTrivial):
         classify(oracle, RATIONAL, 3)
+
+
+def _three_adic_twist(x: FieldElem) -> FieldElem:
+    """x * 3^v3(x), a character of Q* that is no power of x: it takes the
+    bounded values 2, 9 and 5 at 2, 3 and 5 but fits no single exponent."""
+    num, den, k = x.a.numerator, x.a.denominator, 0
+    while num % 3 == 0:
+        num //= 3
+        k += 1
+    while den % 3 == 0:
+        den //= 3
+        k -= 1
+    return x * FieldElem(RATIONAL, Fraction(3) ** k)
+
+
+def test_determinant_scales_past_the_bound_are_refused():
+    x7 = MapExpr(3, RATIONAL, (DetScale(ScalarCharacter((("id", 7),))),))
+    with pytest.raises(CharacterOutOfBound, match=r"\[-6, 6\]"):
+        classify(x7.as_oracle(), RATIONAL, 3)
+
+    def scaled(a):
+        d = a.det
+        return zeros(RATIONAL, 3) if d.is_zero else _three_adic_twist(d) * a
+
+    def trivial(a):
+        d = a.det
+        return Matrix(RATIONAL, [[zero(RATIONAL) if d.is_zero else _three_adic_twist(d)]])
+
+    for oracle in (scaled, trivial):
+        with pytest.raises(CharacterOutOfBound, match="CHAR_POWER_BOUND"):
+            classify(oracle, RATIONAL, 3)
 
 
 # -- random expressions -------------------------------------------------

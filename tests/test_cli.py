@@ -2,20 +2,29 @@
 
 Every invocation goes through a real subprocess so the console entry
 point, argument parsing, and error-to-exit-code mapping are all on the
-hook. Golden tests re-serialize the pinned document with the documented
-options (indent=2, sorted keys) so both content and formatting are
-byte-exact contracts.
+hook; only the document fuzz test calls cli.main in the test process, to
+run hundreds of documents quickly. Golden tests re-serialize the pinned
+document with the documented options (indent=2, sorted keys) so both
+content and formatting are byte-exact contracts.
 """
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import random
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from multmap import cli
 from multmap.field import RATIONAL
 from multmap.matrix import Matrix, gen_matrix
 from multmap.mapexpr import simplify
@@ -182,6 +191,18 @@ def test_classify_rejections_map_to_exit_codes(tmp_path):
     assert "positive size" in proc.stderr
 
 
+def test_classify_refuses_a_determinant_scale_past_the_bound(tmp_path):
+    x7 = {
+        "n": 3,
+        "field": RATIONAL_DOC,
+        "atoms": [{"atom": "detscale", "lambda": [{"phi": "id", "pow": 7}]}],
+    }
+    proc = run_cli("classify", write_doc(tmp_path, "x7.json", x7), expect=1)
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "[-6, 6]" in proc.stderr and "CHAR_POWER_BOUND" in proc.stderr
+
+
 # sha256 of the classify stdout, probe log included, pinned before the
 # integer scalar core replaced Fraction pairs
 COFACTOR_STDOUT_SHA256 = {
@@ -267,6 +288,13 @@ def test_huge_radicands_fail_fast(tmp_path):
     proc = run_cli("decompose", str(unreadable), expect=2)
     assert "Traceback" not in proc.stderr
     assert "too long" in proc.stderr
+
+
+def test_non_string_matrix_entries_exit_2(tmp_path):
+    mat = write_doc(tmp_path, "num.json", matrix_doc(2, [[2, "0"], ["0", "1"]]))
+    proc = run_cli("decompose", mat, expect=2)
+    assert "Traceback" not in proc.stderr
+    assert "must be a string" in proc.stderr
 
 
 def test_decompose_singular_exits_1(tmp_path):
@@ -379,3 +407,128 @@ def test_stdout_is_canonical_json():
     for argv in (["classify", "identity:2"], ["gen", "gl", "--n", "2"]):
         out = run_cli(*argv).stdout
         assert out == golden(json.loads(out))
+
+
+# -- hostile documents ----------------------------------------------------------
+
+Q2_DOC = {"kind": "quadratic", "d": 2}
+
+# (subcommand, documents, extra flags): valid inputs that the fuzz test
+# mutates; every size stays at most 3 so each run is fast
+FUZZ_SEEDS = (
+    ("eval", (CONJ_EXPR_2, matrix_doc(2, [["2", "0"], ["0", "3"]])), ()),
+    (
+        "eval",
+        (
+            {
+                "n": 2,
+                "field": Q2_DOC,
+                "atoms": [
+                    {"atom": "hom", "phi": "conj"},
+                    {"atom": "detscale", "lambda": [{"phi": "conj", "pow": 2}]},
+                ],
+            },
+            {"n": 2, "field": Q2_DOC, "entries": [["1+1*s", "0"], ["1/2", "3"]]},
+        ),
+        (),
+    ),
+    ("simplify", (COF_EXPR_3,), ()),
+    ("classify", (COF_EXPR_3,), ()),
+    (
+        "classify",
+        (
+            {
+                "n": 3,
+                "field": RATIONAL_DOC,
+                "atoms": [
+                    {
+                        "atom": "trivialdet",
+                        "chars": [[{"phi": "id", "pow": 2}]],
+                        "zeroPad": 1,
+                        "onePad": 1,
+                    }
+                ],
+            },
+        ),
+        (),
+    ),
+    ("decompose", (matrix_doc(3, [["0", "1", "0"], ["2", "0", "0"], ["1", "1", "1"]]),), ()),
+    ("verify", (CONJ_EXPR_2, CONJ_EXPR_2), ("--samples", "3")),
+)
+
+# wrong JSON types, bad scalars and nearby sizes; no integer above 3, since
+# nothing bounds document sizes or character exponents
+HOSTILE_VALUES = (
+    None, True, -1, 0, 1, 2, 3, 2.5, "", "x", "1/0", "-", "1+1*s", "0+1*s", "\u0663",
+    "9" * 5000, [], {}, ["1"], [["1"]], RATIONAL_DOC, Q2_DOC, {"kind": "quadratic", "d": 4},
+)
+
+
+def _positions(doc, path=()):
+    """The key paths of every value in doc, doc itself first."""
+    yield path
+    if isinstance(doc, dict):
+        keys = sorted(doc)
+    elif isinstance(doc, list):
+        keys = range(len(doc))
+    else:
+        return
+    for key in keys:
+        yield from _positions(doc[key], path + (key,))
+
+
+def _mutate(data, doc):
+    """doc with one change at a drawn position: a key or list item dropped, a
+    list item repeated, or a value replaced by a hostile one."""
+    path = data.draw(st.sampled_from(list(_positions(doc))))
+    if not path:
+        return data.draw(st.sampled_from(HOSTILE_VALUES))
+    doc = copy.deepcopy(doc)
+    *head, key = path
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    action = data.draw(st.sampled_from(("replace", "drop", "repeat")))
+    if action == "drop":
+        del parent[key]
+    elif action == "repeat" and isinstance(parent, list):
+        parent.append(parent[key])
+    else:
+        parent[key] = data.draw(st.sampled_from(HOSTILE_VALUES))
+    return doc
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_hostile_documents_end_in_a_documented_exit_code(data):
+    command, docs, flags = data.draw(st.sampled_from(FUZZ_SEEDS))
+    docs = list(docs)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(docs) - 1))
+        docs[i] = _mutate(data, docs[i])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate(docs):
+            text = json.dumps(doc)
+            if data.draw(st.integers(0, 9)) == 0:
+                text = text[: data.draw(st.integers(0, len(text)))]
+            path = Path(tmp, f"doc{i}.json")
+            path.write_text(text)
+            paths.append(str(path))
+        code, out, err = _run_main([command, *paths, *flags])
+    assert code in range(7), (code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == ""

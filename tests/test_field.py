@@ -168,6 +168,8 @@ def test_parse_frozen_examples():
         "\u00b2",
         "\uff13",
         "\u0663",
+        2,
+        ["1"],
     ],
 )
 def test_parse_rejects(bad):
@@ -236,6 +238,16 @@ def test_hom_check_catches_corrupted_table():
     h = sampled_hom([(r(2), r(3)), (r(4), r(9))])
     assert hom_check(h, [(r(2), r(2))]) is False
     assert hom_check(IDENTITY_HOM, [(r(2), r(2)), (r(3), r(5))]) is True
+
+
+def test_hom_check_fails_on_operands_off_the_table():
+    # a table the pairs miss is untested, not passed
+    r = lambda v: as_elem(RATIONAL, v)
+    assert hom_check(sampled_hom([]), [(r(2), r(2))]) is False
+    assert hom_check(sampled_hom([(r(2), r(5))]), [(r(3), r(2))]) is False
+    # a table holding every operand, 1 + 1 and 1 * 1 included, is tested
+    whole = sampled_hom([(r(1), r(1)), (r(2), r(2))])
+    assert hom_check(whole, [(r(1), r(1))]) is True
 
 
 def test_hom_check_conjugation():
