@@ -88,7 +88,7 @@ from .mapexpr import (
     TrivialForm,
     pairs_doc,
 )
-from .slword import random_gl, random_sl
+from .slword import _apply_word, random_gl, random_transvection_word
 
 MapOracle = Callable[[Matrix], Matrix]
 
@@ -104,6 +104,11 @@ S, S1 = (0, 1), (1, 1)  # sqrt(d) and 1 + sqrt(d)
 PHI_POOL = ((1, 2, 3, HALF, -1), (S, S1))
 # chosen so that distinct bounded characters stay distinct on it
 LAM_POOL = ((2, 3, 5, -1, HALF), (S, S1))
+# Over Q(i) and Q(sqrt -3), x / conj(x) is a root of unity at every entry of
+# LAM_POOL, so id^a conj^b and id^(a+e) conj^(b-e) agree on all of it when e
+# is a multiple of the orders of those roots (4 over Q(i)); at 2 + sqrt(d)
+# the ratio is no root of unity, which separates them.
+LAM_POOL_EXTRA = {-1: ((2, 1),), -3: ((2, 1),)}
 # a few entries suffice: the follow-up verification re-tests on words
 TRIVIAL_POOL = ((1, 2, HALF), (S,))
 # the pair (1, -1) lands on the identity transvection and pins phi(-1)
@@ -164,8 +169,7 @@ class _Working:
     def __init__(self, session: Session, s_mat: Matrix, l: int, z_pad: int, s_pad: int):
         fd = session.fd
         self.session = session
-        self.s_mat = s_mat
-        self.s_inv = s_mat.inverse()
+        self.basis_change = _basis_change(s_mat)
         self.l = l
         self.z_pad = z_pad
         self.s_pad = s_pad
@@ -173,7 +177,10 @@ class _Working:
         self.block = [(i, j) for i in range(l) for j in range(l)]
 
     def __call__(self, a: Matrix) -> Matrix:
-        x = self.s_inv * self.session.call(a) * self.s_mat
+        x = self.session.call(a)
+        if self.basis_change:
+            s_mat, s_inv = self.basis_change
+            x = s_inv * x * s_mat
         entries = _read(
             x, self.frame, self.block, "image violates the fixed zero and identity blocks"
         )
@@ -248,6 +255,12 @@ class ClassifyReport:
 
 def classify(oracle: MapOracle, fd: FieldDescriptor, n: int, seed: int = 0) -> ClassifyReport:
     """Classify a black box multiplicative map and verify the recovery.
+
+    The report claims what was checked: the recovered form matched the
+    oracle at every probe and every fresh sample. Its characters are
+    checked only at the determinants those matrices had, scalars of the
+    LAM_POOL span and zero; no finite sample proves a determinant scale at
+    every determinant.
 
     Raises NotMultiplicative when a probe contradicts multiplicativity,
     VerificationFailed when the recovered form disagrees with the oracle on a
@@ -349,7 +362,7 @@ def _classify_trivial(w: _Working, fd: FieldDescriptor, n: int):
     def img(x: FieldElem) -> Matrix:
         return w(gen_matrix(DiagUnit(1, x), fd, n))
 
-    base = list(scalars(fd, *LAM_POOL))
+    base = list(_lam_pool(fd))
     mats = [img(x) for x in base]
     for x, y in zip(base, base[1:]):
         if img(x) * img(y) != img(x * y):
@@ -357,9 +370,8 @@ def _classify_trivial(w: _Working, fd: FieldDescriptor, n: int):
     if any(a * b != b * a for a, b in combinations(mats, 2)):
         raise NotMultiplicative("determinant block images do not commute")
 
-    candidates = _enumerate_characters(fd)
     # the values of the candidates at each probe, first occurrences only
-    cand_vals = [list(dict.fromkeys(c.evaluate(x) for c in candidates)) for x in base]
+    cand_vals = [list(dict.fromkeys(_character_values(fd, x))) for x in base]
 
     blocks = _joint_diagonalize(mats, cand_vals, fd, w.l)
     chars: list[ScalarCharacter] = []
@@ -411,14 +423,29 @@ def _joint_diagonalize(mats, cand_vals, fd: FieldDescriptor, l: int):
     return blocks
 
 
-def _enumerate_characters(fd: FieldDescriptor):
-    """All determinant characters with exponents within CHAR_POWER_BOUND,
-    small ones first so fitting is deterministic and minimal."""
+def _exponents(fd: FieldDescriptor):
+    """The (id, conj) exponent pairs within CHAR_POWER_BOUND, conj exponent
+    0 over Q, small ones first so fitting is deterministic and minimal."""
     span = range(-CHAR_POWER_BOUND, CHAR_POWER_BOUND + 1)
     if fd.is_quadratic:
-        pairs = sorted(product(span, span), key=lambda ab: (abs(ab[0]) + abs(ab[1]), ab))
-        return [ScalarCharacter((("id", a), ("conj", b))) for a, b in pairs]
-    return [ScalarCharacter((("id", a),)) for a in sorted(span, key=lambda a: (abs(a), a))]
+        return sorted(product(span, span), key=lambda ab: (abs(ab[0]) + abs(ab[1]), ab))
+    return [(a, 0) for a in sorted(span, key=lambda a: (abs(a), a))]
+
+
+def _enumerate_characters(fd: FieldDescriptor):
+    """All determinant characters with exponents within CHAR_POWER_BOUND,
+    in the order of _exponents."""
+    return [ScalarCharacter((("id", a), ("conj", b))) for a, b in _exponents(fd)]
+
+
+def _character_values(fd: FieldDescriptor, x: FieldElem) -> list[FieldElem]:
+    """The value at x of every character of _enumerate_characters, in its
+    order: one product per character of a power of x and a power of conj(x),
+    since conj(x)^e = conj(x^e)."""
+    powers = {e: x**e for e in range(-CHAR_POWER_BOUND, CHAR_POWER_BOUND + 1)}
+    if not fd.is_quadratic:
+        return [powers[a] for a, _ in _exponents(fd)]
+    return [powers[a] * powers[b].conjugate() for a, b in _exponents(fd)]
 
 
 def _fit_character(fd: FieldDescriptor, pairs) -> ScalarCharacter:
@@ -521,7 +548,7 @@ def _classify_gl(w, fd: FieldDescriptor, n: int):
     else:
         raise NotMultiplicative("unit transvection image matches neither orientation")
 
-    phi_pool, lam_pool = scalars(fd, *PHI_POOL), scalars(fd, *LAM_POOL)
+    phi_pool, lam_pool = scalars(fd, *PHI_POOL), _lam_pool(fd)
     entry = _EntryMap(fd, n, w2, eps)
     for x in phi_pool + lam_pool:
         entry(x)
@@ -670,7 +697,7 @@ def _recover_nondegenerate(w, fd: FieldDescriptor, n: int, f_cos):
                 "scaled unit image is not a scaled unit",
             )[0]
 
-        phi_pool, lam_pool = scalars(fd, *PHI_POOL), scalars(fd, *LAM_POOL)
+        phi_pool, lam_pool = scalars(fd, *PHI_POOL), _lam_pool(fd)
         entry = _EntryMap(fd, n, lambda a: r * w(a) * r_inv, 0)
         for x in phi_pool + tuple(x for x in lam_pool if x not in phi_pool):
             if unit_probe(1, 2, x) != entry(x):
@@ -720,25 +747,33 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
     oracle. The recovered form must evaluate every sample and match the
     oracle on it exactly; a sample it cannot evaluate fails verification."""
     rng = random.Random(seed)
-    s_inv = s_total.inverse()
-    lam_pool = scalars(fd, *LAM_POOL)
+    basis_change = _basis_change(s_total)
+    lam_pool = _lam_pool(fd)
     for i in range(VERIFY_INVERTIBLE):
-        x = lam_pool[i % len(lam_pool)]
-        a = gen_matrix(DiagUnit(1, x), fd, n) * random_sl(rng, fd, n, length=8)
-        _check_sample(session, s_total, s_inv, form, a)
+        # D_1(x) times a word: the dilation scales the first row last
+        dilation = DiagUnit(1, lam_pool[i % len(lam_pool)])
+        word = random_transvection_word(rng, fd, n, 8)
+        _check_sample(session, basis_change, form, _apply_word([dilation, *word], fd, n))
+    z = zero(fd)
     for _ in range(VERIFY_SINGULAR):
         r = rng.randrange(0, n)
-        a = random_gl(rng, fd, n) * rank_idempotent(fd, n, r) * random_gl(rng, fd, n)
-        _check_sample(session, s_total, s_inv, form, a)
+        g1 = random_gl(rng, fd, n)
+        g2 = random_gl(rng, fd, n)
+        # G1 diag(I_r, 0) is G1 with its columns from r on set to zero
+        a = Matrix(fd, [row[:r] + (z,) * (n - r) for row in g1.rows]) * g2
+        _check_sample(session, basis_change, form, a)
 
 
-def _check_sample(session, s_total, s_inv, form, a: Matrix) -> None:
+def _check_sample(session, basis_change, form, a: Matrix) -> None:
     try:
-        expected = s_total * form.evaluate(a) * s_inv
+        expected = form.evaluate(a)
     except ProbeMiss as exc:
         raise VerificationFailed(
             f"recovered form cannot evaluate a fresh sample: {exc}"
         ) from exc
+    if basis_change:
+        s_total, s_inv = basis_change
+        expected = s_total * expected * s_inv
     if session.call(a) != expected:
         raise VerificationFailed(
             "oracle and recovered form disagree on a fresh sample"
@@ -746,6 +781,19 @@ def _check_sample(session, s_total, s_inv, form, a: Matrix) -> None:
 
 
 # -- small helpers -------------------------------------------------------
+
+
+def _lam_pool(fd: FieldDescriptor) -> tuple[FieldElem, ...]:
+    """LAM_POOL over fd, with LAM_POOL_EXTRA appended where it applies."""
+    return scalars(fd, *LAM_POOL) + scalars(fd, (), LAM_POOL_EXTRA.get(fd.d, ()))
+
+
+def _basis_change(s: Matrix):
+    """(S, S^-1), or None when S is the identity and conjugating by it
+    would change nothing."""
+    if s == identity(s.field, s.n_rows):
+        return None
+    return s, s.inverse()
 
 
 def _embed_top_left(p: Matrix, k: int) -> Matrix:

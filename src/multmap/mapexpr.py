@@ -449,8 +449,12 @@ CanonicalForm = TrivialForm | DegenerateForm | NonDegenerateForm
 
 
 def _apply_hom(h: RingHom, a: Matrix) -> Matrix:
-    """h applied to every entry of a."""
-    return Matrix(a.field, [[hom_apply(h, x) for x in r] for r in a.rows])
+    """h applied to every entry of a. A registered hom maps the field to
+    itself; only the images in a sampled table need checking."""
+    if h.kind == "id":
+        return a
+    rows = [[hom_apply(h, x) for x in r] for r in a.rows]
+    return Matrix._of(a.field, rows) if h.is_registered else Matrix(a.field, rows)
 
 
 def _core_evaluate(form, a: Matrix) -> Matrix:

@@ -5,6 +5,14 @@ objects; determinant, rank, and reduced row echelon data are computed once
 and cached. Everything here is exact Gaussian elimination, no pivots are
 chosen for numerical reasons, so results are reproducible bit for bit.
 
+Matrix(fd, rows) checks its input: nonempty, rectangular, every entry a
+FieldElem of fd. The private Matrix._of(fd, rows) runs none of these checks.
+It is only for matrices whose every entry the package built itself from
+operands of one already-checked field: products, sums, negations, scalings,
+transposes, inverses, cofactors, generator matrices, and the entrywise hom
+and word evaluations of mapexpr and slword. Everything read from outside
+goes through the checked constructor.
+
 Besides the Matrix class the module holds the elementary generator records
 (transvections, diagonal units, swaps), the small constructors the rest of
 the package leans on (matrix units, rank idempotents), and two structural
@@ -59,12 +67,16 @@ class Matrix:
             for x in r:
                 if not isinstance(x, FieldElem) or (x._field is not fd and x._field != fd):
                     raise FieldMismatch("entry outside the matrix field")
-        object.__setattr__(self, "field", fd)
-        object.__setattr__(self, "n_rows", len(tup))
-        object.__setattr__(self, "n_cols", width)
-        object.__setattr__(self, "rows", tup)
-        object.__setattr__(self, "_reduced", None)
-        object.__setattr__(self, "_inv", None)
+        _fill(self, fd, tup)
+
+    @classmethod
+    def _of(cls, fd: FieldDescriptor, rows) -> "Matrix":
+        """The matrix with these rows, unchecked: for entries the package
+        built over fd itself from operands of one already-checked field, in
+        at least one nonempty row of equal widths."""
+        m = _new(cls)
+        _fill(m, fd, tuple(map(tuple, rows)))
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -114,7 +126,7 @@ class Matrix:
         self._check_field(other)
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise DimensionMismatch("shape mismatch in addition")
-        return Matrix(
+        return Matrix._of(
             self.field,
             [
                 [x + y for x, y in zip(r1, r2)]
@@ -128,7 +140,7 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-x for x in r] for r in self.rows])
+        return Matrix._of(self.field, [[-x for x in r] for r in self.rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -144,7 +156,7 @@ class Matrix:
         for r in self.rows:
             u = _integer_vector(r)
             out.append([_dot(fd, u, v) for v in cols])
-        return Matrix(fd, out)
+        return Matrix._of(fd, out)
 
     def __rmul__(self, scalar) -> "Matrix":
         if not isinstance(scalar, FieldElem):
@@ -154,7 +166,7 @@ class Matrix:
     def scale(self, scalar: FieldElem) -> "Matrix":
         if scalar.field != self.field:
             raise FieldMismatch("scalar outside the matrix field")
-        return Matrix(self.field, [[scalar * x for x in r] for r in self.rows])
+        return Matrix._of(self.field, [[scalar * x for x in r] for r in self.rows])
 
     def __pow__(self, exponent: int) -> "Matrix":
         n = self._require_square("power")
@@ -163,7 +175,7 @@ class Matrix:
         return _power(identity(self.field, n), self, exponent)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)))
+        return Matrix._of(self.field, zip(*self.rows))
 
     # -- elimination ---------------------------------------------------------
 
@@ -203,7 +215,7 @@ class Matrix:
         rows, pivots, _ = _eliminate(self.field, _augment_identity(self), n)
         if len(pivots) < n:
             raise SingularMatrix("matrix is not invertible")
-        inv = Matrix(self.field, [row[n:] for row in rows])
+        inv = Matrix._of(self.field, [row[n:] for row in rows])
         object.__setattr__(self, "_inv", inv)
         return inv
 
@@ -252,7 +264,7 @@ class Matrix:
         rows, pivots, det = _eliminate(fd, _augment_identity(self), n)
         rank = len(pivots)
         if rank == n:
-            return Matrix(fd, [[det * rows[j][n + i] for j in range(n)] for i in range(n)])
+            return Matrix._of(fd, [[det * rows[j][n + i] for j in range(n)] for i in range(n)])
         if rank < n - 1:
             return zeros(fd, n)
         free = next(c for c in range(n) if c not in pivots)
@@ -270,7 +282,7 @@ class Matrix:
         if (i + free) % 2:
             signed = -signed
         c = signed / y[i]
-        return Matrix(fd, [[c * yi * xj for xj in x] for yi in y])
+        return Matrix._of(fd, [[c * yi * xj for xj in x] for yi in y])
 
     def is_idempotent(self) -> bool:
         return self.is_square and self * self == self
@@ -306,6 +318,19 @@ class Matrix:
                 raise ParseError(f"each row must list {n} scalars")
             rows.append([parse_scalar(x, fd) for x in r])
         return cls(fd, rows)
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _fill(m: Matrix, fd: FieldDescriptor, rows: tuple) -> None:
+    _set(m, "field", fd)
+    _set(m, "n_rows", len(rows))
+    _set(m, "n_cols", len(rows[0]))
+    _set(m, "rows", rows)
+    _set(m, "_reduced", None)
+    _set(m, "_inv", None)
 
 
 # -- elimination ------------------------------------------------------------------
@@ -510,7 +535,7 @@ def gen_matrix(gen: Generator, fd: FieldDescriptor, n: int) -> Matrix:
     else:
         a, b = gen.i - 1, gen.j - 1
         m[a], m[b] = m[b], m[a]
-    return Matrix(fd, m)
+    return Matrix._of(fd, m)
 
 
 def solve_exact(a: Matrix, b: Matrix) -> Matrix:

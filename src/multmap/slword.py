@@ -17,10 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import NotSpecialLinear, ParseError, SingularMatrix
+from .errors import FieldMismatch, NotSpecialLinear, ParseError, SingularMatrix
 from .field import (
     FieldDescriptor,
     FieldElem,
+    _sub_mul,
     format_scalar,
     one,
     parse_scalar,
@@ -48,24 +49,31 @@ def default_pool(fd: FieldDescriptor) -> tuple[FieldElem, ...]:
 
 def evaluate_word(word, fd: FieldDescriptor, n: int) -> Matrix:
     """Product of the generators in list order, as an n x n matrix."""
+    for gen in reversed(word):
+        _check_generator(gen, fd, n)
+    return _apply_word(word, fd, n)
+
+
+def _apply_word(word, fd: FieldDescriptor, n: int) -> Matrix:
+    """Product of a word of generators already known to act on n x n
+    matrices over fd: the generators, last first, act on the rows of the
+    identity from the left. A transvection adds k times row j to row i as
+    one fused update per entry, skipping the zero entries of row j."""
     rows = [list(r) for r in identity(fd, n).rows]
     for gen in reversed(word):
-        _apply_left(rows, gen, fd, n)
-    return Matrix(fd, rows)
-
-
-def _apply_left(rows, gen: Generator, fd: FieldDescriptor, n: int) -> None:
-    """Left-multiply the row list by one generator, in place."""
-    _check_generator(gen, fd, n)
-    if isinstance(gen, Transvection):
-        i, j, k = gen.i - 1, gen.j - 1, gen.k
-        rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
-    elif isinstance(gen, DiagUnit):
-        i = gen.i - 1
-        rows[i] = [gen.k * x for x in rows[i]]
-    else:
-        a, b = gen.i - 1, gen.j - 1
-        rows[a], rows[b] = rows[b], rows[a]
+        if isinstance(gen, Transvection):
+            i, j, neg_k = gen.i - 1, gen.j - 1, -gen.k
+            rows[i] = [
+                x if y.is_zero else _sub_mul(x, neg_k, y)
+                for x, y in zip(rows[i], rows[j])
+            ]
+        elif isinstance(gen, DiagUnit):
+            i = gen.i - 1
+            rows[i] = [gen.k * x for x in rows[i]]
+        else:
+            a, b = gen.i - 1, gen.j - 1
+            rows[a], rows[b] = rows[b], rows[a]
+    return Matrix._of(fd, rows)
 
 
 def decompose_sl(m: Matrix) -> list[Transvection]:
@@ -153,16 +161,27 @@ def random_transvection_word(
 def random_sl(
     rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None, pool=None
 ) -> Matrix:
-    length = 4 * n if length is None else length
-    return evaluate_word(random_transvection_word(rng, fd, n, length, pool), fd, n)
+    return _apply_word(_random_word(rng, fd, n, length, pool), fd, n)
 
 
 def random_gl(
     rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None, pool=None
 ) -> Matrix:
+    """D_1(d) times random_sl's product, d drawn from the pool first."""
     pool = default_pool(fd) if pool is None else tuple(pool)
-    d = rng.choice(pool)
-    return gen_matrix(DiagUnit(1, d), fd, n) * random_sl(rng, fd, n, length, pool)
+    dilation = DiagUnit(1, rng.choice(pool))
+    _check_generator(dilation, fd, n)
+    return _apply_word([dilation, *_random_word(rng, fd, n, length, pool)], fd, n)
+
+
+def _random_word(rng, fd: FieldDescriptor, n: int, length: int | None, pool) -> list:
+    """A transvection word of the given length (4n by default). Its indices
+    are drawn within 1..n, so only its scalars need checking."""
+    length = 4 * n if length is None else length
+    word = random_transvection_word(rng, fd, n, length, pool)
+    if any(g.k.field is not fd and g.k.field != fd for g in word):
+        raise FieldMismatch("transvection scalar outside the field")
+    return word
 
 
 def random_unitriangular(

@@ -8,7 +8,10 @@ import pytest
 from multmap.classify import (
     ClassifyReport,
     Session,
+    _character_values,
+    _enumerate_characters,
     _final_verification,
+    _lam_pool,
     _read,
     _resolve_hom,
     classify,
@@ -33,7 +36,7 @@ from multmap.field import (
     sqrt_gen,
     zero,
 )
-from multmap.matrix import Matrix, from_values, identity, zeros
+from multmap.matrix import Matrix, diag, from_values, identity, zeros
 from multmap.mapexpr import (
     Cof,
     Conj,
@@ -282,6 +285,43 @@ def test_determinant_scales_past_the_bound_are_refused():
             classify(oracle, RATIONAL, 3)
 
 
+def _squarefree_radicands(bound):
+    return [
+        d
+        for d in range(-bound, bound + 1)
+        if d not in (0, 1) and all(d % (p * p) for p in range(2, abs(d) + 1))
+    ]
+
+
+def test_character_values_match_evaluation():
+    for fd in (RATIONAL, Q2, QI, quadratic(-3)):
+        for x in (*_lam_pool(fd), FieldElem(fd, Fraction(-7, 3))):
+            assert _character_values(fd, x) == [
+                c.evaluate(x) for c in _enumerate_characters(fd)
+            ]
+
+
+def test_bounded_characters_are_separated_by_the_lam_pool():
+    for fd in [RATIONAL] + [quadratic(d) for d in _squarefree_radicands(50)]:
+        vectors = set(zip(*(_character_values(fd, x) for x in _lam_pool(fd))))
+        assert len(vectors) == len(_enumerate_characters(fd)), fd
+
+
+@pytest.mark.parametrize("d, a, b", [(-1, 5, -4), (-3, 4, -3)])
+def test_in_bound_scales_over_fields_with_roots_of_unity(d, a, b):
+    fd = quadratic(d)
+    expr = MapExpr(3, fd, (DetScale(ScalarCharacter((("id", a), ("conj", b)))),))
+    rep = classify(expr.as_oracle(), fd, 3)
+    probe = diag(fd, [FieldElem(fd, 2, 1), one(fd), one(fd)])
+    assert rep.reconstructed_oracle()(probe) == expr.evaluate(probe)
+
+
+def test_scale_past_the_bound_over_q_i_is_refused():
+    x7 = MapExpr(3, QI, (DetScale(ScalarCharacter((("id", -7),))),))
+    with pytest.raises(CharacterOutOfBound):
+        classify(x7.as_oracle(), QI, 3)
+
+
 # -- random expressions -------------------------------------------------
 
 
@@ -520,6 +560,23 @@ def report_corpus():
     for t in range(20):
         expr = random_mapexpr(rng, Q2, 3, max_depth=5)
         yield f"random-{t}", expr.as_oracle(), Q2, 3, t
+    # padded determinant maps seen through a dense basis change B, so that
+    # the split basis S is not the identity
+    c21 = ScalarCharacter((("id", 2), ("conj", 1)))
+    for name, fd, chars, z_pad, s_pad, b in (
+        ("basis-det-q", RATIONAL, (_x(3), _x(2)), 1, 0, [[1, 2, 0], [1, 3, 1], [0, 1, 2]]),
+        ("basis-det-q-short", RATIONAL, (_x(1),), 0, 1, [[2, 1], [1, 1]]),
+        ("basis-det-q2", Q2, (c21,), 1, 1, [[1, 1, 0], [0, 1, 1], [1, 0, 2]]),
+        ("basis-det-q2-short", Q2, (_x(2), c21), 0, 0, [[1, -1], [2, 1]]),
+    ):
+        yield name, _conjugated(MapExpr(3, fd, (TrivialDet(chars, z_pad, s_pad),)), b), fd, 3, 7
+
+
+def _conjugated(expr, b_rows):
+    """A -> B expr(A) B^-1 for the integer matrix B."""
+    b = int_matrix(expr.field, b_rows)
+    b_inv = b.inverse()
+    return lambda a: b * expr.evaluate(a) * b_inv
 
 
 # sha256 of json.dumps(report.to_doc(), sort_keys=True), probe log included,
@@ -556,6 +613,11 @@ REPORT_SHA256 = {
     "random-17": "dc3fa6e35a35d8e434a9b34e9327a1520a54b90e4e79c33e52f044e4d4cd67a2",
     "random-18": "ec80933c9775a1194b60b994f2c7c026d75f64205c4158cee5b8abcde756469e",
     "random-19": "e856f0b183b785a34fadcf7071d3547db6118757d47ffd8cf178f477c74a2f00",
+    # recorded before identity conjugations were skipped; S != I in each
+    "basis-det-q": "68fea6691b1da7b6615ba1d64f3ebc209528683966c18625fe3e8faff414e630",
+    "basis-det-q-short": "f473b83a2773df181ac18f6542219e1b7f481dd7fe30f50ad42e08efa4a11eef",
+    "basis-det-q2": "a4d288d96d32a019fcf2b9e021ee31b3a3d1ebd492b37e2a43f1ca550c99aa83",
+    "basis-det-q2-short": "71b8e0390c49f1d115fbd19f99036cc8d80d69f7f34b4615a7cb9ba29036b962",
 }
 
 

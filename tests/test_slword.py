@@ -183,3 +183,67 @@ def test_swap_coset_identity():
         DiagUnit(1, r(-1)),
     ]
     assert evaluate_word(word, RATIONAL, 2) == lhs
+
+
+# -- differential tests of the row-operation word path ----------------------
+
+
+def _gen_product(word, fd, n):
+    """The word multiplied out as plain products of generator matrices."""
+    out = identity(fd, n)
+    for g in word:
+        out = out * gen_matrix(g, fd, n)
+    return out
+
+
+@pytest.mark.parametrize("fd", [RATIONAL, Q2, quadratic(-1)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_random_samplers_match_generator_products(fd, n):
+    for seed, length in ((1, None), (2, 0), (3, 1), (4, 8), (5, 17)):
+        rng, replay = random.Random(seed), random.Random(seed)
+        a = random_sl(rng, fd, n, length=length)
+        word = random_transvection_word(replay, fd, n, 4 * n if length is None else length)
+        assert a == _gen_product(word, fd, n)
+        assert rng.getstate() == replay.getstate()
+
+        g = random_gl(rng, fd, n, length=length)
+        d = replay.choice(default_pool(fd))
+        word = random_transvection_word(replay, fd, n, 4 * n if length is None else length)
+        assert g == _gen_product([DiagUnit(1, d)] + word, fd, n)
+        assert rng.getstate() == replay.getstate()
+
+
+@pytest.mark.parametrize("fd", [RATIONAL, Q2, quadratic(-1)])
+def test_evaluate_word_matches_generator_products_on_mixed_words(fd):
+    rng = random.Random(77)
+    pool = default_pool(fd)
+    for n in (2, 3, 5):
+        for _ in range(8):
+            word = []
+            for _ in range(rng.randrange(0, 15)):
+                i, j = rng.sample(range(1, n + 1), 2)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    word.append(Transvection(i, j, rng.choice(pool)))
+                elif kind == 1:
+                    word.append(DiagUnit(i, rng.choice(pool)))
+                else:
+                    word.append(Swap(i, j))
+            assert evaluate_word(word, fd, n) == _gen_product(word, fd, n)
+
+
+def test_evaluate_word_reports_the_last_bad_generator_first():
+    # generators are checked last first, the order they act in
+    o = one(RATIONAL)
+    word = [Transvection(1, 4, o), Transvection(1, 2, o), DiagUnit(1, one(Q2))]
+    with pytest.raises(FieldMismatch, match=r"^diagonal scalar outside the field$"):
+        evaluate_word(word, RATIONAL, 3)
+    with pytest.raises(IndexOutOfRange, match=r"^index 4 outside 1\.\.3$"):
+        evaluate_word(word[:2], RATIONAL, 3)
+
+
+def test_random_sl_rejects_a_pool_outside_the_field():
+    with pytest.raises(FieldMismatch, match="^transvection scalar outside the field$"):
+        random_sl(random.Random(1), RATIONAL, 3, pool=[one(Q2)])
+    with pytest.raises(FieldMismatch, match="^diagonal scalar outside the field$"):
+        random_gl(random.Random(1), RATIONAL, 3, pool=[one(Q2)])
