@@ -88,7 +88,7 @@ from .mapexpr import (
     TrivialForm,
     pairs_doc,
 )
-from .slword import _apply_word, random_gl, random_transvection_word
+from .slword import _apply_word, default_pool, random_gl, random_transvection_word
 
 MapOracle = Callable[[Matrix], Matrix]
 
@@ -749,16 +749,17 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
     rng = random.Random(seed)
     basis_change = _basis_change(s_total)
     lam_pool = _lam_pool(fd)
+    pool = default_pool(fd)
     for i in range(VERIFY_INVERTIBLE):
         # D_1(x) times a word: the dilation scales the first row last
         dilation = DiagUnit(1, lam_pool[i % len(lam_pool)])
-        word = random_transvection_word(rng, fd, n, 8)
+        word = random_transvection_word(rng, fd, n, 8, pool)
         _check_sample(session, basis_change, form, _apply_word([dilation, *word], fd, n))
     z = zero(fd)
     for _ in range(VERIFY_SINGULAR):
         r = rng.randrange(0, n)
-        g1 = random_gl(rng, fd, n)
-        g2 = random_gl(rng, fd, n)
+        g1 = random_gl(rng, fd, n, pool=pool)
+        g2 = random_gl(rng, fd, n, pool=pool)
         # G1 diag(I_r, 0) is G1 with its columns from r on set to zero
         a = Matrix(fd, [row[:r] + (z,) * (n - r) for row in g1.rows]) * g2
         _check_sample(session, basis_change, form, a)

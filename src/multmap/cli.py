@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedDimension,
     VerificationFailed,
 )
-from .field import RATIONAL, format_scalar, quadratic
+from .field import RATIONAL, _scan_digits, format_scalar, quadratic
 from .mapexpr import Cof, MapExpr, ScalarCharacter, TrivialDet, identity_expr, simplify
 from .matrix import Matrix, identity
 from .slword import (
@@ -100,13 +100,23 @@ def _load_doc(path: str):
         raise ParseError(f"{path} holds a number too long to read: {exc}") from exc
 
 
+def _builtin_size(name: str, tail: str) -> int:
+    """The n of a builtin 'name:<n>': a run of the ASCII digits 0-9 only, the
+    rule scalars follow, that reads as a positive integer."""
+    try:
+        digits = _scan_digits(tail, 0, "") == len(tail)
+    except ParseError:
+        digits = False
+    if not digits or int(tail) < 1:
+        raise ParseError(f"builtin {name} needs a positive size, got {tail!r}")
+    return int(tail)
+
+
 def _resolve_oracle(target: str, fd):
     """A builtin 'name:<n>' or a path to a map expression document."""
     name, sep, tail = target.partition(":")
     if sep and name in BUILTINS:
-        if not tail.isdigit() or int(tail) < 1:
-            raise ParseError(f"builtin {name} needs a positive size, got {tail!r}")
-        n = int(tail)
+        n = _builtin_size(name, tail)
         return BUILTINS[name](fd, n), fd, n
     expr = MapExpr.from_doc(_load_doc(target))
     return expr.as_oracle(), expr.field, expr.n

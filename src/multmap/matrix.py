@@ -9,9 +9,10 @@ Matrix(fd, rows) checks its input: nonempty, rectangular, every entry a
 FieldElem of fd. The private Matrix._of(fd, rows) runs none of these checks.
 It is only for matrices whose every entry the package built itself from
 operands of one already-checked field: products, sums, negations, scalings,
-transposes, inverses, cofactors, generator matrices, and the entrywise hom
-and word evaluations of mapexpr and slword. Everything read from outside
-goes through the checked constructor.
+transposes, inverses, cofactors, generator matrices, the entrywise hom
+and word evaluations of mapexpr and slword, and the rows decompose_gl scales
+by the inverse determinant. Everything read from outside goes through the
+checked constructor.
 
 Besides the Matrix class the module holds the elementary generator records
 (transvections, diagonal units, swaps), the small constructors the rest of

@@ -6,7 +6,14 @@ Each pivot is first driven to exactly 1 by adding a multiple of another row
 (at most two operations, never a diagonal scaling), after which the rest of
 the column is cleared. A determinant-one n x n input therefore factors into
 at most n^2 + n - 2 transvections, and simple inputs stay short: a single
-transvection decomposes as itself.
+transvection decomposes as itself. Transvections keep the determinant, so
+the determinant-one check is read off the sweep: once columns 0..n-2 match
+the identity, the last diagonal entry is det m.
+
+decompose_gl computes det m once, divides it out of the first row (the
+product D_1(1/det m) m as a row scaling) and factors the rest with
+decompose_sl; GlFactorization.evaluate puts D_1(det m) back the same way, as
+the first generator of the word it evaluates.
 
 Word convention: a word [g1, g2, ..., gm] denotes the product g1 g2 ... gm
 in that order, so evaluate_word folds from the right.
@@ -17,7 +24,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import FieldMismatch, NotSpecialLinear, ParseError, SingularMatrix
+from .errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    NotSpecialLinear,
+    ParseError,
+    SingularMatrix,
+)
 from .field import (
     FieldDescriptor,
     FieldElem,
@@ -34,7 +47,6 @@ from .matrix import (
     Swap,
     Transvection,
     _check_generator,
-    gen_matrix,
     identity,
 )
 
@@ -80,43 +92,48 @@ def decompose_sl(m: Matrix) -> list[Transvection]:
     """Factor a determinant-one matrix into transvections.
 
     Returns word with evaluate_word(word) == m and
-    len(word) <= n^2 + n - 2.
+    len(word) <= n^2 + n - 2. Raises NotSpecialLinear when m is not square
+    or det m != 1, singular m included.
     """
     n = m.n_rows
     if not m.is_square:
         raise NotSpecialLinear("decomposition needs a square matrix")
-    if m.det != one(m.field):
-        raise NotSpecialLinear("determinant must be exactly one")
     fd = m.field
     o = one(fd)
     rows = [list(r) for r in m.rows]
-    ops: list[Transvection] = []
+    word: list[Transvection] = []
 
-    def add_multiple(i: int, j: int, k: FieldElem) -> None:
-        # row_i += k row_j, recorded as the left factor P_(i+1)(j+1)(k)
-        if k.is_zero:
-            return
-        rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
-        ops.append(Transvection(i + 1, j + 1, k))
+    def sub_multiple(i: int, j: int, f: FieldElem) -> None:
+        # row_i -= f row_j, one fused update per nonzero entry of row j; the
+        # word records the inverse operation P_(i+1)(j+1)(f), so that it
+        # multiplies back to m
+        rows[i] = [
+            x if y.is_zero else _sub_mul(x, f, y) for x, y in zip(rows[i], rows[j])
+        ]
+        word.append(Transvection(i + 1, j + 1, f))
 
     for p in range(n - 1):
         if rows[p][p] != o:
             r = next((i for i in range(p + 1, n) if not rows[i][p].is_zero), None)
             if r is None:
-                # pivot nonzero (matrix stays invertible); seed a row below
-                add_multiple(p + 1, p, o)
+                if rows[p][p].is_zero:
+                    # column p vanishes from row p down, so m is singular
+                    raise NotSpecialLinear("determinant must be exactly one")
+                # seed a row below with the nonzero pivot
+                sub_multiple(p + 1, p, -o)
                 r = p + 1
-            add_multiple(p, r, (o - rows[p][p]) / rows[r][p])
+            sub_multiple(p, r, (rows[p][p] - o) / rows[r][p])
         for i in range(n):
             if i != p and not rows[i][p].is_zero:
-                add_multiple(i, p, -rows[i][p])
-    # columns 0..n-2 now match the identity; the last diagonal entry is the
-    # remaining determinant, which is one, so only the last column needs
-    # clearing above the diagonal
+                sub_multiple(i, p, rows[i][p])
+    # columns 0..n-2 now match the identity, so the last diagonal entry is
+    # det m; when it is one only the last column needs clearing above it
+    if rows[n - 1][n - 1] != o:
+        raise NotSpecialLinear("determinant must be exactly one")
     for i in range(n - 1):
         if not rows[i][n - 1].is_zero:
-            add_multiple(i, n - 1, -rows[i][n - 1])
-    return [op.inv() for op in ops]
+            sub_multiple(i, n - 1, rows[i][n - 1])
+    return word
 
 
 @dataclass(frozen=True)
@@ -127,9 +144,9 @@ class GlFactorization:
     word: list
 
     def evaluate(self, fd: FieldDescriptor, n: int) -> Matrix:
-        return gen_matrix(DiagUnit(1, self.det_scalar), fd, n) * evaluate_word(
-            self.word, fd, n
-        )
+        dilation = DiagUnit(1, self.det_scalar)
+        _check_generator(dilation, fd, n)
+        return evaluate_word([dilation, *self.word], fd, n)
 
 
 def decompose_gl(m: Matrix) -> GlFactorization:
@@ -137,16 +154,29 @@ def decompose_gl(m: Matrix) -> GlFactorization:
     d = m.det
     if d.is_zero:
         raise SingularMatrix("cannot decompose a singular matrix")
-    unimodular = gen_matrix(DiagUnit(1, d.inv()), m.field, m.n_rows) * m
-    return GlFactorization(d, decompose_sl(unimodular))
+    d_inv = d.inv()
+    rows = list(m.rows)
+    rows[0] = [d_inv * x for x in rows[0]]
+    return GlFactorization(d, decompose_sl(Matrix._of(m.field, rows)))
 
 
 # -- seeded sampling -------------------------------------------------------------
 
 
+def _word_length(n: int, length: int | None) -> int:
+    """length, or 4n when it is None. A nonempty word draws two distinct
+    indices per generator, so it needs n >= 2; this is checked before any
+    draw."""
+    length = 4 * n if length is None else length
+    if length > 0 and n < 2:
+        raise DimensionMismatch("transvection words need n >= 2")
+    return length
+
+
 def random_transvection_word(
     rng: random.Random, fd: FieldDescriptor, n: int, length: int, pool=None
 ) -> list[Transvection]:
+    _word_length(n, length)
     pool = default_pool(fd) if pool is None else tuple(pool)
     word = []
     for _ in range(length):
@@ -168,6 +198,7 @@ def random_gl(
     rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None, pool=None
 ) -> Matrix:
     """D_1(d) times random_sl's product, d drawn from the pool first."""
+    length = _word_length(n, length)
     pool = default_pool(fd) if pool is None else tuple(pool)
     dilation = DiagUnit(1, rng.choice(pool))
     _check_generator(dilation, fd, n)
@@ -177,8 +208,7 @@ def random_gl(
 def _random_word(rng, fd: FieldDescriptor, n: int, length: int | None, pool) -> list:
     """A transvection word of the given length (4n by default). Its indices
     are drawn within 1..n, so only its scalars need checking."""
-    length = 4 * n if length is None else length
-    word = random_transvection_word(rng, fd, n, length, pool)
+    word = random_transvection_word(rng, fd, n, _word_length(n, length), pool)
     if any(g.k.field is not fd and g.k.field != fd for g in word):
         raise FieldMismatch("transvection scalar outside the field")
     return word

@@ -10,13 +10,26 @@ RefElem is the scalar arithmetic of the package before its integer core:
 a + b*sqrt(d) held as two Fractions. ref_product and ref_det_inverse redo
 the matrix product and Gauss-Jordan elimination on RefElem, as references
 for the differential tests of the integer triples.
+
+ref_decompose_sl, ref_decompose_gl and ref_gl_evaluate are the
+factorization path as it was before decompose_sl read its determinant check
+off the sweep: a separate determinant elimination first, two scalar
+operations per row update, and D_1 applied as full matrix products. They are
+the references for the differential tests of that path.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from multmap.errors import DivisionByZero
-from multmap.field import CONJUGATION_HOM, IDENTITY_HOM, FieldDescriptor, FieldElem, zero
+from multmap.errors import DivisionByZero, NotSpecialLinear, SingularMatrix
+from multmap.field import (
+    CONJUGATION_HOM,
+    IDENTITY_HOM,
+    FieldDescriptor,
+    FieldElem,
+    one,
+    zero,
+)
 from multmap.mapexpr import (
     Cof,
     Conj,
@@ -28,7 +41,15 @@ from multmap.mapexpr import (
     TrivialForm,
     simplify,
 )
-from multmap.matrix import Matrix, from_values, rank_idempotent
+from multmap.matrix import (
+    DiagUnit,
+    Matrix,
+    Transvection,
+    from_values,
+    gen_matrix,
+    rank_idempotent,
+)
+from multmap.slword import evaluate_word
 
 
 def laplace_det(m: Matrix) -> FieldElem:
@@ -250,3 +271,49 @@ def ref_det_inverse(a: list[list[RefElem]]):
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return det, [r[n:] for r in rows]
+
+
+def ref_decompose_sl(m: Matrix) -> list[Transvection]:
+    n = m.n_rows
+    if not m.is_square:
+        raise NotSpecialLinear("decomposition needs a square matrix")
+    if m.det != one(m.field):
+        raise NotSpecialLinear("determinant must be exactly one")
+    fd = m.field
+    o = one(fd)
+    rows = [list(r) for r in m.rows]
+    ops: list[Transvection] = []
+
+    def add_multiple(i: int, j: int, k: FieldElem) -> None:
+        if k.is_zero:
+            return
+        rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        ops.append(Transvection(i + 1, j + 1, k))
+
+    for p in range(n - 1):
+        if rows[p][p] != o:
+            r = next((i for i in range(p + 1, n) if not rows[i][p].is_zero), None)
+            if r is None:
+                add_multiple(p + 1, p, o)
+                r = p + 1
+            add_multiple(p, r, (o - rows[p][p]) / rows[r][p])
+        for i in range(n):
+            if i != p and not rows[i][p].is_zero:
+                add_multiple(i, p, -rows[i][p])
+    for i in range(n - 1):
+        if not rows[i][n - 1].is_zero:
+            add_multiple(i, n - 1, -rows[i][n - 1])
+    return [op.inv() for op in ops]
+
+
+def ref_decompose_gl(m: Matrix) -> tuple[FieldElem, list[Transvection]]:
+    """(det_scalar, word) of the factorization m = D_1(det m) word."""
+    d = m.det
+    if d.is_zero:
+        raise SingularMatrix("cannot decompose a singular matrix")
+    unimodular = gen_matrix(DiagUnit(1, d.inv()), m.field, m.n_rows) * m
+    return d, ref_decompose_sl(unimodular)
+
+
+def ref_gl_evaluate(det_scalar, word, fd: FieldDescriptor, n: int) -> Matrix:
+    return gen_matrix(DiagUnit(1, det_scalar), fd, n) * evaluate_word(word, fd, n)

@@ -191,6 +191,19 @@ def test_classify_rejections_map_to_exit_codes(tmp_path):
     assert "positive size" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "size",
+    ["\u00b2", "\u0663", "9" * 5000],
+    ids=["superscript-two", "arabic-indic-three", "5000-digits"],
+)
+def test_builtin_sizes_take_ascii_digits_only(size):
+    # a superscript two and an Arabic-Indic three are str.isdigit, and 5000
+    # ASCII digits are more than the interpreter converts to an int
+    proc = run_cli("classify", f"cofactor:{size}", expect=2)
+    assert proc.stderr.startswith("multmap: builtin cofactor needs a positive size")
+    assert "Traceback" not in proc.stderr
+
+
 def test_classify_refuses_a_determinant_scale_past_the_bound(tmp_path):
     x7 = {
         "n": 3,

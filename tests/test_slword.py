@@ -6,15 +6,17 @@ from fractions import Fraction
 import pytest
 
 from multmap.errors import (
+    DimensionMismatch,
     FieldMismatch,
     IndexOutOfRange,
     NotSpecialLinear,
     ParseError,
     SingularMatrix,
 )
-from multmap.field import RATIONAL, as_elem, one, quadratic, sqrt_gen
-from multmap.matrix import DiagUnit, Swap, Transvection, gen_matrix, identity
+from multmap.field import RATIONAL, as_elem, one, quadratic, sqrt_gen, zero
+from multmap.matrix import DiagUnit, Matrix, Swap, Transvection, diag, gen_matrix, identity
 from multmap.slword import (
+    GlFactorization,
     decompose_gl,
     decompose_sl,
     default_pool,
@@ -27,7 +29,15 @@ from multmap.slword import (
     word_to_doc,
 )
 
-from helpers import int_matrix
+from helpers import (
+    int_matrix,
+    rand_elem,
+    rand_invertible,
+    rand_singular,
+    ref_decompose_gl,
+    ref_decompose_sl,
+    ref_gl_evaluate,
+)
 
 Q2 = quadratic(2)
 
@@ -247,3 +257,128 @@ def test_random_sl_rejects_a_pool_outside_the_field():
         random_sl(random.Random(1), RATIONAL, 3, pool=[one(Q2)])
     with pytest.raises(FieldMismatch, match="^diagonal scalar outside the field$"):
         random_gl(random.Random(1), RATIONAL, 3, pool=[one(Q2)])
+
+
+def test_random_words_need_two_indices():
+    for sample in (
+        lambda rng: random_transvection_word(rng, RATIONAL, 1, 3),
+        lambda rng: random_sl(rng, RATIONAL, 1),
+        lambda rng: random_gl(rng, RATIONAL, 1, length=2),
+    ):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(DimensionMismatch, match=r"^transvection words need n >= 2$"):
+            sample(rng)
+        assert rng.getstate() == state
+    # an empty word needs no index
+    assert random_transvection_word(random.Random(5), RATIONAL, 1, 0) == []
+    assert random_sl(random.Random(5), RATIONAL, 1, length=0) == identity(RATIONAL, 1)
+    g = random_gl(random.Random(5), RATIONAL, 1, length=0)
+    assert g == Matrix(RATIONAL, [[random.Random(5).choice(default_pool(RATIONAL))]])
+
+
+# -- differential tests of the factorization path ------------------------------
+
+DIFF_FIELDS = [RATIONAL, Q2, quadratic(-1), quadratic(-3), quadratic(5)]
+
+
+def _outcome(f, *args):
+    """("ok", f(*args)), or the type and message of what f raised."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _nonzero(rng, fd):
+    while True:
+        x = rand_elem(rng, fd)
+        if not x.is_zero:
+            return x
+
+
+def _det_one(a: Matrix) -> Matrix:
+    return gen_matrix(DiagUnit(1, a.det.inv()), a.field, a.n_rows) * a
+
+
+def _factorization_inputs(rng, fd, n):
+    """Inputs that between them reach every branch of the sweep: pivots
+    already one, found below, or seeded from above; determinant one or not;
+    singular at a pivot column or only at the last entry; not square."""
+    z = zero(fd)
+    out = []
+    for _ in range(3):
+        a = rand_invertible(rng, fd, n)
+        out += [a, _det_one(a)]
+    if n >= 2:
+        out.append(random_sl(rng, fd, n))
+    # a scaled permutation: zero pivots with a nonzero entry below, or none
+    perm = list(range(n))
+    rng.shuffle(perm)
+    mono = Matrix(fd, [[_nonzero(rng, fd) if j == perm[i] else z for j in range(n)] for i in range(n)])
+    # a diagonal: every pivot that is not one is seeded from above
+    d = diag(fd, [_nonzero(rng, fd) for _ in range(n)])
+    out += [mono, _det_one(mono), d, _det_one(d)]
+    # singular: every rank below n, rank 0 being the zero matrix
+    out += [rand_singular(rng, fd, n, rank) for rank in range(n)]
+    # column p a combination of the columns before it, so it vanishes from
+    # row p down once those are reduced (p = 0: a zero first column)
+    for p in range(n):
+        rows = [list(r) for r in rand_invertible(rng, fd, n).rows]
+        coeffs = [rand_elem(rng, fd) for _ in range(p)]
+        for row in rows:
+            row[p] = sum((c * row[j] for j, c in enumerate(coeffs)), z)
+        out.append(Matrix(fd, rows))
+    # a diagonal with one zero: seeded pivots up to the zero
+    entries = [_nonzero(rng, fd) for _ in range(n)]
+    entries[rng.randrange(n)] = z
+    out.append(diag(fd, entries))
+    # not square
+    for shape in ((n, n + 1), (n + 1, n)):
+        out.append(Matrix(fd, [[rand_elem(rng, fd) for _ in range(shape[1])] for _ in range(shape[0])]))
+    return out
+
+
+@pytest.mark.parametrize("seed, fd", list(enumerate(DIFF_FIELDS)))
+def test_factorization_matches_the_reference(seed, fd):
+    rng = random.Random(7100 + seed)
+    seen = set()
+    for n in range(1, 9):
+        for m in _factorization_inputs(rng, fd, n):
+            sl = _outcome(decompose_sl, m)
+            assert sl == _outcome(ref_decompose_sl, m)
+            gl = _outcome(decompose_gl, m)
+            want = _outcome(ref_decompose_gl, m)
+            seen.update((sl[0], gl[0]))
+            if gl[0] != "ok":
+                assert gl == want
+                continue
+            fac = gl[1]
+            assert ("ok", (fac.det_scalar, fac.word)) == want
+            assert fac.evaluate(fd, n) == ref_gl_evaluate(fac.det_scalar, fac.word, fd, n) == m
+    assert seen == {"ok", NotSpecialLinear, SingularMatrix, DimensionMismatch}
+
+
+@pytest.mark.parametrize("fd", DIFF_FIELDS)
+def test_gl_evaluate_matches_the_reference_on_hand_built_factorizations(fd):
+    rng = random.Random(7200)
+    other = Q2 if fd is RATIONAL else RATIONAL
+    k = _nonzero(rng, fd)
+    dets = [k, zero(fd), one(other), 2]
+    words = [
+        [],
+        random_transvection_word(rng, fd, 3, 6),
+        [Transvection(1, 2, k), DiagUnit(2, k), Swap(1, 3)],
+        [Transvection(1, 4, k), Transvection(2, 1, k)],
+        [Transvection(1, 2, one(other)), DiagUnit(3, k)],
+        [DiagUnit(4, k), Transvection(1, 2, one(other))],
+        [Transvection(1, 2, k), "P"],
+    ]
+    kinds = set()
+    for det_scalar in dets:
+        for word in words:
+            for n in (0, 2, 3):
+                got = _outcome(GlFactorization(det_scalar, word).evaluate, fd, n)
+                assert got == _outcome(ref_gl_evaluate, det_scalar, word, fd, n)
+                kinds.add(got[0])
+    assert kinds == {"ok", SingularMatrix, FieldMismatch, IndexOutOfRange, TypeError, AttributeError}
