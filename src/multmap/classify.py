@@ -792,7 +792,7 @@ def _lam_pool(fd: FieldDescriptor) -> tuple[FieldElem, ...]:
 def _basis_change(s: Matrix):
     """(S, S^-1), or None when S is the identity and conjugating by it
     would change nothing."""
-    if s == identity(s.field, s.n_rows):
+    if s.is_identity:
         return None
     return s, s.inverse()
 

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .field import RATIONAL, _scan_digits, format_scalar, quadratic
 from .mapexpr import Cof, MapExpr, ScalarCharacter, TrivialDet, identity_expr, simplify
-from .matrix import Matrix, identity
+from .matrix import MAX_SIZE, Matrix, identity
 from .slword import (
     decompose_gl,
     random_gl,
@@ -88,9 +88,13 @@ BUILTINS = {
 
 def _load_doc(path: str):
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text", pos=exc.start) from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -98,18 +102,24 @@ def _load_doc(path: str):
     except ValueError as exc:
         # a JSON number with more digits than the interpreter converts
         raise ParseError(f"{path} holds a number too long to read: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path} nests too deeply to read") from None
 
 
 def _builtin_size(name: str, tail: str) -> int:
     """The n of a builtin 'name:<n>': a run of the ASCII digits 0-9 only, the
-    rule scalars follow, that reads as a positive integer."""
+    rule scalars follow, that reads as a positive integer of at most
+    MAX_SIZE."""
     try:
         digits = _scan_digits(tail, 0, "") == len(tail)
     except ParseError:
         digits = False
     if not digits or int(tail) < 1:
         raise ParseError(f"builtin {name} needs a positive size, got {tail!r}")
-    return int(tail)
+    n = int(tail)
+    if n > MAX_SIZE:
+        raise ParseError(f"builtin {name} size {n} is past MAX_SIZE = {MAX_SIZE}")
+    return n
 
 
 def _resolve_oracle(target: str, fd):
@@ -198,16 +208,18 @@ def _field_spec(text: str):
     raise argparse.ArgumentTypeError("expected rational or quadratic:<d>")
 
 
-def _count_at_least(minimum: int):
-    """An argparse type for integers no smaller than minimum."""
+def _int_within(minimum: int | None = None, maximum: int | None = None):
+    """An argparse type for integers within the given bounds."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < minimum:
+        if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -218,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     common.add_argument(
         "--samples",
-        type=_count_at_least(1),
+        type=_int_within(minimum=1),
         default=50,
         help="fuzz sample count, at least 1 (default 50)",
     )
@@ -275,10 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[common], help="emit a seeded sample matrix")
     p.add_argument("kind", choices=("sl", "gl", "unitriangular"))
-    p.add_argument("--n", type=int, required=True, help="matrix size")
+    # sizes below what a kind takes are dimension errors of cmd_gen (exit 3)
+    p.add_argument(
+        "--n",
+        type=_int_within(maximum=MAX_SIZE),
+        required=True,
+        help=f"matrix size, at most MAX_SIZE = {MAX_SIZE}",
+    )
     p.add_argument(
         "--length",
-        type=_count_at_least(0),
+        type=_int_within(minimum=0),
         default=None,
         help="word length for sl/gl, at least 0 (default 4n)",
     )

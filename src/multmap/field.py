@@ -5,9 +5,10 @@ normalized so that den > 0 and gcd(p, q, den) = 1; rational fields keep
 q = 0. Equal values therefore have equal triples, and equality and hashing
 compare triples. The rational coordinates a = p/den and b = q/den are
 Fraction properties. All arithmetic is exact, no floats anywhere. The
-private helpers _integer_vector, _dot and _sub_mul let the matrix layer
-work on the triples directly: a dot product is one integer accumulation
-over a common denominator, normalized once.
+private helpers _integer_vector, _dot, _scale_row and _sub_mul_row let the
+matrix layer work on the triples directly: a dot product is one integer
+accumulation over a common denominator, normalized once, and a row scaling
+or row update is one loop over the triples with one gcd per entry.
 
 The module also carries the small registered family of ring homomorphisms
 (identity and Galois conjugation) plus finite sampled tables, and the
@@ -318,19 +319,68 @@ def _dot(fd: FieldDescriptor, u, v) -> FieldElem:
     return _norm(fd, p, q, ud * vd)
 
 
-def _sub_mul(x: FieldElem, f: FieldElem, y: FieldElem) -> FieldElem:
-    """x - f*y over the field of x, normalized once. The caller guarantees
-    that the three share one field."""
-    fp, fq, yp, yq = f._p, f._q, y._p, y._q
-    if fq or yq:
-        mp = fp * yp + x._field.d * fq * yq
-        mq = fp * yq + fq * yp
-    else:
-        mp = fp * yp
-        mq = 0
-    md = f._den * y._den
-    xd = x._den
-    return _norm(x._field, x._p * md - mp * xd, x._q * md - mq * xd, xd * md)
+def _scale_row(f: FieldElem, xs) -> list[FieldElem]:
+    """[f*x for x in xs] over the field of f, one gcd per nonzero entry;
+    zero entries pass through unchanged. The caller guarantees that f and
+    the entries share one field."""
+    fd = f._field
+    d = fd.d
+    fp, fq, fden = f._p, f._q, f._den
+    out = []
+    append = out.append
+    for x in xs:
+        xp, xq = x._p, x._q
+        if not xp and not xq:
+            append(x)
+            continue
+        if fq or xq:
+            p = fp * xp + d * fq * xq
+            q = fp * xq + fq * xp
+        else:
+            p = fp * xp
+            q = 0
+        den = fden * x._den
+        g = gcd(p, q, den)
+        if g != 1:
+            p //= g
+            q //= g
+            den //= g
+        append(_raw(fd, p, q, den))
+    return out
+
+
+def _sub_mul_row(xs, f: FieldElem, ys) -> list[FieldElem]:
+    """[x - f*y for x, y in zip(xs, ys)] over the field of f, one gcd per
+    entry; x passes through unchanged where y is zero. The caller
+    guarantees that f and the entries share one field."""
+    fd = f._field
+    d = fd.d
+    fp, fq, fden = f._p, f._q, f._den
+    out = []
+    append = out.append
+    for x, y in zip(xs, ys):
+        yp, yq = y._p, y._q
+        if not yp and not yq:
+            append(x)
+            continue
+        if fq or yq:
+            mp = fp * yp + d * fq * yq
+            mq = fp * yq + fq * yp
+        else:
+            mp = fp * yp
+            mq = 0
+        md = fden * y._den
+        xd = x._den
+        p = x._p * md - mp * xd
+        q = x._q * md - mq * xd
+        den = xd * md
+        g = gcd(p, q, den)
+        if g != 1:
+            p //= g
+            q //= g
+            den //= g
+        append(_raw(fd, p, q, den))
+    return out
 
 
 def zero(fd: FieldDescriptor) -> FieldElem:

@@ -47,7 +47,7 @@ from .field import (
     one,
     zero,
 )
-from .matrix import Matrix, diag, identity, normalize_scale, zeros
+from .matrix import MAX_SIZE, Matrix, diag, identity, normalize_scale, zeros
 
 
 # -- determinant characters ---------------------------------------------------
@@ -264,6 +264,8 @@ class MapExpr:
         n = doc.get("n")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ParseError("map expression needs a positive integer 'n'")
+        if n > MAX_SIZE:
+            raise ParseError(f"map expression size {n} is past MAX_SIZE = {MAX_SIZE}")
         fd = FieldDescriptor.from_doc(doc.get("field"))
         order = doc.get("order", "apply-last-first")
         if order != "apply-last-first":
@@ -354,6 +356,8 @@ def _atom_from_doc(doc: object, fd: FieldDescriptor, n: int) -> Atom:
         for v in (zp, op):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ParseError("pad sizes must be nonnegative integers")
+            if v > MAX_SIZE:
+                raise ParseError(f"pad size {v} is past MAX_SIZE = {MAX_SIZE}")
         return TrivialDet(chars, zp, op)
     raise ParseError(f"unknown atom kind {kind!r}")
 

@@ -14,6 +14,12 @@ and word evaluations of mapexpr and slword, and the rows decompose_gl scales
 by the inverse determinant. Everything read from outside goes through the
 checked constructor.
 
+Row scalings and row updates (elimination, Matrix.scale, the determinant
+factor of the cofactor) run through the row kernels of the field layer.
+A product with an identity operand returns the other operand itself, after
+the field and shape checks, and scaling by one returns self: matrices are
+immutable, so sharing them is safe.
+
 Besides the Matrix class the module holds the elementary generator records
 (transvections, diagonal units, swaps), the small constructors the rest of
 the package leans on (matrix units, rank idempotents), and two structural
@@ -43,13 +49,21 @@ from .field import (
     _dot,
     _integer_vector,
     _power,
-    _sub_mul,
+    _scale_row,
+    _sub_mul_row,
     as_elem,
     format_scalar,
     one,
     parse_scalar,
     zero,
 )
+
+
+# Largest matrix size a request may name without listing the entries: an
+# expression document's n, its zeroPad and onePad, a builtin's name:<n> and
+# gen --n. Each is refused past it before anything is allocated, since the
+# exact arithmetic at such sizes would run for hours.
+MAX_SIZE = 32
 
 
 class Matrix:
@@ -110,6 +124,21 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x.is_zero for row in self.rows for x in row)
 
+    @property
+    def is_identity(self) -> bool:
+        """Square with ones on the diagonal and zeros elsewhere; the scan
+        stops at the first entry that breaks the pattern."""
+        if self.n_rows != self.n_cols:
+            return False
+        for i, row in enumerate(self.rows):
+            for j, x in enumerate(row):
+                if i == j:
+                    if x._p != 1 or x._den != 1 or x._q:
+                        return False
+                elif x._p or x._q:
+                    return False
+        return True
+
     def _require_square(self, what: str) -> int:
         if not self.is_square:
             raise DimensionMismatch(f"{what} needs a square matrix")
@@ -149,6 +178,10 @@ class Matrix:
         self._check_field(other)
         if self.n_cols != other.n_rows:
             raise DimensionMismatch("inner dimensions disagree in product")
+        if self.is_identity:
+            return other
+        if other.is_identity:
+            return self
         # every entry is one integer dot product of a row and a column, each
         # brought to its common denominator once
         fd = self.field
@@ -167,7 +200,9 @@ class Matrix:
     def scale(self, scalar: FieldElem) -> "Matrix":
         if scalar.field != self.field:
             raise FieldMismatch("scalar outside the matrix field")
-        return Matrix._of(self.field, [[scalar * x for x in r] for r in self.rows])
+        if scalar.is_one:
+            return self
+        return Matrix._of(self.field, [_scale_row(scalar, r) for r in self.rows])
 
     def __pow__(self, exponent: int) -> "Matrix":
         n = self._require_square("power")
@@ -265,7 +300,8 @@ class Matrix:
         rows, pivots, det = _eliminate(fd, _augment_identity(self), n)
         rank = len(pivots)
         if rank == n:
-            return Matrix._of(fd, [[det * rows[j][n + i] for j in range(n)] for i in range(n)])
+            # the transpose of det(A) A^-1, the right block of the rows
+            return Matrix._of(fd, zip(*(_scale_row(det, row[n:]) for row in rows)))
         if rank < n - 1:
             return zeros(fd, n)
         free = next(c for c in range(n) if c not in pivots)
@@ -283,7 +319,7 @@ class Matrix:
         if (i + free) % 2:
             signed = -signed
         c = signed / y[i]
-        return Matrix._of(fd, [[c * yi * xj for xj in x] for yi in y])
+        return Matrix._of(fd, [_scale_row(c * yi, x) for yi in y])
 
     def is_idempotent(self) -> bool:
         return self.is_square and self * self == self
@@ -360,16 +396,11 @@ def _eliminate(fd: FieldDescriptor, rows: list[list[FieldElem]], n_pivot_cols: i
             det = -det
         pv = rows[r][c]
         det = det * pv
-        inv = pv.inv()
-        rows[r] = [x if x.is_zero else x * inv for x in rows[r]]
-        pivot_row = rows[r]
+        pivot_row = rows[r] = _scale_row(pv.inv(), rows[r])
         for i in range(nr):
             f = rows[i][c]
             if i != r and not f.is_zero:
-                rows[i] = [
-                    x if y.is_zero else _sub_mul(x, f, y)
-                    for x, y in zip(rows[i], pivot_row)
-                ]
+                rows[i] = _sub_mul_row(rows[i], f, pivot_row)
         pivots.append(c)
         r += 1
     return rows, tuple(pivots), det

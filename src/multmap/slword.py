@@ -34,7 +34,8 @@ from .errors import (
 from .field import (
     FieldDescriptor,
     FieldElem,
-    _sub_mul,
+    _scale_row,
+    _sub_mul_row,
     format_scalar,
     one,
     parse_scalar,
@@ -74,14 +75,11 @@ def _apply_word(word, fd: FieldDescriptor, n: int) -> Matrix:
     rows = [list(r) for r in identity(fd, n).rows]
     for gen in reversed(word):
         if isinstance(gen, Transvection):
-            i, j, neg_k = gen.i - 1, gen.j - 1, -gen.k
-            rows[i] = [
-                x if y.is_zero else _sub_mul(x, neg_k, y)
-                for x, y in zip(rows[i], rows[j])
-            ]
+            i, j = gen.i - 1, gen.j - 1
+            rows[i] = _sub_mul_row(rows[i], -gen.k, rows[j])
         elif isinstance(gen, DiagUnit):
             i = gen.i - 1
-            rows[i] = [gen.k * x for x in rows[i]]
+            rows[i] = _scale_row(gen.k, rows[i])
         else:
             a, b = gen.i - 1, gen.j - 1
             rows[a], rows[b] = rows[b], rows[a]
@@ -107,9 +105,7 @@ def decompose_sl(m: Matrix) -> list[Transvection]:
         # row_i -= f row_j, one fused update per nonzero entry of row j; the
         # word records the inverse operation P_(i+1)(j+1)(f), so that it
         # multiplies back to m
-        rows[i] = [
-            x if y.is_zero else _sub_mul(x, f, y) for x, y in zip(rows[i], rows[j])
-        ]
+        rows[i] = _sub_mul_row(rows[i], f, rows[j])
         word.append(Transvection(i + 1, j + 1, f))
 
     for p in range(n - 1):
@@ -154,9 +150,8 @@ def decompose_gl(m: Matrix) -> GlFactorization:
     d = m.det
     if d.is_zero:
         raise SingularMatrix("cannot decompose a singular matrix")
-    d_inv = d.inv()
     rows = list(m.rows)
-    rows[0] = [d_inv * x for x in rows[0]]
+    rows[0] = _scale_row(d.inv(), rows[0])
     return GlFactorization(d, decompose_sl(Matrix._of(m.field, rows)))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .field import FieldDescriptor, zero
-from .matrix import Matrix, identity
+from .matrix import Matrix
 from .slword import default_pool, random_gl, random_unitriangular
 
 
@@ -139,7 +139,7 @@ def lcs_depth_check(
             c[i, j].is_zero for i in range(n) for j in range(i + 1, min(i + bound + 1, n))
         )
         if depth >= n - 1:
-            ok = ok and c == identity(fd, n)
+            ok = ok and c.is_identity
         if not ok:
             return Verdict(False, (c, None), done, config.seed)
     return Verdict(True, None, config.pair_count, config.seed)

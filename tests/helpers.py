@@ -16,6 +16,12 @@ factorization path as it was before decompose_sl read its determinant check
 off the sweep: a separate determinant elimination first, two scalar
 operations per row update, and D_1 applied as full matrix products. They are
 the references for the differential tests of that path.
+
+ref_eliminate, ref_scale, ref_cofactor and ref_apply_word are Gauss-Jordan
+elimination, matrix scaling, the cofactor and word evaluation as they were
+before the row kernels: one FieldElem operation per entry, with the
+identity and the scalar one multiplied out like any other operand. They are
+the references for the differential tests of the row kernels.
 """
 
 from dataclasses import dataclass
@@ -48,6 +54,7 @@ from multmap.matrix import (
     from_values,
     gen_matrix,
     rank_idempotent,
+    zeros,
 )
 from multmap.slword import evaluate_word
 
@@ -317,3 +324,89 @@ def ref_decompose_gl(m: Matrix) -> tuple[FieldElem, list[Transvection]]:
 
 def ref_gl_evaluate(det_scalar, word, fd: FieldDescriptor, n: int) -> Matrix:
     return gen_matrix(DiagUnit(1, det_scalar), fd, n) * evaluate_word(word, fd, n)
+
+
+def ref_eliminate(fd: FieldDescriptor, rows: list[list[FieldElem]], n_pivot_cols: int):
+    """(rows, pivots, det) of Gauss-Jordan elimination with pivots in the
+    first n_pivot_cols columns, one scalar operation per entry."""
+    rows = [list(r) for r in rows]
+    nr = len(rows)
+    det = one(fd)
+    pivots = []
+    r = 0
+    for c in range(n_pivot_cols):
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if not rows[i][c].is_zero), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[p], rows[r] = rows[r], rows[p]
+            det = -det
+        pv = rows[r][c]
+        det = det * pv
+        inv = pv.inv()
+        rows[r] = [x if x.is_zero else x * inv for x in rows[r]]
+        for i in range(nr):
+            f = rows[i][c]
+            if i != r and not f.is_zero:
+                rows[i] = [x if y.is_zero else x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots), det
+
+
+def ref_augment(m: Matrix) -> list[list[FieldElem]]:
+    """The rows of [m | I] for square m."""
+    o, z = one(m.field), zero(m.field)
+    return [list(r) + [o if i == j else z for j in range(m.n_rows)] for i, r in enumerate(m.rows)]
+
+
+def ref_scale(m: Matrix, scalar: FieldElem) -> Matrix:
+    return Matrix(m.field, [[scalar * x for x in r] for r in m.rows])
+
+
+def ref_cofactor(m: Matrix) -> Matrix:
+    """The cofactor from one elimination of [A | I], by rank: det(A) (A^-1)^T,
+    a scaled y x^T, or zero."""
+    n = m.n_rows
+    fd = m.field
+    rows, pivots, det = ref_eliminate(fd, ref_augment(m), n)
+    if len(pivots) == n:
+        return Matrix(fd, [[det * rows[j][n + i] for j in range(n)] for i in range(n)])
+    if len(pivots) < n - 1:
+        return zeros(fd, n)
+    free = next(c for c in range(n) if c not in pivots)
+    x = [zero(fd)] * n
+    x[free] = one(fd)
+    for r, pc in enumerate(pivots):
+        x[pc] = -rows[r][free]
+    y = rows[n - 1][n:]
+    i = next(k for k in range(n) if not y[k].is_zero)
+    minor = [
+        [v for col, v in enumerate(row) if col != free]
+        for k, row in enumerate(m.rows)
+        if k != i
+    ]
+    _, _, signed = ref_eliminate(fd, minor, n - 1)
+    if (i + free) % 2:
+        signed = -signed
+    c = signed / y[i]
+    return Matrix(fd, [[c * yi * xj for xj in x] for yi in y])
+
+
+def ref_apply_word(word, fd: FieldDescriptor, n: int) -> Matrix:
+    """The product of the generators in list order, applied last first to
+    the rows of the identity."""
+    o, z = one(fd), zero(fd)
+    rows = [[o if i == j else z for j in range(n)] for i in range(n)]
+    for gen in reversed(word):
+        if isinstance(gen, Transvection):
+            i, j = gen.i - 1, gen.j - 1
+            rows[i] = [x + gen.k * y for x, y in zip(rows[i], rows[j])]
+        elif isinstance(gen, DiagUnit):
+            rows[gen.i - 1] = [gen.k * x for x in rows[gen.i - 1]]
+        else:
+            a, b = gen.i - 1, gen.j - 1
+            rows[a], rows[b] = rows[b], rows[a]
+    return Matrix(fd, rows)

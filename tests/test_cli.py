@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from multmap import cli
 from multmap.field import RATIONAL
-from multmap.matrix import Matrix, gen_matrix
+from multmap.matrix import MAX_SIZE, Matrix, gen_matrix
 from multmap.mapexpr import simplify
 from multmap.slword import DiagUnit, evaluate_word, word_from_doc
 from multmap.field import parse_scalar
@@ -116,6 +116,44 @@ def test_eval_unreadable_and_unparsable_files_exit_2(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("not json {")
     run_cli("eval", str(broken), str(broken), expect=2)
+
+
+def test_undecodable_and_deeply_nested_documents_exit_2(tmp_path):
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe\x00")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for argv in (
+        ["eval", str(not_utf8), str(not_utf8)],
+        ["decompose", str(not_utf8)],
+        ["eval", str(deep), str(deep)],
+        ["classify", str(deep)],
+    ):
+        proc = run_cli(*argv, expect=2)
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+    assert "not UTF-8" in run_cli("decompose", str(not_utf8), expect=2).stderr
+    assert "nests too deeply" in run_cli("decompose", str(deep), expect=2).stderr
+
+
+def test_sizes_past_the_bound_exit_2(tmp_path):
+    big = MAX_SIZE + 1
+    trivial = {"atom": "trivialdet", "chars": [[{"phi": "id", "pow": 1}]]}
+    docs = [
+        {"n": big, "field": RATIONAL_DOC, "atoms": []},
+        {"n": 2, "field": RATIONAL_DOC, "atoms": [{**trivial, "zeroPad": big}]},
+        {"n": 2, "field": RATIONAL_DOC, "atoms": [{**trivial, "onePad": big}]},
+    ]
+    for i, doc in enumerate(docs):
+        proc = run_cli("classify", write_doc(tmp_path, f"e{i}.json", doc), expect=2)
+        assert "MAX_SIZE" in proc.stderr and "Traceback" not in proc.stderr
+    proc = run_cli("classify", f"cofactor:{big}", expect=2)
+    assert "MAX_SIZE" in proc.stderr
+    for n in (str(big), "1000000"):
+        proc = run_cli("gen", "sl", "--n", n, expect=2)
+        assert "--n" in proc.stderr and "Traceback" not in proc.stderr
+    at_bound = Matrix.from_doc(json.loads(run_cli("gen", "sl", "--n", str(MAX_SIZE)).stdout))
+    assert at_bound.n_rows == MAX_SIZE
 
 
 def test_eval_dimension_mismatch_exits_3(tmp_path):
@@ -470,7 +508,7 @@ FUZZ_SEEDS = (
 )
 
 # wrong JSON types, bad scalars and nearby sizes; no integer above 3, since
-# nothing bounds document sizes or character exponents
+# nothing bounds character exponents
 HOSTILE_VALUES = (
     None, True, -1, 0, 1, 2, 3, 2.5, "", "x", "1/0", "-", "1+1*s", "0+1*s", "\u0663",
     "9" * 5000, [], {}, ["1"], [["1"]], RATIONAL_DOC, Q2_DOC, {"kind": "quadratic", "d": 4},

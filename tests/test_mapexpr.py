@@ -35,7 +35,7 @@ from multmap.mapexpr import (
     identity_expr,
     simplify,
 )
-from multmap.matrix import identity, unit_matrix, zeros
+from multmap.matrix import MAX_SIZE, identity, unit_matrix, zeros
 
 from helpers import (
     int_matrix,
@@ -279,6 +279,27 @@ def test_expr_doc_round_trip():
 def test_expr_doc_rejects_malformed(doc):
     with pytest.raises(ParseError):
         MapExpr.from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": MAX_SIZE + 1, "field": {"kind": "rational"}, "atoms": []},
+        {"n": 10**100, "field": {"kind": "rational"}, "atoms": []},
+        {"n": 2, "field": {"kind": "rational"}, "atoms": [{"atom": "trivialdet", "chars": [], "zeroPad": MAX_SIZE + 1}]},
+        {"n": 2, "field": {"kind": "rational"}, "atoms": [{"atom": "trivialdet", "chars": [], "onePad": 10**100}]},
+    ],
+    ids=["n", "huge-n", "zeroPad", "huge-onePad"],
+)
+def test_expr_doc_sizes_past_the_bound_are_refused(doc):
+    with pytest.raises(ParseError, match="MAX_SIZE"):
+        MapExpr.from_doc(doc)
+
+
+def test_expr_doc_sizes_at_the_bound_are_read():
+    pads = {"atom": "trivialdet", "chars": [], "zeroPad": MAX_SIZE, "onePad": MAX_SIZE}
+    expr = MapExpr.from_doc({"n": MAX_SIZE, "field": {"kind": "rational"}, "atoms": [pads]})
+    assert expr.n == MAX_SIZE and expr.atoms == (TrivialDet((), MAX_SIZE, MAX_SIZE),)
 
 
 def test_char_of_hom_guard():
