@@ -30,11 +30,10 @@ known only at the probed values would be no checked claim.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from typing import Callable
 
 from .errors import (
     CharacterOutOfBound,
@@ -89,6 +88,7 @@ from .mapexpr import (
     pairs_doc,
 )
 from .slword import _apply_word, default_pool, random_gl, random_transvection_word
+from .value import Value, _set
 
 MapOracle = Callable[[Matrix], Matrix]
 
@@ -200,22 +200,47 @@ def _read(image: Matrix, background: Matrix, free, law: str) -> list[FieldElem]:
     return [image[i, j] for i, j in free]
 
 
-@dataclass(frozen=True)
-class ClassifyReport:
+class ClassifyReport(Value):
     """Everything recovered about one oracle: the splitting data (s, l, S),
     the canonical form on the live block, the probe tables backing phi and
     lam, and the raw (input, output) transcript."""
 
-    n: int
-    k: int
-    field: FieldDescriptor
-    s: int
-    l: int
-    pre_conjugator: Matrix
-    form: CanonicalForm
-    hom_table: tuple[tuple[FieldElem, FieldElem], ...] | None
-    lambda_table: tuple[tuple[FieldElem, FieldElem], ...] | None
-    probe_log: tuple[tuple[Matrix, Matrix], ...]
+    __slots__ = (
+        "n",
+        "k",
+        "field",
+        "s",
+        "l",
+        "pre_conjugator",
+        "form",
+        "hom_table",
+        "lambda_table",
+        "probe_log",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        field: FieldDescriptor,
+        s: int,
+        l: int,
+        pre_conjugator: Matrix,
+        form: CanonicalForm,
+        hom_table: tuple[tuple[FieldElem, FieldElem], ...] | None,
+        lambda_table: tuple[tuple[FieldElem, FieldElem], ...] | None,
+        probe_log: tuple[tuple[Matrix, Matrix], ...],
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "field", field)
+        _set(self, "s", s)
+        _set(self, "l", l)
+        _set(self, "pre_conjugator", pre_conjugator)
+        _set(self, "form", form)
+        _set(self, "hom_table", hom_table)
+        _set(self, "lambda_table", lambda_table)
+        _set(self, "probe_log", probe_log)
 
     def reconstructed_oracle(self) -> MapOracle:
         s_mat = self.pre_conjugator

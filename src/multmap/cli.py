@@ -41,6 +41,14 @@ from .slword import (
 )
 from .verify import FuzzConfig, check_equal, check_multiplicative
 
+# Largest gen --length and --samples accepted; past them the command is a
+# usage error (exit 2). At n = 32 the largest accepted values stay within a
+# few seconds on a 2-vCPU virtual machine: gen gl --length 5000 took 0.5 s
+# over Q and 3.8 s over Q(sqrt 999999999989), and verify cofactor:32
+# --samples 50 took 6 s over Q and 12 s over Q(sqrt 2).
+MAX_WORD_LENGTH = 5000
+MAX_SAMPLES = 50
+
 
 # -- oracle sources ---------------------------------------------------------------
 
@@ -230,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     common.add_argument(
         "--samples",
-        type=_int_within(minimum=1),
+        type=_int_within(minimum=1, maximum=MAX_SAMPLES),
         default=50,
-        help="fuzz sample count, at least 1 (default 50)",
+        help=f"fuzz sample count, 1 to MAX_SAMPLES = {MAX_SAMPLES} (default 50)",
     )
     common.add_argument(
         "--field",
@@ -296,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--length",
-        type=_int_within(minimum=0),
+        type=_int_within(minimum=0, maximum=MAX_WORD_LENGTH),
         default=None,
-        help="word length for sl/gl, at least 0 (default 4n)",
+        help=f"word length for sl/gl, 0 to MAX_WORD_LENGTH = {MAX_WORD_LENGTH} (default 4n)",
     )
     p.set_defaults(run=cmd_gen)
 

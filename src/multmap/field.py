@@ -3,7 +3,8 @@
 An element (p + q*sqrt(d))/den is stored as three integers p, q and den,
 normalized so that den > 0 and gcd(p, q, den) = 1; rational fields keep
 q = 0. Equal values therefore have equal triples, and equality and hashing
-compare triples. The rational coordinates a = p/den and b = q/den are
+compare triples (the hash leaves the field out: equal elements share one
+anyway). The rational coordinates a = p/den and b = q/den are
 Fraction properties. All arithmetic is exact, no floats anywhere. The
 private helpers _integer_vector, _dot, _scale_row and _sub_mul_row let the
 matrix layer work on the triples directly: a dot product is one integer
@@ -23,7 +24,6 @@ with no whitespace permitted inside a scalar.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -36,6 +36,7 @@ from .errors import (
     ScalarTooLarge,
     UnregisteredHom,
 )
+from .value import Value, _set
 
 # Largest |d| accepted as a radicand. The squarefree test is trial division
 # up to sqrt|d|, so this keeps it under a million steps.
@@ -54,28 +55,28 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Value):
     """Identifies the coefficient field: Q, or Q(sqrt d) for squarefree d."""
 
-    kind: str
-    d: int | None = None
+    __slots__ = ("kind", "d")
 
-    def __post_init__(self) -> None:
-        if self.kind == "rational":
-            if self.d is not None:
+    def __init__(self, kind: str, d: int | None = None) -> None:
+        if kind == "rational":
+            if d is not None:
                 raise FieldMismatch("rational field takes no radicand")
-        elif self.kind == "quadratic":
-            if self.d is not None and abs(self.d) > MAX_RADICAND:
+        elif kind == "quadratic":
+            if d is not None and abs(d) > MAX_RADICAND:
                 raise FieldMismatch(
                     f"quadratic radicand must be at most {MAX_RADICAND} in absolute value"
                 )
-            if self.d is None or self.d in (0, 1) or not _is_squarefree(self.d):
+            if d is None or d in (0, 1) or not _is_squarefree(d):
                 raise FieldMismatch(
-                    f"quadratic radicand must be squarefree and not 0 or 1, got {self.d}"
+                    f"quadratic radicand must be squarefree and not 0 or 1, got {d}"
                 )
         else:
-            raise FieldMismatch(f"unknown field kind {self.kind!r}")
+            raise FieldMismatch(f"unknown field kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "d", d)
 
     @property
     def is_quadratic(self) -> bool:
@@ -181,7 +182,8 @@ class FieldElem:
         )
 
     def __hash__(self) -> int:
-        return hash((self._field, self._p, self._q, self._den))
+        # equal elements share a field, so the triple alone hashes consistently
+        return hash((self._p, self._q, self._den))
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
         if not isinstance(other, FieldElem):
@@ -419,19 +421,19 @@ def as_elem(fd: FieldDescriptor, value: "FieldElem | Fraction | int") -> FieldEl
 # --- ring homomorphisms ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingHom:
+class RingHom(Value):
     """A ring homomorphism tag: identity, Galois conjugation, or a finite
     sampled table of (probe, image) pairs."""
 
-    kind: str
-    table: tuple[tuple[FieldElem, FieldElem], ...] = dc_field(default=())
+    __slots__ = ("kind", "table")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("id", "conj", "sampled"):
-            raise UnregisteredHom(f"unknown hom kind {self.kind!r}")
-        if self.kind != "sampled" and self.table:
+    def __init__(self, kind: str, table: tuple[tuple[FieldElem, FieldElem], ...] = ()) -> None:
+        if kind not in ("id", "conj", "sampled"):
+            raise UnregisteredHom(f"unknown hom kind {kind!r}")
+        if kind != "sampled" and table:
             raise UnregisteredHom("only sampled homs carry a table")
+        _set(self, "kind", kind)
+        _set(self, "table", table)
 
     @property
     def is_registered(self) -> bool:

@@ -26,8 +26,6 @@ inputs, not just a formal rewrite on invertibles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -48,28 +46,28 @@ from .field import (
     zero,
 )
 from .matrix import MAX_SIZE, Matrix, diag, identity, normalize_scale, zeros
+from .value import Value, _set
 
 
 # -- determinant characters ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarCharacter:
+class ScalarCharacter(Value):
     """A formal product prod h^(p_h) over the registered homomorphisms,
     evaluated at nonzero scalars. The empty product is the constant 1."""
 
-    factors: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, factors: tuple[tuple[str, int], ...] = ()) -> None:
         merged: dict[str, int] = {}
-        for kind, p in self.factors:
+        for kind, p in factors:
             if kind not in ("id", "conj"):
                 raise UnregisteredHom(f"character over unknown hom {kind!r}")
             merged[kind] = merged.get(kind, 0) + p
         canon = tuple(
             (kind, merged[kind]) for kind in ("id", "conj") if merged.get(kind, 0) != 0
         )
-        object.__setattr__(self, "factors", canon)
+        _set(self, "factors", canon)
 
     @property
     def is_empty(self) -> bool:
@@ -145,31 +143,41 @@ def pairs_doc(pairs):
 # -- atoms ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Conj:
-    R: Matrix
+class Conj(Value):
+    __slots__ = ("R",)
+
+    def __init__(self, R: Matrix) -> None:
+        _set(self, "R", R)
 
 
-@dataclass(frozen=True)
-class Cof:
-    pass
+class Cof(Value):
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        pass
 
 
-@dataclass(frozen=True)
-class Hom:
-    phi: RingHom
+class Hom(Value):
+    __slots__ = ("phi",)
+
+    def __init__(self, phi: RingHom) -> None:
+        _set(self, "phi", phi)
 
 
-@dataclass(frozen=True)
-class DetScale:
-    character: ScalarCharacter
+class DetScale(Value):
+    __slots__ = ("character",)
+
+    def __init__(self, character: ScalarCharacter) -> None:
+        _set(self, "character", character)
 
 
-@dataclass(frozen=True)
-class TrivialDet:
-    chars: tuple[ScalarCharacter, ...]
-    zero_pad: int
-    one_pad: int
+class TrivialDet(Value):
+    __slots__ = ("chars", "zero_pad", "one_pad")
+
+    def __init__(self, chars: tuple[ScalarCharacter, ...], zero_pad: int, one_pad: int) -> None:
+        _set(self, "chars", chars)
+        _set(self, "zero_pad", zero_pad)
+        _set(self, "one_pad", one_pad)
 
 
 Atom = Conj | Cof | Hom | DetScale | TrivialDet
@@ -183,22 +191,19 @@ def _check_char_field(char: ScalarCharacter, fd: FieldDescriptor) -> None:
         raise FieldMismatch("conjugation character over a rational field")
 
 
-@dataclass(frozen=True)
-class MapExpr:
+class MapExpr(Value):
     """A composite of atoms acting on M_n over a fixed field; atoms[-1] is
     applied first, so the list reads like function composition."""
 
-    n: int
-    field: FieldDescriptor
-    atoms: tuple[Atom, ...]
+    __slots__ = ("n", "field", "atoms")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        if self.n < 1:
+    def __init__(self, n: int, field: FieldDescriptor, atoms: tuple[Atom, ...]) -> None:
+        atoms = tuple(atoms)
+        if n < 1:
             raise DimensionMismatch("maps need n >= 1")
-        for atom in self.atoms:
+        for atom in atoms:
             if isinstance(atom, TrivialDet):
-                if len(self.atoms) != 1:
+                if len(atoms) != 1:
                     raise DimensionMismatch(
                         "a padded determinant map cannot be composed with other atoms"
                     )
@@ -207,26 +212,29 @@ class MapExpr:
                 if len(atom.chars) + atom.zero_pad + atom.one_pad < 1:
                     raise DimensionMismatch("padded determinant map needs k >= 1")
                 for c in atom.chars:
-                    _check_char_field(c, self.field)
+                    _check_char_field(c, field)
             elif isinstance(atom, Conj):
-                if atom.R.field != self.field:
+                if atom.R.field != field:
                     raise FieldMismatch("conjugator over the wrong field")
-                if atom.R.n_rows != self.n or not atom.R.is_square:
+                if atom.R.n_rows != n or not atom.R.is_square:
                     raise DimensionMismatch("conjugator must be n x n")
                 if not atom.R.is_invertible:
                     raise SingularConjugator("conjugator must be invertible")
             elif isinstance(atom, Cof):
-                if self.n < 2:
+                if n < 2:
                     raise DimensionMismatch("cofactor atom needs n >= 2")
             elif isinstance(atom, Hom):
                 if not atom.phi.is_registered:
                     raise UnregisteredHom("expression homs must be registered")
-                if atom.phi.kind == "conj" and not self.field.is_quadratic:
+                if atom.phi.kind == "conj" and not field.is_quadratic:
                     raise FieldMismatch("conjugation hom over a rational field")
             elif isinstance(atom, DetScale):
-                _check_char_field(atom.character, self.field)
+                _check_char_field(atom.character, field)
             else:
                 raise ParseError(f"unknown atom {atom!r}")
+        _set(self, "n", n)
+        _set(self, "field", field)
+        _set(self, "atoms", atoms)
 
     @property
     def k(self) -> int:
@@ -365,18 +373,26 @@ def _atom_from_doc(doc: object, fd: FieldDescriptor, n: int) -> Atom:
 # -- canonical forms ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrivialForm:
+class TrivialForm(Value):
     """A -> blockdiag(diag(chi_i(det A)), 0, I), zero character block on
     singular input. The kernel of the map contains all of SL_n."""
 
-    field: FieldDescriptor
-    n: int
-    chars: tuple[ScalarCharacter, ...]
-    zero_pad: int
-    one_pad: int
-
+    __slots__ = ("field", "n", "chars", "zero_pad", "one_pad")
     kind = "trivial"
+
+    def __init__(
+        self,
+        field: FieldDescriptor,
+        n: int,
+        chars: tuple[ScalarCharacter, ...],
+        zero_pad: int,
+        one_pad: int,
+    ) -> None:
+        _set(self, "field", field)
+        _set(self, "n", n)
+        _set(self, "chars", chars)
+        _set(self, "zero_pad", zero_pad)
+        _set(self, "one_pad", one_pad)
 
     @property
     def k(self) -> int:
@@ -396,20 +412,29 @@ class TrivialForm:
         }
 
 
-@dataclass(frozen=True)
-class DegenerateForm:
+class DegenerateForm(Value):
     """A -> lam(det A) R^-1 C^eps(phi(A)) R on invertibles, 0 on singulars.
     lam may be the empty character; vanishing on singulars is what separates
     this class from NonDegenerateForm."""
 
-    field: FieldDescriptor
-    n: int
-    lam: ScalarCharacter
-    phi: RingHom
-    R: Matrix
-    eps: int
-
+    __slots__ = ("field", "n", "lam", "phi", "R", "eps")
     kind = "degenerate"
+
+    def __init__(
+        self,
+        field: FieldDescriptor,
+        n: int,
+        lam: ScalarCharacter,
+        phi: RingHom,
+        R: Matrix,
+        eps: int,
+    ) -> None:
+        _set(self, "field", field)
+        _set(self, "n", n)
+        _set(self, "lam", lam)
+        _set(self, "phi", phi)
+        _set(self, "R", R)
+        _set(self, "eps", eps)
 
     @property
     def k(self) -> int:
@@ -426,17 +451,18 @@ class DegenerateForm:
         return {**_core_doc(self), "lambda": self.lam.to_doc()}
 
 
-@dataclass(frozen=True)
-class NonDegenerateForm:
+class NonDegenerateForm(Value):
     """A -> R^-1 C^eps(phi(A)) R, exact on every matrix, singular or not."""
 
-    field: FieldDescriptor
-    n: int
-    phi: RingHom
-    R: Matrix
-    eps: int
-
+    __slots__ = ("field", "n", "phi", "R", "eps")
     kind = "nondegenerate"
+
+    def __init__(self, field: FieldDescriptor, n: int, phi: RingHom, R: Matrix, eps: int) -> None:
+        _set(self, "field", field)
+        _set(self, "n", n)
+        _set(self, "phi", phi)
+        _set(self, "R", R)
+        _set(self, "eps", eps)
 
     @property
     def k(self) -> int:

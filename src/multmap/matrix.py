@@ -30,7 +30,6 @@ matrix unit images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
@@ -57,6 +56,7 @@ from .field import (
     parse_scalar,
     zero,
 )
+from .value import Value, _set
 
 
 # Largest matrix size a request may name without listing the entries: an
@@ -358,7 +358,6 @@ class Matrix:
 
 
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _fill(m: Matrix, fd: FieldDescriptor, rows: tuple) -> None:
@@ -489,49 +488,49 @@ def _check_index(n: int, i: int, j: int | None = None, allow_equal: bool = False
             raise IndexOutOfRange("indices must differ")
 
 
-@dataclass(frozen=True)
-class Transvection:
+class Transvection(Value):
     """P_ij(k) = I + k E_ij with i != j; determinant one."""
 
-    i: int
-    j: int
-    k: FieldElem
+    __slots__ = ("i", "j", "k")
 
-    def __post_init__(self) -> None:
-        if self.i < 1 or self.j < 1 or self.i == self.j:
+    def __init__(self, i: int, j: int, k: FieldElem) -> None:
+        if i < 1 or j < 1 or i == j:
             raise IndexOutOfRange("transvection needs distinct one-based indices")
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "k", k)
 
     def inv(self) -> "Transvection":
         return Transvection(self.i, self.j, -self.k)
 
 
-@dataclass(frozen=True)
-class DiagUnit:
+class DiagUnit(Value):
     """D_i(k) = I + (k - 1) E_ii with k != 0; determinant k."""
 
-    i: int
-    k: FieldElem
+    __slots__ = ("i", "k")
 
-    def __post_init__(self) -> None:
-        if self.i < 1:
+    def __init__(self, i: int, k: FieldElem) -> None:
+        if i < 1:
             raise IndexOutOfRange("diagonal unit needs a one-based index")
-        if self.k.is_zero:
+        if k.is_zero:
             raise SingularMatrix("diagonal unit with zero scale")
+        _set(self, "i", i)
+        _set(self, "k", k)
 
     def inv(self) -> "DiagUnit":
         return DiagUnit(self.i, self.k.inv())
 
 
-@dataclass(frozen=True)
-class Swap:
+class Swap(Value):
     """The transposition matrix exchanging coordinates i and j; det -1."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
 
-    def __post_init__(self) -> None:
-        if self.i < 1 or self.j < 1 or self.i == self.j:
+    def __init__(self, i: int, j: int) -> None:
+        if i < 1 or j < 1 or i == j:
             raise IndexOutOfRange("swap needs distinct one-based indices")
+        _set(self, "i", i)
+        _set(self, "j", j)
 
     def inv(self) -> "Swap":
         return self

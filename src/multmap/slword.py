@@ -22,7 +22,7 @@ in that order, so evaluate_word folds from the right.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
@@ -50,8 +50,7 @@ from .matrix import (
     _check_generator,
     identity,
 )
-
-from fractions import Fraction
+from .value import Value, _set
 
 
 def default_pool(fd: FieldDescriptor) -> tuple[FieldElem, ...]:
@@ -132,12 +131,14 @@ def decompose_sl(m: Matrix) -> list[Transvection]:
     return word
 
 
-@dataclass(frozen=True)
-class GlFactorization:
+class GlFactorization(Value):
     """m = D_1(det_scalar) * product(word)."""
 
-    det_scalar: FieldElem
-    word: list
+    __slots__ = ("det_scalar", "word")
+
+    def __init__(self, det_scalar: FieldElem, word: list) -> None:
+        _set(self, "det_scalar", det_scalar)
+        _set(self, "word", word)
 
     def evaluate(self, fd: FieldDescriptor, n: int) -> Matrix:
         dilation = DiagUnit(1, self.det_scalar)

@@ -16,26 +16,36 @@ to kill the whole special linear group.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .field import FieldDescriptor, zero
 from .matrix import Matrix
 from .slword import default_pool, random_gl, random_unitriangular
+from .value import Value, _set
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    seed: int = 0
-    pair_count: int = 50
+class FuzzConfig(Value):
+    __slots__ = ("seed", "pair_count")
+
+    def __init__(self, seed: int = 0, pair_count: int = 50) -> None:
+        _set(self, "seed", seed)
+        _set(self, "pair_count", pair_count)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    counterexample: tuple[Matrix, Matrix | None] | None
-    samples: int
-    seed: int
+class Verdict(Value):
+    __slots__ = ("passed", "counterexample", "samples", "seed")
+
+    def __init__(
+        self,
+        passed: bool,
+        counterexample: tuple[Matrix, Matrix | None] | None,
+        samples: int,
+        seed: int,
+    ) -> None:
+        _set(self, "passed", passed)
+        _set(self, "counterexample", counterexample)
+        _set(self, "samples", samples)
+        _set(self, "seed", seed)
 
     def to_doc(self) -> dict:
         ce = None

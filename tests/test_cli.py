@@ -13,6 +13,7 @@ import copy
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -378,6 +379,16 @@ def test_verify_rejects_sample_counts_below_one():
         assert "--samples" in proc.stderr
 
 
+def test_verify_sample_counts_past_the_bound_exit_2():
+    for bad in (str(cli.MAX_SAMPLES + 1), "100000000"):
+        proc = run_cli("verify", "cofactor:2", "--samples", bad, expect=2)
+        assert proc.stdout == ""
+        assert f"--samples: must be at most {cli.MAX_SAMPLES}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    doc = json.loads(run_cli("verify", "identity:2", "--samples", str(cli.MAX_SAMPLES)).stdout)
+    assert doc["samples"] == cli.MAX_SAMPLES
+
+
 def test_verify_two_maps_equality(tmp_path):
     ident = write_doc(
         tmp_path,
@@ -441,6 +452,19 @@ def test_gen_length_must_not_be_negative():
     assert empty["entries"] == [["1", "0"], ["0", "1"]]
 
 
+def test_gen_lengths_past_the_bound_exit_2():
+    for bad in (str(cli.MAX_WORD_LENGTH + 1), "100000000"):
+        start = time.perf_counter()
+        proc = run_cli("gen", "sl", "--n", "4", "--length", bad, expect=2)
+        assert time.perf_counter() - start < 20
+        assert proc.stdout == ""
+        assert f"--length: must be at most {cli.MAX_WORD_LENGTH}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    longest = ("--length", str(cli.MAX_WORD_LENGTH))
+    doc = json.loads(run_cli("gen", "gl", "--n", str(MAX_SIZE), *longest).stdout)
+    assert len(doc["entries"]) == MAX_SIZE
+
+
 def test_bad_field_flag_is_a_usage_error():
     proc = subprocess.run(
         [sys.executable, "-m", "multmap", "gen", "sl", "--n", "2", "--field", "quadratic:4"],
@@ -458,6 +482,22 @@ def test_stdout_is_canonical_json():
     for argv in (["classify", "identity:2"], ["gen", "gl", "--n", "2"]):
         out = run_cli(*argv).stdout
         assert out == golden(json.loads(out))
+
+
+def test_cli_import_generates_no_code():
+    # dataclasses (which pulls in inspect and ast) and typing cost start-up
+    # time on every run; the package uses neither
+    heavy = ("dataclasses", "inspect", "ast", "typing")
+    code = f"import sys, multmap.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # -- hostile documents ----------------------------------------------------------

@@ -14,6 +14,7 @@ from multmap.errors import (
     ParseError,
     ProbeMiss,
     ScalarTooLarge,
+    UnregisteredHom,
 )
 from multmap.field import (
     CONJUGATION_HOM,
@@ -22,6 +23,7 @@ from multmap.field import (
     RATIONAL,
     FieldDescriptor,
     FieldElem,
+    RingHom,
     as_elem,
     compose_homs,
     format_scalar,
@@ -54,14 +56,29 @@ def q2_elems(draw):
 
 
 def test_descriptor_validation():
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(FieldMismatch, match="^quadratic radicand must be squarefree and not 0 or 1, got 12$"):
         quadratic(12)  # 12 = 4 * 3 not squarefree
     with pytest.raises(FieldMismatch):
         quadratic(1)
     with pytest.raises(FieldMismatch):
         quadratic(0)
+    with pytest.raises(FieldMismatch, match="^quadratic radicand must be squarefree and not 0 or 1, got None$"):
+        FieldDescriptor("quadratic")
+    with pytest.raises(FieldMismatch, match="^rational field takes no radicand$"):
+        FieldDescriptor("rational", 2)
+    with pytest.raises(FieldMismatch, match="^unknown field kind 'real'$"):
+        FieldDescriptor(kind="real")
     assert quadratic(-1).d == -1
     assert quadratic(10).d == 10
+
+
+def test_hom_validation():
+    x = as_elem(RATIONAL, 2)
+    with pytest.raises(UnregisteredHom, match="^unknown hom kind 'frobenius'$"):
+        RingHom("frobenius")
+    with pytest.raises(UnregisteredHom, match="^only sampled homs carry a table$"):
+        RingHom("id", ((x, x),))
+    assert RingHom("sampled", ((x, x),)).table == ((x, x),)
 
 
 def test_radicand_past_the_bound_fails_fast():
@@ -269,6 +286,19 @@ def test_descriptor_docs():
     assert Q2.to_doc() == {"kind": "quadratic", "d": 2}
     with pytest.raises(ParseError):
         FieldDescriptor.from_doc({"kind": "quadratic"})
+
+
+def test_hash_agrees_with_equality_and_fields_stay_apart():
+    # the hash reads the triple only; equality still needs the same field
+    assert hash(q2(Fraction(3, 4), -2)) == hash(parse_scalar("3/4-2*s", quadratic(2)))
+    over_q, over_q2 = as_elem(RATIONAL, Fraction(5, 3)), as_elem(Q2, Fraction(5, 3))
+    assert (over_q.p, over_q.q, over_q.den) == (over_q2.p, over_q2.q, over_q2.den)
+    assert hash(over_q) == hash(over_q2)
+    assert over_q != over_q2
+    table = {over_q: "Q", over_q2: "Q2"}
+    assert len(table) == 2
+    assert table[as_elem(RATIONAL, Fraction(10, 6))] == "Q"
+    assert table[as_elem(quadratic(2), Fraction(5, 3))] == "Q2"
 
 
 def test_elements_are_immutable():

@@ -9,6 +9,7 @@ from multmap.errors import (
     FieldMismatch,
     ParseError,
     SingularConjugator,
+    UnregisteredHom,
 )
 from multmap.field import (
     CONJUGATION_HOM,
@@ -117,18 +118,31 @@ def test_expressions_are_multiplicative():
 
 
 def test_validation_rules():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^a padded determinant map cannot be composed"):
         MapExpr(2, RATIONAL, (TrivialDet((X,), 0, 0), Cof()))
-    with pytest.raises(SingularConjugator):
+    with pytest.raises(SingularConjugator, match="^conjugator must be invertible$"):
         MapExpr(2, RATIONAL, (Conj(int_matrix(RATIONAL, [[1, 1], [1, 1]])),))
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(FieldMismatch, match="^conjugation hom over a rational field$"):
         MapExpr(2, RATIONAL, (Hom(CONJUGATION_HOM),))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^cofactor atom needs n >= 2$"):
         MapExpr(1, RATIONAL, (Cof(),))
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(FieldMismatch, match="^conjugation character over a rational field$"):
         MapExpr(2, RATIONAL, (DetScale(ScalarCharacter((("conj", 1),))),))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^conjugator must be n x n$"):
         MapExpr(3, RATIONAL, (Conj(identity(RATIONAL, 2)),))
+    with pytest.raises(DimensionMismatch, match="^maps need n >= 1$"):
+        MapExpr(0, RATIONAL, ())
+    with pytest.raises(DimensionMismatch, match="^padding sizes must be nonnegative$"):
+        MapExpr(2, RATIONAL, (TrivialDet((), -1, 2),))
+    with pytest.raises(DimensionMismatch, match="^padded determinant map needs k >= 1$"):
+        MapExpr(2, RATIONAL, (TrivialDet((), 0, 0),))
+    with pytest.raises(ParseError, match="^unknown atom 'cof'$"):
+        MapExpr(2, RATIONAL, ["cof"])
+    with pytest.raises(UnregisteredHom, match="^character over unknown hom 'frob'$"):
+        ScalarCharacter((("frob", 1),))
+    # a list of atoms is kept as a tuple, and a character is kept canonical
+    assert MapExpr(2, RATIONAL, [Cof()]).atoms == (Cof(),)
+    assert ScalarCharacter((("conj", 1), ("id", 2), ("conj", -1))).factors == (("id", 2),)
 
 
 def test_simplify_identity():

@@ -237,11 +237,16 @@ def test_elementary_generators():
 
 
 def test_generator_validation():
-    with pytest.raises(IndexOutOfRange):
-        Transvection(2, 2, one(RATIONAL))
-    with pytest.raises(SingularMatrix):
+    k = one(RATIONAL)
+    with pytest.raises(IndexOutOfRange, match="^transvection needs distinct one-based indices$"):
+        Transvection(2, 2, k)
+    with pytest.raises(IndexOutOfRange, match="^transvection needs distinct one-based indices$"):
+        Transvection(0, 1, k=k)
+    with pytest.raises(SingularMatrix, match="^diagonal unit with zero scale$"):
         DiagUnit(1, zero(RATIONAL))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match="^diagonal unit needs a one-based index$"):
+        DiagUnit(i=0, k=k)
+    with pytest.raises(IndexOutOfRange, match="^swap needs distinct one-based indices$"):
         Swap(1, 1)
     with pytest.raises(IndexOutOfRange):
         gen_matrix(Transvection(1, 4, one(RATIONAL)), RATIONAL, 3)
