@@ -22,7 +22,6 @@ from .errors import (
     NotSpecialLinear,
     OracleBudgetExceeded,
     ParseError,
-    ProbeMiss,
     RankLadderViolation,
     ScalarTooLarge,
     SingularConjugator,
@@ -38,6 +37,7 @@ from .field import (
     RATIONAL,
     FieldDescriptor,
     FieldElem,
+    HomTable,
     RingHom,
     as_elem,
     format_scalar,

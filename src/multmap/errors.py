@@ -34,12 +34,8 @@ class ScalarTooLarge(MultmapError):
     the interpreter converts to a string (4300 by default)."""
 
 
-class ProbeMiss(MultmapError):
-    """A sampled homomorphism was queried off its table."""
-
-
 class UnregisteredHom(MultmapError):
-    """A ring homomorphism outside the registered family where one is required."""
+    """An unknown hom kind, or a probe table where a ring homomorphism is required."""
 
 
 class DimensionMismatch(MultmapError):

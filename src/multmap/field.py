@@ -11,9 +11,9 @@ matrix layer work on the triples directly: a dot product is one integer
 accumulation over a common denominator, normalized once, and a row scaling
 or row update is one loop over the triples with one gcd per entry.
 
-The module also carries the small registered family of ring homomorphisms
-(identity and Galois conjugation) plus finite sampled tables, and the
-canonical string grammar for scalars:
+The module also carries the two ring homomorphisms of these fields
+(identity and Galois conjugation), the finite probe tables that hom_check
+tests against the ring laws, and the canonical string grammar for scalars:
 
     rational  := '-'? digits ('/' nonzero-digits)?
     quadratic := rational (('+'|'-') rational '*s')?      # s = sqrt(d)
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from operator import mul
 
@@ -32,7 +33,6 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     ParseError,
-    ProbeMiss,
     ScalarTooLarge,
     UnregisteredHom,
 )
@@ -422,72 +422,68 @@ def as_elem(fd: FieldDescriptor, value: "FieldElem | Fraction | int") -> FieldEl
 
 
 class RingHom(Value):
-    """A ring homomorphism tag: identity, Galois conjugation, or a finite
-    sampled table of (probe, image) pairs."""
+    """A ring homomorphism of Q or Q(sqrt d): the identity or the conjugation."""
 
-    __slots__ = ("kind", "table")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str, table: tuple[tuple[FieldElem, FieldElem], ...] = ()) -> None:
-        if kind not in ("id", "conj", "sampled"):
+    def __init__(self, kind: str) -> None:
+        if kind not in ("id", "conj"):
             raise UnregisteredHom(f"unknown hom kind {kind!r}")
-        if kind != "sampled" and table:
-            raise UnregisteredHom("only sampled homs carry a table")
         _set(self, "kind", kind)
-        _set(self, "table", table)
-
-    @property
-    def is_registered(self) -> bool:
-        return self.kind in ("id", "conj")
 
 
 IDENTITY_HOM = RingHom("id")
 CONJUGATION_HOM = RingHom("conj")
 
 
-def sampled_hom(pairs) -> RingHom:
-    return RingHom("sampled", tuple((x, y) for x, y in pairs))
+class HomTable(Value):
+    """A finite table of (probe, image) pairs. It is no RingHom: hom_check
+    tests it against the ring laws, and nothing applies it."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: tuple[tuple[FieldElem, FieldElem], ...]) -> None:
+        _set(self, "table", table)
+
+
+def sampled_hom(pairs) -> HomTable:
+    return HomTable(tuple((x, y) for x, y in pairs))
+
+
+def _check_hom(h: RingHom, fd: FieldDescriptor) -> None:
+    """Refuse h unless it is a RingHom of fd: no table, no conjugation over Q."""
+    if not isinstance(h, RingHom):
+        raise UnregisteredHom(f"a {type(h).__name__} is no ring homomorphism")
+    if h.kind == "conj" and not fd.is_quadratic:
+        raise FieldMismatch("conjugation hom applies to quadratic fields only")
 
 
 def hom_apply(h: RingHom, x: FieldElem) -> FieldElem:
-    if h.kind == "id":
-        return x
-    if h.kind == "conj":
-        if not x.field.is_quadratic:
-            raise FieldMismatch("conjugation hom applies to quadratic fields only")
-        return x.conjugate()
-    for probe, image in h.table:
-        if probe == x:
-            return image
-    raise ProbeMiss(f"sampled hom has no entry for {format_scalar(x)}")
+    _check_hom(h, x.field)
+    return x if h.kind == "id" else x.conjugate()
 
 
-def hom_check(h: RingHom, samples) -> bool:
+def hom_check(h: RingHom | HomTable, samples) -> bool:
     """Check h(x+y) = h(x)+h(y), h(xy) = h(x)h(y), and h(1) = 1 on the given
-    (x, y) pairs. A sampled table that misses any operand fails the check:
-    a law it cannot be tested on is not passed. Registered homs never miss."""
-    try:
-        for x, y in samples:
-            hx, hy = hom_apply(h, x), hom_apply(h, y)
-            if (
-                hom_apply(h, x + y) != hx + hy
-                or hom_apply(h, x * y) != hx * hy
-                or not hom_apply(h, one(x.field)).is_one
-            ):
-                return False
-    except ProbeMiss:
-        return False
+    (x, y) pairs. A table that misses any operand fails the check: a law it
+    cannot be tested on is not passed. Ring homomorphisms never miss."""
+    if isinstance(h, HomTable):
+        apply = dict(reversed(h.table)).get  # the first pair for a probe wins
+    else:
+        apply = partial(hom_apply, h)
+    for x, y in samples:
+        images = [apply(v) for v in (x, y, x + y, x * y, one(x.field))]
+        if None in images:
+            return False
+        hx, hy, h_sum, h_prod, h_one = images
+        if h_sum != hx + hy or h_prod != hx * hy or not h_one.is_one:
+            return False
     return True
 
 
 def compose_homs(outer: RingHom, inner: RingHom) -> RingHom:
-    """outer o inner within the registered family (closed: conj o conj = id)."""
-    if not (outer.is_registered and inner.is_registered):
-        raise UnregisteredHom("cannot compose sampled homomorphisms symbolically")
-    if outer.kind == "id":
-        return inner
-    if inner.kind == "id":
-        return outer
-    return IDENTITY_HOM
+    """outer o inner; conj o conj = id."""
+    return IDENTITY_HOM if outer.kind == inner.kind else CONJUGATION_HOM
 
 
 # --- scalar grammar ---------------------------------------------------------

@@ -39,9 +39,8 @@ from .field import (
     FieldDescriptor,
     FieldElem,
     RingHom,
+    _check_hom,
     compose_homs,
-    format_scalar,
-    hom_apply,
     one,
     zero,
 )
@@ -76,7 +75,11 @@ class ScalarCharacter(Value):
     def evaluate(self, x: FieldElem) -> FieldElem:
         out = one(x.field)
         for kind, p in self.factors:
-            out = out * hom_apply(RingHom(kind), x) ** p
+            if kind == "conj":
+                _check_hom(CONJUGATION_HOM, x.field)
+                out = out * x.conjugate() ** p
+            else:
+                out = out * x**p
         return out
 
     def multiply(self, other: "ScalarCharacter") -> "ScalarCharacter":
@@ -88,16 +91,15 @@ class ScalarCharacter(Value):
     def postcompose(self, h: RingHom) -> "ScalarCharacter":
         """h o self, pushing h through each factor."""
         return ScalarCharacter(
-            tuple((compose_homs(h, RingHom(kind)).kind, p) for kind, p in self.factors)
+            tuple((_compose_kinds(h.kind, kind), p) for kind, p in self.factors)
         )
 
     def compose_char(self, inner: "ScalarCharacter") -> "ScalarCharacter":
         """self o inner as characters: substitute inner for the argument."""
         out = []
         for kind, p in self.factors:
-            h = RingHom(kind)
             for ik, q in inner.factors:
-                out.append((compose_homs(h, RingHom(ik)).kind, p * q))
+                out.append((_compose_kinds(kind, ik), p * q))
         return ScalarCharacter(tuple(out))
 
     def requires_quadratic(self) -> bool:
@@ -123,21 +125,16 @@ class ScalarCharacter(Value):
         return cls(tuple(factors))
 
 
+def _compose_kinds(outer: str, inner: str) -> str:
+    """The kind of outer o inner; conj o conj = id."""
+    return "id" if outer == inner else "conj"
+
+
 IDENTITY_CHAR = ScalarCharacter()
 
 
 def char_of_hom(h: RingHom, power: int = 1) -> ScalarCharacter:
-    if not h.is_registered:
-        raise UnregisteredHom("only registered homs lift to characters")
     return ScalarCharacter(((h.kind, power),))
-
-
-def pairs_doc(pairs):
-    """(probe, value) pairs rendered as [probe, value] scalar strings; None
-    stays None."""
-    if pairs is None:
-        return None
-    return [[format_scalar(x), format_scalar(y)] for x, y in pairs]
 
 
 # -- atoms ---------------------------------------------------------------------
@@ -224,8 +221,8 @@ class MapExpr(Value):
                 if n < 2:
                     raise DimensionMismatch("cofactor atom needs n >= 2")
             elif isinstance(atom, Hom):
-                if not atom.phi.is_registered:
-                    raise UnregisteredHom("expression homs must be registered")
+                if not isinstance(atom.phi, RingHom):
+                    raise UnregisteredHom("expression homs must be ring homomorphisms")
                 if atom.phi.kind == "conj" and not field.is_quadratic:
                     raise FieldMismatch("conjugation hom over a rational field")
             elif isinstance(atom, DetScale):
@@ -479,12 +476,12 @@ CanonicalForm = TrivialForm | DegenerateForm | NonDegenerateForm
 
 
 def _apply_hom(h: RingHom, a: Matrix) -> Matrix:
-    """h applied to every entry of a. A registered hom maps the field to
-    itself; only the images in a sampled table need checking."""
+    """h applied to every entry of a, checked and dispatched once for the
+    whole matrix rather than per entry."""
+    _check_hom(h, a.field)
     if h.kind == "id":
         return a
-    rows = [[hom_apply(h, x) for x in r] for r in a.rows]
-    return Matrix._of(a.field, rows) if h.is_registered else Matrix(a.field, rows)
+    return Matrix._of(a.field, [[x.conjugate() for x in r] for r in a.rows])
 
 
 def _core_evaluate(form, a: Matrix) -> Matrix:
@@ -496,10 +493,9 @@ def _core_evaluate(form, a: Matrix) -> Matrix:
 
 def _core_doc(form) -> dict:
     """The description shared by the two R^-1 C^eps(phi(A)) R classes."""
-    phi = form.phi.kind if form.phi.is_registered else {"sampled": pairs_doc(form.phi.table)}
     return {
         "class": form.kind,
-        "phi": phi,
+        "phi": form.phi.kind,
         "eps": "cofactor" if form.eps else "plain",
         "R": form.R.to_doc(),
     }
@@ -507,7 +503,7 @@ def _core_doc(form) -> dict:
 
 def canonical_eq(a: CanonicalForm, b: CanonicalForm) -> bool:
     """Syntactic equality of canonical data: class, characters as multisets
-    where order is arbitrary, homs by kind or table, conjugators up to the
+    where order is arbitrary, homs by kind, conjugators up to the
     scale normalization."""
     if a.kind != b.kind or a.field != b.field or a.n != b.n:
         return False

@@ -96,6 +96,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return Matrix, (self.field, self.rows)
+
     # -- basic protocol ------------------------------------------------------
 
     def __getitem__(self, key) -> FieldElem:

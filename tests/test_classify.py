@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from multmap.errors import (
     NotMultiplicative,
     OracleBudgetExceeded,
     RankLadderViolation,
+    UnregisteredHom,
     UnsupportedDimension,
     VerificationFailed,
 )
@@ -138,6 +141,16 @@ def test_quadratic_composite_recovery():
     assert rep.form.lam == ScalarCharacter((("conj", 6),))
     assert rep.form.eps == 1
     assert rep.form.phi.kind == "conj"
+
+
+def test_a_report_pickles_and_deep_copies():
+    r = from_values(Q2, [[1, 2, 0], [0, 1, 0], [1, 0, 1]])
+    expr = MapExpr(3, Q2, (Conj(r), Cof(), Hom(CONJUGATION_HOM)))
+    rep = classify(expr.as_oracle(), Q2, 3)
+    for twin in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+        assert twin is not rep and twin == rep
+        assert twin.form.R is not rep.form.R
+        assert twin.to_doc() == rep.to_doc()
 
 
 def test_degenerate_det_scale():
@@ -377,16 +390,15 @@ def test_liar_caught_by_final_verification():
         classify(liar, RATIONAL, 3)
 
 
-def test_samples_the_form_cannot_evaluate_fail_verification():
-    # an entry map known only at 0 and 1 cannot evaluate a fresh sample;
-    # such samples used to be skipped, so the wrong oracle A -> 2A passed
+def test_a_form_over_a_hom_table_is_refused_before_the_oracle_is_asked():
+    # an entry map known only at 0 and 1 is no ring homomorphism, so a form
+    # built on it evaluates nothing, and the wrong oracle A -> 2A is never run
     table = sampled_hom([(zero(RATIONAL), zero(RATIONAL)), (one(RATIONAL), one(RATIONAL))])
     ident = identity(RATIONAL, 3)
     form = NonDegenerateForm(RATIONAL, 3, table, ident, 0)
     session = Session(lambda a: a + a, RATIONAL, 3)
-    with pytest.raises(VerificationFailed):
+    with pytest.raises(UnregisteredHom, match="^a HomTable is no ring homomorphism$"):
         _final_verification(session, ident, form, RATIONAL, 3, seed=7)
-    # the sample was rejected before the oracle was asked
     assert session.log == []
 
 

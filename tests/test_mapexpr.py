@@ -1,6 +1,7 @@
 """Map expressions: atom semantics, exact simplification, canonical forms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,8 +16,12 @@ from multmap.field import (
     CONJUGATION_HOM,
     IDENTITY_HOM,
     RATIONAL,
+    FieldElem,
+    RingHom,
     as_elem,
+    hom_apply,
     quadratic,
+    sampled_hom,
     sqrt_gen,
 )
 from multmap.mapexpr import (
@@ -316,9 +321,16 @@ def test_expr_doc_sizes_at_the_bound_are_read():
     assert expr.n == MAX_SIZE and expr.atoms == (TrivialDet((), MAX_SIZE, MAX_SIZE),)
 
 
-def test_char_of_hom_guard():
-    from multmap.errors import UnregisteredHom
-    from multmap.field import sampled_hom
+def test_only_the_two_homs_exist_and_each_lifts_to_its_character():
+    with pytest.raises(UnregisteredHom, match="^unknown hom kind 'sampled'$"):
+        RingHom("sampled")
+    xs = [FieldElem(Q2, a, b) for a, b in ((3, 0), (0, 1), (1, 1), (Fraction(-2, 7), 5))]
+    for h in (IDENTITY_HOM, CONJUGATION_HOM):
+        for x in xs:
+            assert char_of_hom(h).evaluate(x) == hom_apply(h, x)
 
-    with pytest.raises(UnregisteredHom):
-        char_of_hom(sampled_hom([]))
+
+def test_an_expression_refuses_a_hom_table():
+    table = sampled_hom([(as_elem(RATIONAL, 2), as_elem(RATIONAL, 2))])
+    with pytest.raises(UnregisteredHom, match="^expression homs must be ring homomorphisms$"):
+        MapExpr(2, RATIONAL, (Hom(table),))

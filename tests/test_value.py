@@ -20,6 +20,7 @@ from multmap.field import (
     RATIONAL,
     FieldDescriptor,
     FieldElem,
+    HomTable,
     RingHom,
     one,
     quadratic,
@@ -53,7 +54,8 @@ FORM = NonDegenerateForm(RATIONAL, 2, IDENTITY_HOM, identity(RATIONAL, 2), 1)
 # pairs, and one field to change for an unequal record
 RECORDS = [
     (FieldDescriptor, [("kind", "quadratic"), ("d", 2)], ("d", 3)),
-    (RingHom, [("kind", "sampled"), ("table", ((K, K),))], ("table", ())),
+    (RingHom, [("kind", "conj")], ("kind", "id")),
+    (HomTable, [("table", ((K, K),))], ("table", ())),
     (Transvection, [("i", 1), ("j", 2), ("k", K)], ("j", 3)),
     (DiagUnit, [("i", 2), ("k", K)], ("k", one(Q2))),
     (Swap, [("i", 1), ("j", 3)], ("i", 2)),
@@ -126,8 +128,7 @@ def test_position_and_keyword_construction_agree(cls, fields, change):
 def test_defaults():
     assert FieldDescriptor("rational") == FieldDescriptor("rational", None) == RATIONAL
     assert FieldDescriptor("rational").d is None
-    assert RingHom("id") == RingHom("id", ()) == IDENTITY_HOM
-    assert RingHom("conj").table == ()
+    assert RingHom("id") == RingHom(kind="id") == IDENTITY_HOM
     assert FuzzConfig() == FuzzConfig(0, 50) == FuzzConfig(pair_count=50)
     assert (FuzzConfig().seed, FuzzConfig().pair_count) == (0, 50)
     assert ScalarCharacter().factors == ()
@@ -181,30 +182,14 @@ def test_repr_names_every_field_in_order(cls, fields, change):
 def test_repr_examples():
     assert repr(Q2) == "FieldDescriptor(kind='quadratic', d=2)"
     assert repr(Transvection(1, 2, one(RATIONAL))) == "Transvection(i=1, j=2, k=FieldElem('1'))"
-    assert repr(Hom(IDENTITY_HOM)) == "Hom(phi=RingHom(kind='id', table=()))"
+    assert repr(Hom(IDENTITY_HOM)) == "Hom(phi=RingHom(kind='id'))"
     assert repr(Cof()) == "Cof()"
     assert repr(FuzzConfig()) == "FuzzConfig(seed=0, pair_count=50)"
-
-
-# records that hold no Matrix, which does not pickle
-PLAIN = (
-    FieldDescriptor,
-    RingHom,
-    Transvection,
-    DiagUnit,
-    Swap,
-    ScalarCharacter,
-    Cof,
-    Hom,
-    DetScale,
-    TrivialDet,
-    FuzzConfig,
-)
 
 
 @records
 def test_copies_are_equal_records(cls, fields, change):
     a = build(cls, fields)
     assert copy.copy(a) == a
-    if cls in PLAIN:
-        assert pickle.loads(pickle.dumps(a)) == a
+    assert copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
