@@ -10,21 +10,28 @@ class the map belongs to and recovers the parameters:
   nondegenerate  Phi(A) = S R^-1 C^eps(phi(A)) R S^-1 exactly everywhere
 
 where C is the multiplicative cofactor map, phi a field homomorphism applied
-entrywise, and lam a scalar character of the determinant. Every probe goes
-through a Session that memoizes, logs, and enforces a budget of 10 n^2 + 200
-oracle calls. Each probe image must match an exact pattern (a transvection, a
-scaled matrix unit, a swap, a diagonal, or the blockdiag(B, 0, I) frame),
-checked by one reader, and the entry map read off the images must pass one
-additivity and multiplicativity check over fixed pair lists. A ring
-homomorphism of Q or Q(sqrt d) is the identity or the conjugation, so phi is
-always one of those two. Oracles that break a structural law mid-recovery
-raise NotMultiplicative; recoveries that survive are re-verified against
-fresh random samples, every one of which the recovered form must evaluate
-and match, before a report is produced, so a returned report is a checked
-claim, not a guess. Characters, lam and the chi_i alike, have exponents in
-[-CHAR_POWER_BOUND, CHAR_POWER_BOUND]: a map whose probed determinant values
-fit no such character is refused with CharacterOutOfBound, since a scale
-known only at the probed values would be no checked claim.
+entrywise (the identity or the conjugation: Q and Q(sqrt d) have no other),
+and lam a scalar character of the determinant. classify alone decides which
+stage runs next, and calls each stage from one place, in this order:
+
+  idempotent split       Phi(0) and Phi(I) fix S and the live block size l
+  transvection test      whether the live block kills every transvection
+  trivial recovery       when it does, or l = 0: the characters chi_i
+  singular-pattern test  otherwise, with l = n: which singular probes die
+  unit recovery          when E_11 survives: phi and R from the matrix units
+  GL recovery            when every corank one idempotent dies (degenerate),
+                         or E_11 dies but none of them do (cofactor)
+  cofactor check         in the cofactor case: eps = 1, lam = id, and the
+                         corank one images match the form
+  final verification     fresh samples against A -> S form(A) S^-1
+
+Every probe goes through a Session that memoizes, logs and enforces a budget
+of 10 n^2 + 200 oracle calls. Each probe image must match an exact pattern,
+and the entry map read off the images must pass fixed additivity and
+multiplicativity checks; a broken law raises NotMultiplicative. A returned
+report is a checked claim: its map matched the oracle on every probe and
+fresh sample. Characters (lam and the chi_i) have exponents within
+CHAR_POWER_BOUND; determinant values that fit none raise CharacterOutOfBound.
 """
 
 from __future__ import annotations
@@ -168,7 +175,7 @@ class _Working:
     def __init__(self, session: Session, s_mat: Matrix, l: int, z_pad: int, s_pad: int):
         fd = session.fd
         self.session = session
-        self.basis_change = _basis_change(s_mat)
+        self.basis_change = None if s_mat.is_identity else (s_mat, s_mat.inverse())
         self.l = l
         self.z_pad = z_pad
         self.s_pad = s_pad
@@ -242,14 +249,8 @@ class ClassifyReport(Value):
         _set(self, "probe_log", probe_log)
 
     def reconstructed_oracle(self) -> MapOracle:
-        s_mat = self.pre_conjugator
-        s_inv = s_mat.inverse()
-        form = self.form
-
-        def oracle(a: Matrix) -> Matrix:
-            return s_mat * form.evaluate(a) * s_inv
-
-        return oracle
+        """The reported map, the one final verification checked."""
+        return _reported_map(self.form, self.pre_conjugator)
 
     def to_doc(self) -> dict:
         desc = self.form.describe()
@@ -294,30 +295,28 @@ def classify(oracle: MapOracle, fd: FieldDescriptor, n: int, seed: int = 0) -> C
     if n < 2:
         raise UnsupportedDimension("classification needs a source of size at least 2")
     session = Session(oracle, fd, n)
-    s_mat, s_pad, l = _normalize_idempotents(session)
+    s_total, s_pad, l = _normalize_idempotents(session)
     k = session.k
     z_pad = k - l - s_pad
-    hom_table = None
-    lam_table = None
+    hom_table = lam_table = None
 
     if l == 0:
         form: CanonicalForm = TrivialForm(fd, n, (), z_pad, s_pad)
-        s_total = s_mat
     else:
-        w = _Working(session, s_mat, l, z_pad, s_pad)
-        # a shrunken live block leaves no room for any nontrivial image of
-        # the special linear group
-        if _is_trivial(w, fd, n, enforcing=l < n):
+        w = _Working(session, s_total, l, z_pad, s_pad)
+        if _kills_transvections(w, fd, n):
             form, p = _classify_trivial(w, fd, n)
-            s_total = s_mat * _embed_top_left(p, k)
+            s_total = s_total * _embed_top_left(p, k)
+        elif l < n:
+            # a shrunken live block leaves no room for any nontrivial image
+            # of the special linear group
+            raise NotMultiplicative("a live block smaller than n must kill every transvection")
+        elif (pattern := _singular_pattern(w, fd, n)) == "units":
+            form, hom_table, lam_table = _recover_units(w, fd, n)
         else:
-            zero_mat = zeros(fd, n)
-            f_cos = [w(coidempotent(fd, n, j)) for j in range(1, n + 1)]
-            if all(f == zero_mat for f in f_cos):
-                form, hom_table, lam_table = _classify_gl(w, fd, n)
-            else:
-                form, hom_table, lam_table = _recover_nondegenerate(w, fd, n, f_cos)
-            s_total = s_mat
+            form, hom_table, lam_table = _classify_gl(w, fd, n)
+            if pattern == "cofactor":
+                form = _check_cofactor(w, fd, n, form)
 
     _final_verification(session, s_total, form, fd, n, seed)
     return ClassifyReport(
@@ -352,9 +351,9 @@ def _normalize_idempotents(session: Session):
 # -- trivial class -------------------------------------------------------
 
 
-def _is_trivial(w: _Working, fd: FieldDescriptor, n: int, enforcing: bool) -> bool:
-    """Probe whether the live block kills every transvection. With enforcing
-    set a counterexample is a structural contradiction rather than a branch."""
+def _kills_transvections(w: _Working, fd: FieldDescriptor, n: int) -> bool:
+    """Probe whether the live block kills every transvection, stopping at
+    the first one that survives."""
     il = identity(fd, w.l)
     positions = [(i, i + 1) for i in range(1, n)] + [(i + 1, i) for i in range(1, n)]
     if n >= 3:
@@ -362,10 +361,6 @@ def _is_trivial(w: _Working, fd: FieldDescriptor, n: int, enforcing: bool) -> bo
     for x in scalars(fd, *TRIVIAL_POOL):
         for i, j in positions:
             if w(gen_matrix(Transvection(i, j, x), fd, n)) != il:
-                if enforcing:
-                    raise NotMultiplicative(
-                        "a live block smaller than n must kill every transvection"
-                    )
                 return False
     return True
 
@@ -692,52 +687,16 @@ def _resolve_hom(fd: FieldDescriptor, table: dict) -> RingHom:
     raise NotMultiplicative("entry map is neither the identity nor the conjugation")
 
 
-def _recover_nondegenerate(w, fd: FieldDescriptor, n: int, f_cos):
-    """Recover a map that is nonzero on some singular matrix.
-
-    When the rank one units survive, their images are matrix units and fix
-    the conjugator directly. When E_11 dies but the corank one idempotents
-    survive, only a cofactor twist fits; the invertible-side recovery must
-    then come back with eps = 1 and no determinant scale."""
+def _singular_pattern(w, fd: FieldDescriptor, n: int) -> str:
+    """Which recovery the singular probes select: "degenerate" when every
+    corank one idempotent dies, "units" when E_11 survives, and "cofactor"
+    when E_11, ranks 2 to n - 2 and E_12 die but no corank one idempotent."""
     zero_mat = zeros(fd, n)
-    e11 = w(unit_matrix(fd, n, 1, 1))
-
-    if e11 != zero_mat:
-        units = [
-            [w(unit_matrix(fd, n, i, j)) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        try:
-            r = conjugator_from_units(units)
-        except (NotMatrixUnits, SingularRecovery) as exc:
-            raise NotMultiplicative(str(exc)) from exc
-        r_inv = r.inverse()
-
-        def unit_probe(i: int, j: int, x: FieldElem) -> FieldElem:
-            return _read(
-                r * w(x * unit_matrix(fd, n, i, j)) * r_inv,
-                zero_mat,
-                [(i - 1, j - 1)],
-                "scaled unit image is not a scaled unit",
-            )[0]
-
-        phi_pool, lam_pool = scalars(fd, *PHI_POOL), _lam_pool(fd)
-        entry = _EntryMap(fd, n, lambda a: r * w(a) * r_inv, 0)
-        for x in phi_pool + tuple(x for x in lam_pool if x not in phi_pool):
-            if unit_probe(1, 2, x) != entry(x):
-                raise NotMultiplicative("unit and transvection probes disagree")
-        # (x E_11)(y E_12) = xy E_12 pushes products through the units
-        _check_laws(
-            entry,
-            _pairs(fd, ADD_PAIRS),
-            _pairs(fd, UNIT_MULT_PAIRS),
-            product=lambda x, y: unit_probe(1, 1, x) * entry(y),
-            image=lambda v: unit_probe(1, 2, v),
-        )
-        table = entry.table
-        phi = _resolve_hom(fd, table)
-        return NonDegenerateForm(fd, n, phi, r, 0), tuple(table.items()), None
-
+    f_cos = [w(coidempotent(fd, n, j)) for j in range(1, n + 1)]
+    if all(f == zero_mat for f in f_cos):
+        return "degenerate"
+    if w(unit_matrix(fd, n, 1, 1)) != zero_mat:
+        return "units"
     for rank in range(2, n - 1):
         if w(rank_idempotent(fd, n, rank)) != zero_mat:
             raise RankLadderViolation(
@@ -747,12 +706,54 @@ def _recover_nondegenerate(w, fd: FieldDescriptor, n: int, f_cos):
         raise RankLadderViolation("rank one images are inconsistent")
     if any(f == zero_mat for f in f_cos):
         raise RankLadderViolation("corank one images are inconsistent")
+    return "cofactor"
 
-    gl_form, hom_table, lam_table = _classify_gl(w, fd, n)
+
+def _recover_units(w, fd: FieldDescriptor, n: int):
+    """Recover a map whose rank one units survive: their images are matrix
+    units and fix the conjugator directly."""
+    zero_mat = zeros(fd, n)
+    units = [
+        [w(unit_matrix(fd, n, i, j)) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    try:
+        r = conjugator_from_units(units)
+    except (NotMatrixUnits, SingularRecovery) as exc:
+        raise NotMultiplicative(str(exc)) from exc
+    r_inv = r.inverse()
+
+    def unit_probe(i: int, j: int, x: FieldElem) -> FieldElem:
+        return _read(
+            r * w(x * unit_matrix(fd, n, i, j)) * r_inv,
+            zero_mat,
+            [(i - 1, j - 1)],
+            "scaled unit image is not a scaled unit",
+        )[0]
+
+    phi_pool, lam_pool = scalars(fd, *PHI_POOL), _lam_pool(fd)
+    entry = _EntryMap(fd, n, lambda a: r * w(a) * r_inv, 0)
+    for x in phi_pool + tuple(x for x in lam_pool if x not in phi_pool):
+        if unit_probe(1, 2, x) != entry(x):
+            raise NotMultiplicative("unit and transvection probes disagree")
+    # (x E_11)(y E_12) = xy E_12 pushes products through the units
+    _check_laws(
+        entry,
+        _pairs(fd, ADD_PAIRS),
+        _pairs(fd, UNIT_MULT_PAIRS),
+        product=lambda x, y: unit_probe(1, 1, x) * entry(y),
+        image=lambda v: unit_probe(1, 2, v),
+    )
+    table = entry.table
+    phi = _resolve_hom(fd, table)
+    return NonDegenerateForm(fd, n, phi, r, 0), tuple(table.items()), None
+
+
+def _check_cofactor(w, fd: FieldDescriptor, n: int, gl_form: DegenerateForm):
+    """The GL recovery of a map that kills E_11 but no corank one idempotent
+    must have eps = 1 and lam = id, and match every corank one image."""
     if gl_form.eps != 1 or gl_form.lam != IDENTITY_CHAR:
-        raise NotMultiplicative(
-            "vanishing pattern does not match a cofactor form"
-        )
+        raise NotMultiplicative("vanishing pattern does not match a cofactor form")
     form = NonDegenerateForm(fd, n, gl_form.phi, gl_form.R, 1)
     for j in range(1, n + 1):
         co = coidempotent(fd, n, j)
@@ -760,7 +761,7 @@ def _recover_nondegenerate(w, fd: FieldDescriptor, n: int, f_cos):
             raise VerificationFailed(
                 "corank one image disagrees with the recovered cofactor form"
             )
-    return form, hom_table, lam_table
+    return form
 
 
 # -- final verification -------------------------------------------------------
@@ -771,14 +772,14 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
     oracle. The recovered form must match the oracle on every sample
     exactly, and is evaluated before the oracle is asked."""
     rng = random.Random(seed)
-    basis_change = _basis_change(s_total)
+    reported = _reported_map(form, s_total)
     lam_pool = _lam_pool(fd)
     pool = default_pool(fd)
     for i in range(VERIFY_INVERTIBLE):
         # D_1(x) times a word: the dilation scales the first row last
         dilation = DiagUnit(1, lam_pool[i % len(lam_pool)])
         word = random_transvection_word(rng, fd, n, 8, pool)
-        _check_sample(session, basis_change, form, _apply_word([dilation, *word], fd, n))
+        _check_sample(session, reported, _apply_word([dilation, *word], fd, n))
     z = zero(fd)
     for _ in range(VERIFY_SINGULAR):
         r = rng.randrange(0, n)
@@ -786,14 +787,11 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
         g2 = random_gl(rng, fd, n, pool=pool)
         # G1 diag(I_r, 0) is G1 with its columns from r on set to zero
         a = Matrix(fd, [row[:r] + (z,) * (n - r) for row in g1.rows]) * g2
-        _check_sample(session, basis_change, form, a)
+        _check_sample(session, reported, a)
 
 
-def _check_sample(session, basis_change, form, a: Matrix) -> None:
-    expected = form.evaluate(a)
-    if basis_change:
-        s_total, s_inv = basis_change
-        expected = s_total * expected * s_inv
+def _check_sample(session, reported: MapOracle, a: Matrix) -> None:
+    expected = reported(a)
     if session.call(a) != expected:
         raise VerificationFailed(
             "oracle and recovered form disagree on a fresh sample"
@@ -816,12 +814,12 @@ def _lam_pool(fd: FieldDescriptor) -> tuple[FieldElem, ...]:
     return scalars(fd, *LAM_POOL) + scalars(fd, (), LAM_POOL_EXTRA.get(fd.d, ()))
 
 
-def _basis_change(s: Matrix):
-    """(S, S^-1), or None when S is the identity and conjugating by it
-    would change nothing."""
+def _reported_map(form: CanonicalForm, s: Matrix) -> MapOracle:
+    """A -> S form(A) S^-1, or form.evaluate itself when S is the identity."""
     if s.is_identity:
-        return None
-    return s, s.inverse()
+        return form.evaluate
+    s_inv = s.inverse()
+    return lambda a: s * form.evaluate(a) * s_inv
 
 
 def _embed_top_left(p: Matrix, k: int) -> Matrix:

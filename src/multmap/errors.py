@@ -43,7 +43,8 @@ class DimensionMismatch(MultmapError):
 
 
 class IndexOutOfRange(MultmapError):
-    """A 1-based generator or block index outside its legal range."""
+    """A 1-based generator or block index, or a cofactor exponent eps, outside
+    its legal range."""
 
 
 class SingularMatrix(MultmapError):

@@ -465,10 +465,18 @@ def hom_apply(h: RingHom, x: FieldElem) -> FieldElem:
 
 def hom_check(h: RingHom | HomTable, samples) -> bool:
     """Check h(x+y) = h(x)+h(y), h(xy) = h(x)h(y), and h(1) = 1 on the given
-    (x, y) pairs. A table that misses any operand fails the check: a law it
-    cannot be tested on is not passed. Ring homomorphisms never miss."""
+    (x, y) pairs. Nothing passes vacuously: an empty sample list fails, a
+    table that maps one probe to two values is no function and fails, and a
+    table that misses any operand fails, since a law it cannot be tested on
+    is not passed. Ring homomorphisms never miss."""
+    samples = tuple(samples)
+    if not samples:
+        return False
     if isinstance(h, HomTable):
-        apply = dict(reversed(h.table)).get  # the first pair for a probe wins
+        table = dict(h.table)
+        if len(table) != len(set(h.table)):
+            return False
+        apply = table.get
     else:
         apply = partial(hom_apply, h)
     for x, y in samples:

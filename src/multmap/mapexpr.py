@@ -29,6 +29,7 @@ from __future__ import annotations
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
+    IndexOutOfRange,
     ParseError,
     SingularConjugator,
     UnregisteredHom,
@@ -412,7 +413,9 @@ class TrivialForm(Value):
 class DegenerateForm(Value):
     """A -> lam(det A) R^-1 C^eps(phi(A)) R on invertibles, 0 on singulars.
     lam may be the empty character; vanishing on singulars is what separates
-    this class from NonDegenerateForm."""
+    this class from NonDegenerateForm. A phi that is no RingHom raises
+    UnregisteredHom, the conjugation over Q FieldMismatch, and an eps other
+    than 0 or 1 IndexOutOfRange."""
 
     __slots__ = ("field", "n", "lam", "phi", "R", "eps")
     kind = "degenerate"
@@ -426,6 +429,7 @@ class DegenerateForm(Value):
         R: Matrix,
         eps: int,
     ) -> None:
+        _check_core(field, phi, eps)
         _set(self, "field", field)
         _set(self, "n", n)
         _set(self, "lam", lam)
@@ -449,12 +453,15 @@ class DegenerateForm(Value):
 
 
 class NonDegenerateForm(Value):
-    """A -> R^-1 C^eps(phi(A)) R, exact on every matrix, singular or not."""
+    """A -> R^-1 C^eps(phi(A)) R, exact on every matrix, singular or not. A
+    phi that is no RingHom raises UnregisteredHom, the conjugation over Q
+    FieldMismatch, and an eps other than 0 or 1 IndexOutOfRange."""
 
     __slots__ = ("field", "n", "phi", "R", "eps")
     kind = "nondegenerate"
 
     def __init__(self, field: FieldDescriptor, n: int, phi: RingHom, R: Matrix, eps: int) -> None:
+        _check_core(field, phi, eps)
         _set(self, "field", field)
         _set(self, "n", n)
         _set(self, "phi", phi)
@@ -482,6 +489,13 @@ def _apply_hom(h: RingHom, a: Matrix) -> Matrix:
     if h.kind == "id":
         return a
     return Matrix._of(a.field, [[x.conjugate() for x in r] for r in a.rows])
+
+
+def _check_core(field: FieldDescriptor, phi: RingHom, eps: int) -> None:
+    """Refuse a phi or an eps that R^-1 C^eps(phi(A)) R cannot represent."""
+    _check_hom(phi, field)
+    if eps not in (0, 1):
+        raise IndexOutOfRange(f"cofactor exponent eps must be 0 or 1, got {eps!r}")
 
 
 def _core_evaluate(form, a: Matrix) -> Matrix:

@@ -39,7 +39,15 @@ from multmap.field import (
     sqrt_gen,
     zero,
 )
-from multmap.matrix import Matrix, diag, from_values, identity, zeros
+from multmap.matrix import (
+    Matrix,
+    coidempotent,
+    diag,
+    from_values,
+    identity,
+    unit_matrix,
+    zeros,
+)
 from multmap.mapexpr import (
     Cof,
     Conj,
@@ -368,6 +376,63 @@ def test_rank_ladder_adversary():
     assert issubclass(RankLadderViolation, NotMultiplicative)
 
 
+E11 = unit_matrix(RATIONAL, 3, 1, 1)
+CO1 = coidempotent(RATIONAL, 3, 1)  # I - E_11
+Z3 = zeros(RATIONAL, 3)
+
+
+@pytest.mark.parametrize(
+    "oracle, error, message, calls",
+    [
+        (
+            lambda a: Matrix(RATIONAL, [r[:2] for r in a.rows[:2]]),
+            NotMultiplicative,
+            "a live block smaller than n must kill every transvection",
+            3,
+        ),
+        (
+            lambda a: Z3 if a == E11 else a,
+            RankLadderViolation,
+            "rank one images are inconsistent",
+            8,
+        ),
+        (
+            lambda a: Z3 if a == CO1 else a.cofactor(),
+            RankLadderViolation,
+            "corank one images are inconsistent",
+            8,
+        ),
+        (
+            lambda a: a if a.rank >= 2 else Z3,
+            NotMultiplicative,
+            "vanishing pattern does not match a cofactor form",
+            32,
+        ),
+        (
+            lambda a: E11 + E11 if a == CO1 else a.cofactor(),
+            VerificationFailed,
+            "corank one image disagrees with the recovered cofactor form",
+            33,
+        ),
+    ],
+    ids=["top-left-block", "dead-e11", "dead-corank-one", "rank-two-or-zero", "wrong-corank-one"],
+)
+def test_each_dispatcher_rejection_keeps_its_type_message_and_probe_count(
+    oracle, error, message, calls
+):
+    seen = set()
+
+    def counted(a):
+        seen.add(a.rows)
+        return oracle(a)
+
+    with pytest.raises(error) as info:
+        classify(counted, RATIONAL, 3)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert len(seen) == calls
+
+
 def test_transpose_adversary():
     with pytest.raises(NotMultiplicative):
         classify(lambda a: a.transpose(), RATIONAL, 3)
@@ -390,16 +455,24 @@ def test_liar_caught_by_final_verification():
         classify(liar, RATIONAL, 3)
 
 
-def test_a_form_over_a_hom_table_is_refused_before_the_oracle_is_asked():
-    # an entry map known only at 0 and 1 is no ring homomorphism, so a form
-    # built on it evaluates nothing, and the wrong oracle A -> 2A is never run
+def test_a_form_over_a_hom_table_is_refused_at_construction():
+    # an entry map known only at 0 and 1 is no ring homomorphism, so no form
+    # is built on it and no verification can ever run one
     table = sampled_hom([(zero(RATIONAL), zero(RATIONAL)), (one(RATIONAL), one(RATIONAL))])
-    ident = identity(RATIONAL, 3)
-    form = NonDegenerateForm(RATIONAL, 3, table, ident, 0)
-    session = Session(lambda a: a + a, RATIONAL, 3)
     with pytest.raises(UnregisteredHom, match="^a HomTable is no ring homomorphism$"):
-        _final_verification(session, ident, form, RATIONAL, 3, seed=7)
-    assert session.log == []
+        NonDegenerateForm(RATIONAL, 3, table, identity(RATIONAL, 3), 0)
+
+
+def test_final_verification_evaluates_the_form_before_asking_the_oracle():
+    class Unevaluable:
+        def evaluate(self, a):
+            raise UnregisteredHom("no form to evaluate")
+
+    for s_total in (identity(RATIONAL, 3), int_matrix(RATIONAL, [[1, 1, 0], [0, 1, 0], [0, 0, 2]])):
+        session = Session(lambda a: a + a, RATIONAL, 3)
+        with pytest.raises(UnregisteredHom, match="^no form to evaluate$"):
+            _final_verification(session, s_total, Unevaluable(), RATIONAL, 3, seed=7)
+        assert session.log == []
 
 
 def test_entry_map_tables_fit_the_identity_or_the_conjugation_only():

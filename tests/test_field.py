@@ -270,6 +270,23 @@ def test_hom_check_fails_on_operands_off_the_table():
     assert hom_check(whole, [(r(1), r(1))]) is True
 
 
+def test_hom_check_fails_a_table_that_is_no_function():
+    # (2, 2) and (2, 5) give the probe 2 two images, though the sample never
+    # reads 2
+    r = lambda v: as_elem(RATIONAL, v)
+    pairs = [(r(1), r(1)), (r(2), r(2))]
+    assert hom_check(sampled_hom(pairs + [(r(2), r(5))]), [(r(1), r(1))]) is False
+    # a pair listed twice still maps each probe to one value
+    assert hom_check(sampled_hom(pairs + [(r(2), r(2))]), [(r(1), r(1))]) is True
+
+
+def test_hom_check_fails_on_an_empty_sample():
+    r = lambda v: as_elem(RATIONAL, v)
+    assert hom_check(sampled_hom([(r(1), r(1)), (r(2), r(2))]), []) is False
+    assert hom_check(IDENTITY_HOM, []) is False
+    assert hom_check(CONJUGATION_HOM, iter([])) is False
+
+
 def test_hom_check_conjugation():
     xs = [q2(1, 1), q2(2, -1), q2(Fraction(1, 2), 3)]
     pairs = [(x, y) for x in xs for y in xs]

@@ -8,6 +8,8 @@ import pytest
 from multmap.errors import (
     DimensionMismatch,
     FieldMismatch,
+    IndexOutOfRange,
+    MultmapError,
     ParseError,
     SingularConjugator,
     UnregisteredHom,
@@ -245,6 +247,26 @@ def test_compose_rejects_shape_mismatch():
     ok_shape = MapExpr(3, RATIONAL, (Cof(),))
     with pytest.raises(DimensionMismatch):
         compose(ok_shape, t)
+
+
+def test_r_forms_refuse_a_hom_or_an_eps_they_cannot_represent():
+    i2 = identity(RATIONAL, 2)
+    x = ScalarCharacter((("id", 1),))
+    table = sampled_hom([(as_elem(RATIONAL, 2), as_elem(RATIONAL, 2))])
+    builds = (
+        lambda phi, eps: NonDegenerateForm(RATIONAL, 2, phi, i2, eps),
+        lambda phi, eps: DegenerateForm(RATIONAL, 2, x, phi, i2, eps),
+    )
+    assert issubclass(IndexOutOfRange, MultmapError)
+    for build in builds:
+        with pytest.raises(UnregisteredHom, match="^a HomTable is no ring homomorphism$"):
+            build(table, 0)
+        with pytest.raises(FieldMismatch, match="^conjugation hom applies to quadratic fields only$"):
+            build(CONJUGATION_HOM, 0)
+        for eps in (7, -1, 2, "1", None):
+            with pytest.raises(IndexOutOfRange, match="^cofactor exponent eps must be 0 or 1, got "):
+                build(IDENTITY_HOM, eps)
+        assert build(IDENTITY_HOM, 1).eps == 1
 
 
 def test_canonical_eq_up_to_presentation():
