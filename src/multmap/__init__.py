@@ -26,7 +26,6 @@ from .errors import (
     ScalarTooLarge,
     SingularConjugator,
     SingularMatrix,
-    SingularRecovery,
     UnregisteredHom,
     UnsupportedDimension,
     VerificationFailed,

@@ -18,7 +18,8 @@ stage runs next, and calls each stage from one place, in this order:
   transvection test      whether the live block kills every transvection
   trivial recovery       when it does, or l = 0: the characters chi_i
   singular-pattern test  otherwise, with l = n: which singular probes die
-  unit recovery          when E_11 survives: phi and R from the matrix units
+  unit recovery          when E_11 survives: phi and R from the matrix units,
+                         and the corank one images match the form
   GL recovery            when every corank one idempotent dies (degenerate),
                          or E_11 dies but none of them do (cofactor)
   cofactor check         in the cofactor case: eps = 1, lam = id, and the
@@ -52,7 +53,6 @@ from .errors import (
     OracleBudgetExceeded,
     RankLadderViolation,
     SingularMatrix,
-    SingularRecovery,
     UnsupportedDimension,
     VerificationFailed,
 )
@@ -93,7 +93,7 @@ from .mapexpr import (
     ScalarCharacter,
     TrivialForm,
 )
-from .slword import _apply_word, default_pool, random_gl, random_transvection_word
+from .slword import _apply_word, random_gl, random_transvection_word
 from .value import Value, _set
 
 MapOracle = Callable[[Matrix], Matrix]
@@ -313,6 +313,7 @@ def classify(oracle: MapOracle, fd: FieldDescriptor, n: int, seed: int = 0) -> C
             raise NotMultiplicative("a live block smaller than n must kill every transvection")
         elif (pattern := _singular_pattern(w, fd, n)) == "units":
             form, hom_table, lam_table = _recover_units(w, fd, n)
+            _check_corank_one(w, fd, n, form)
         else:
             form, hom_table, lam_table = _classify_gl(w, fd, n)
             if pattern == "cofactor":
@@ -400,13 +401,8 @@ def _classify_trivial(w: _Working, fd: FieldDescriptor, n: int):
         chars.extend([c] * basis.n_cols)
         for j in range(basis.n_cols):
             columns.append(basis.column(j))
+    # the eigenspaces cover the block, and each column fits its character
     p = from_columns(fd, columns)
-    if not p.is_invertible:
-        raise NonDiagonalizableTrivial("joint eigenvectors do not span the block")
-    p_inv = p.inverse()
-    for x in base:
-        if p_inv * img(x) * p != diag(fd, [c.evaluate(x) for c in chars]):
-            raise NotMultiplicative("diagonalized block disagrees with its characters")
     form = TrivialForm(fd, n, tuple(chars), w.z_pad, w.s_pad)
     return form, p
 
@@ -515,18 +511,11 @@ def _classify_gl(w, fd: FieldDescriptor, n: int):
 
     sign = -o if twist else o
     twisted = [sign * v for v in invs]
-    cols = []
-    for vh in twisted:
-        kern = (vh + ident).kernel_basis()
-        if len(kern) != 1:
-            raise NotMultiplicative("twisted involution lacks a simple -1 eigenvector")
-        cols.append(kern[0])
-    p = from_columns(fd, cols)
+    # v^2 = I makes each vh diagonalizable, and the twist leaves it a simple -1
+    p = from_columns(fd, [(vh + ident).kernel_basis()[0] for vh in twisted])
     if not p.is_invertible:
         raise NotMultiplicative("involution eigenvectors are dependent")
-    for i, vh in enumerate(twisted):
-        if vh * p != p * gen_matrix(DiagUnit(i + 1, -o), fd, n):
-            raise NotMultiplicative("involutions are not simultaneously diagonalized")
+    # the vh commute, so each keeps the others' eigenlines: vh_i p = p D_i(-1)
     g = p.inverse()
 
     def what(a: Matrix) -> Matrix:
@@ -552,12 +541,9 @@ def _classify_gl(w, fd: FieldDescriptor, n: int):
     g = diag(fd, t_diag) * g
     g_inv = g.inverse()
 
+    # with b c = 1, diag(t) sets both swap weights to 1: w2 fixes every swap
     def w2(a: Matrix) -> Matrix:
         return g * what(a) * g_inv
-
-    for swap in swaps:
-        if w2(swap) != swap:
-            raise NotMultiplicative("swap images resist the scale correction")
 
     u1 = w2(gen_matrix(Transvection(1, 2, o), fd, n))
     if u1 == gen_matrix(Transvection(1, 2, o), fd, n):
@@ -719,7 +705,7 @@ def _recover_units(w, fd: FieldDescriptor, n: int):
     ]
     try:
         r = conjugator_from_units(units)
-    except (NotMatrixUnits, SingularRecovery) as exc:
+    except NotMatrixUnits as exc:
         raise NotMultiplicative(str(exc)) from exc
     r_inv = r.inverse()
 
@@ -755,13 +741,17 @@ def _check_cofactor(w, fd: FieldDescriptor, n: int, gl_form: DegenerateForm):
     if gl_form.eps != 1 or gl_form.lam != IDENTITY_CHAR:
         raise NotMultiplicative("vanishing pattern does not match a cofactor form")
     form = NonDegenerateForm(fd, n, gl_form.phi, gl_form.R, 1)
+    _check_corank_one(w, fd, n, form)
+    return form
+
+
+def _check_corank_one(w, fd: FieldDescriptor, n: int, form: NonDegenerateForm) -> None:
+    """Match the form to every corank one image the singular-pattern test probed."""
     for j in range(1, n + 1):
         co = coidempotent(fd, n, j)
         if w(co) != form.evaluate(co):
-            raise VerificationFailed(
-                "corank one image disagrees with the recovered cofactor form"
-            )
-    return form
+            kind = "cofactor" if form.eps else "plain"
+            raise VerificationFailed(f"corank one image disagrees with the recovered {kind} form")
 
 
 # -- final verification -------------------------------------------------------
@@ -774,17 +764,16 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
     rng = random.Random(seed)
     reported = _reported_map(form, s_total)
     lam_pool = _lam_pool(fd)
-    pool = default_pool(fd)
     for i in range(VERIFY_INVERTIBLE):
         # D_1(x) times a word: the dilation scales the first row last
         dilation = DiagUnit(1, lam_pool[i % len(lam_pool)])
-        word = random_transvection_word(rng, fd, n, 8, pool)
+        word = random_transvection_word(rng, fd, n, 8)
         _check_sample(session, reported, _apply_word([dilation, *word], fd, n))
     z = zero(fd)
     for _ in range(VERIFY_SINGULAR):
         r = rng.randrange(0, n)
-        g1 = random_gl(rng, fd, n, pool=pool)
-        g2 = random_gl(rng, fd, n, pool=pool)
+        g1 = random_gl(rng, fd, n)
+        g2 = random_gl(rng, fd, n)
         # G1 diag(I_r, 0) is G1 with its columns from r on set to zero
         a = Matrix(fd, [row[:r] + (z,) * (n - r) for row in g1.rows]) * g2
         _check_sample(session, reported, a)

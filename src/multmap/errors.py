@@ -56,15 +56,11 @@ class NotSpecialLinear(MultmapError):
 
 
 class SingularConjugator(MultmapError):
-    """A conjugation atom was built from a singular matrix."""
+    """A conjugation atom or a canonical form was built from a singular R."""
 
 
 class NotMatrixUnits(MultmapError):
     """A matrix family violates the unit relations F_ij F_kl = delta_jk F_il."""
-
-
-class SingularRecovery(MultmapError):
-    """The conjugator assembled from a matrix-unit family is singular."""
 
 
 class NotCommutingIdempotents(MultmapError):

@@ -56,7 +56,8 @@ def _is_squarefree(d: int) -> bool:
 
 
 class FieldDescriptor(Value):
-    """Identifies the coefficient field: Q, or Q(sqrt d) for squarefree d."""
+    """Identifies the coefficient field: Q, or Q(sqrt d) for squarefree d.
+    A radicand that is no int (bools included) raises FieldMismatch."""
 
     __slots__ = ("kind", "d")
 
@@ -65,6 +66,8 @@ class FieldDescriptor(Value):
             if d is not None:
                 raise FieldMismatch("rational field takes no radicand")
         elif kind == "quadratic":
+            if d is not None and (not isinstance(d, int) or isinstance(d, bool)):
+                raise FieldMismatch(f"quadratic radicand must be an int, got {d!r}")
             if d is not None and abs(d) > MAX_RADICAND:
                 raise FieldMismatch(
                     f"quadratic radicand must be at most {MAX_RADICAND} in absolute value"

@@ -184,9 +184,40 @@ Atom = Conj | Cof | Hom | DetScale | TrivialDet
 # -- expressions -----------------------------------------------------------------
 
 
-def _check_char_field(char: ScalarCharacter, fd: FieldDescriptor) -> None:
+def _check_character(char, fd: FieldDescriptor) -> None:
+    """Refuse a determinant character that is no ScalarCharacter
+    (UnregisteredHom) or that needs the conjugation over Q (FieldMismatch)."""
+    if not isinstance(char, ScalarCharacter):
+        raise UnregisteredHom("determinant characters must be ScalarCharacters")
     if char.requires_quadratic() and not fd.is_quadratic:
         raise FieldMismatch("conjugation character over a rational field")
+
+
+def _check_conjugator(r, fd: FieldDescriptor, n: int) -> None:
+    """Refuse an R that is no invertible n x n matrix over fd, with
+    DimensionMismatch, FieldMismatch or SingularConjugator."""
+    if not isinstance(r, Matrix):
+        raise DimensionMismatch("conjugator must be a matrix")
+    if r.field != fd:
+        raise FieldMismatch("conjugator over the wrong field")
+    if r.n_rows != n or not r.is_square:
+        raise DimensionMismatch("conjugator must be n x n")
+    if not r.is_invertible:
+        raise SingularConjugator("conjugator must be invertible")
+
+
+def _check_padded(chars, zero_pad, one_pad, fd: FieldDescriptor) -> None:
+    """Refuse pads that are no nonnegative ints (bools included) or an empty
+    block, with DimensionMismatch, and check each character."""
+    for pad in (zero_pad, one_pad):
+        if not isinstance(pad, int) or isinstance(pad, bool):
+            raise DimensionMismatch("padding sizes must be integers")
+    if zero_pad < 0 or one_pad < 0:
+        raise DimensionMismatch("padding sizes must be nonnegative")
+    if len(chars) + zero_pad + one_pad < 1:
+        raise DimensionMismatch("padded determinant map needs k >= 1")
+    for c in chars:
+        _check_character(c, fd)
 
 
 class MapExpr(Value):
@@ -205,19 +236,9 @@ class MapExpr(Value):
                     raise DimensionMismatch(
                         "a padded determinant map cannot be composed with other atoms"
                     )
-                if atom.zero_pad < 0 or atom.one_pad < 0:
-                    raise DimensionMismatch("padding sizes must be nonnegative")
-                if len(atom.chars) + atom.zero_pad + atom.one_pad < 1:
-                    raise DimensionMismatch("padded determinant map needs k >= 1")
-                for c in atom.chars:
-                    _check_char_field(c, field)
+                _check_padded(atom.chars, atom.zero_pad, atom.one_pad, field)
             elif isinstance(atom, Conj):
-                if atom.R.field != field:
-                    raise FieldMismatch("conjugator over the wrong field")
-                if atom.R.n_rows != n or not atom.R.is_square:
-                    raise DimensionMismatch("conjugator must be n x n")
-                if not atom.R.is_invertible:
-                    raise SingularConjugator("conjugator must be invertible")
+                _check_conjugator(atom.R, field, n)
             elif isinstance(atom, Cof):
                 if n < 2:
                     raise DimensionMismatch("cofactor atom needs n >= 2")
@@ -227,7 +248,7 @@ class MapExpr(Value):
                 if atom.phi.kind == "conj" and not field.is_quadratic:
                     raise FieldMismatch("conjugation hom over a rational field")
             elif isinstance(atom, DetScale):
-                _check_char_field(atom.character, field)
+                _check_character(atom.character, field)
             else:
                 raise ParseError(f"unknown atom {atom!r}")
         _set(self, "n", n)
@@ -373,7 +394,9 @@ def _atom_from_doc(doc: object, fd: FieldDescriptor, n: int) -> Atom:
 
 class TrivialForm(Value):
     """A -> blockdiag(diag(chi_i(det A)), 0, I), zero character block on
-    singular input. The kernel of the map contains all of SL_n."""
+    singular input. The kernel of the map contains all of SL_n. A character
+    of the wrong type raises UnregisteredHom, the conjugation over Q
+    FieldMismatch, and bad pads or an empty block DimensionMismatch."""
 
     __slots__ = ("field", "n", "chars", "zero_pad", "one_pad")
     kind = "trivial"
@@ -386,6 +409,7 @@ class TrivialForm(Value):
         zero_pad: int,
         one_pad: int,
     ) -> None:
+        _check_padded(chars, zero_pad, one_pad, field)
         _set(self, "field", field)
         _set(self, "n", n)
         _set(self, "chars", chars)
@@ -413,9 +437,10 @@ class TrivialForm(Value):
 class DegenerateForm(Value):
     """A -> lam(det A) R^-1 C^eps(phi(A)) R on invertibles, 0 on singulars.
     lam may be the empty character; vanishing on singulars is what separates
-    this class from NonDegenerateForm. A phi that is no RingHom raises
-    UnregisteredHom, the conjugation over Q FieldMismatch, and an eps other
-    than 0 or 1 IndexOutOfRange."""
+    this class from NonDegenerateForm. A lam or phi of the wrong type raises
+    UnregisteredHom, the conjugation over Q FieldMismatch, an eps other than
+    0 or 1 IndexOutOfRange, and an R that is no invertible n x n matrix over
+    the field DimensionMismatch, FieldMismatch or SingularConjugator."""
 
     __slots__ = ("field", "n", "lam", "phi", "R", "eps")
     kind = "degenerate"
@@ -429,7 +454,8 @@ class DegenerateForm(Value):
         R: Matrix,
         eps: int,
     ) -> None:
-        _check_core(field, phi, eps)
+        _check_character(lam, field)
+        _check_core(field, n, phi, R, eps)
         _set(self, "field", field)
         _set(self, "n", n)
         _set(self, "lam", lam)
@@ -455,13 +481,15 @@ class DegenerateForm(Value):
 class NonDegenerateForm(Value):
     """A -> R^-1 C^eps(phi(A)) R, exact on every matrix, singular or not. A
     phi that is no RingHom raises UnregisteredHom, the conjugation over Q
-    FieldMismatch, and an eps other than 0 or 1 IndexOutOfRange."""
+    FieldMismatch, an eps other than 0 or 1 IndexOutOfRange, and an R that is
+    no invertible n x n matrix DimensionMismatch, FieldMismatch or
+    SingularConjugator."""
 
     __slots__ = ("field", "n", "phi", "R", "eps")
     kind = "nondegenerate"
 
     def __init__(self, field: FieldDescriptor, n: int, phi: RingHom, R: Matrix, eps: int) -> None:
-        _check_core(field, phi, eps)
+        _check_core(field, n, phi, R, eps)
         _set(self, "field", field)
         _set(self, "n", n)
         _set(self, "phi", phi)
@@ -491,9 +519,10 @@ def _apply_hom(h: RingHom, a: Matrix) -> Matrix:
     return Matrix._of(a.field, [[x.conjugate() for x in r] for r in a.rows])
 
 
-def _check_core(field: FieldDescriptor, phi: RingHom, eps: int) -> None:
-    """Refuse a phi or an eps that R^-1 C^eps(phi(A)) R cannot represent."""
+def _check_core(field: FieldDescriptor, n: int, phi: RingHom, R: Matrix, eps: int) -> None:
+    """Refuse a phi, an R or an eps that R^-1 C^eps(phi(A)) R cannot represent."""
     _check_hom(phi, field)
+    _check_conjugator(R, field, n)
     if eps not in (0, 1):
         raise IndexOutOfRange(f"cofactor exponent eps must be 0 or 1, got {eps!r}")
 

@@ -40,7 +40,6 @@ from .errors import (
     NotMatrixUnits,
     ParseError,
     SingularMatrix,
-    SingularRecovery,
 )
 from .field import (
     FieldDescriptor,
@@ -439,10 +438,9 @@ def identity(fd: FieldDescriptor, n: int) -> Matrix:
     return diag(fd, [one(fd)] * n)
 
 
-def zeros(fd: FieldDescriptor, n_rows: int, n_cols: int | None = None) -> Matrix:
+def zeros(fd: FieldDescriptor, n: int) -> Matrix:
     z = zero(fd)
-    c = n_rows if n_cols is None else n_cols
-    return Matrix(fd, [[z] * c for _ in range(n_rows)])
+    return Matrix(fd, [[z] * n for _ in range(n)])
 
 
 def from_values(fd: FieldDescriptor, rows) -> Matrix:
@@ -608,22 +606,14 @@ def split_idempotent_pair(p_zero: Matrix, p_one: Matrix):
         raise NotCommutingIdempotents(
             "images of 0 and I must commute with product the image of 0"
         )
-    fd = p_zero.field
     s = p_zero.rank
     l = p_one.rank - s
+    # e = p_one - p_zero is idempotent with e p_zero = p_zero e = 0, so these
+    # columns are a basis in which both projectors take the forms above
     columns = (
         (p_one - p_zero).image_basis() + p_one.kernel_basis() + p_zero.image_basis()
     )
-    if len(columns) != k:
-        raise NotCommutingIdempotents("idempotent pair does not split the space")
-    basis = from_columns(fd, columns)
-    s_inv = basis.inverse()
-    o, z = one(fd), zero(fd)
-    if s_inv * p_zero * basis != diag(fd, [z] * (k - s) + [o] * s):
-        raise NotCommutingIdempotents("image of 0 is not the expected projector")
-    if s_inv * p_one * basis != diag(fd, [o] * l + [z] * (k - l - s) + [o] * s):
-        raise NotCommutingIdempotents("image of I is not the expected projector")
-    return basis, s, l
+    return from_columns(p_zero.field, columns), s, l
 
 
 def conjugator_from_units(units: list[list[Matrix]]) -> Matrix:
@@ -653,16 +643,9 @@ def conjugator_from_units(units: list[list[Matrix]]) -> Matrix:
     if v is None:
         raise NotMatrixUnits("F_11 is zero, no unit structure to recover")
     v_mat = from_columns(fd, [v])
-    columns = [(units[j][0] * v_mat).column(0) for j in range(n)]
-    r_inv = from_columns(fd, columns)
-    if not r_inv.is_invertible:
-        raise SingularRecovery("assembled conjugator is singular")
-    r = normalize_scale(r_inv.inverse())
-    for i in range(n):
-        for j in range(n):
-            if r * units[i][j] != unit_matrix(fd, n, i + 1, j + 1) * r:
-                raise NotMatrixUnits("recovered conjugator fails to align the units")
-    return r
+    # F_ij F_m1 v = delta_jm F_i1 v: R^-1 is invertible and aligns the units
+    r_inv = from_columns(fd, [(units[j][0] * v_mat).column(0) for j in range(n)])
+    return normalize_scale(r_inv.inverse())
 
 
 def normalize_scale(m: Matrix) -> Matrix:

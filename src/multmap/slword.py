@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from .errors import (
     DimensionMismatch,
-    FieldMismatch,
     NotSpecialLinear,
     ParseError,
     SingularMatrix,
@@ -53,8 +53,9 @@ from .matrix import (
 from .value import Value, _set
 
 
+@cache
 def default_pool(fd: FieldDescriptor) -> tuple[FieldElem, ...]:
-    """Small nonzero scalars used when sampling random words and probes."""
+    """Small nonzero scalars, the one pool every sampler draws from."""
     half = Fraction(1, 2)
     return scalars(fd, (1, -1, 2, -2, half, -half, 3), ((0, 1), (1, 1)))
 
@@ -170,10 +171,10 @@ def _word_length(n: int, length: int | None) -> int:
 
 
 def random_transvection_word(
-    rng: random.Random, fd: FieldDescriptor, n: int, length: int, pool=None
+    rng: random.Random, fd: FieldDescriptor, n: int, length: int
 ) -> list[Transvection]:
     _word_length(n, length)
-    pool = default_pool(fd) if pool is None else tuple(pool)
+    pool = default_pool(fd)
     word = []
     for _ in range(length):
         i = rng.randrange(1, n + 1)
@@ -184,37 +185,20 @@ def random_transvection_word(
     return word
 
 
-def random_sl(
-    rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None, pool=None
-) -> Matrix:
-    return _apply_word(_random_word(rng, fd, n, length, pool), fd, n)
+def random_sl(rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None) -> Matrix:
+    return _apply_word(random_transvection_word(rng, fd, n, _word_length(n, length)), fd, n)
 
 
-def random_gl(
-    rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None, pool=None
-) -> Matrix:
+def random_gl(rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None) -> Matrix:
     """D_1(d) times random_sl's product, d drawn from the pool first."""
     length = _word_length(n, length)
-    pool = default_pool(fd) if pool is None else tuple(pool)
-    dilation = DiagUnit(1, rng.choice(pool))
-    _check_generator(dilation, fd, n)
-    return _apply_word([dilation, *_random_word(rng, fd, n, length, pool)], fd, n)
+    dilation = DiagUnit(1, rng.choice(default_pool(fd)))
+    return _apply_word([dilation, *random_transvection_word(rng, fd, n, length)], fd, n)
 
 
-def _random_word(rng, fd: FieldDescriptor, n: int, length: int | None, pool) -> list:
-    """A transvection word of the given length (4n by default). Its indices
-    are drawn within 1..n, so only its scalars need checking."""
-    word = random_transvection_word(rng, fd, n, _word_length(n, length), pool)
-    if any(g.k.field is not fd and g.k.field != fd for g in word):
-        raise FieldMismatch("transvection scalar outside the field")
-    return word
-
-
-def random_unitriangular(
-    rng: random.Random, fd: FieldDescriptor, n: int, pool=None
-) -> Matrix:
+def random_unitriangular(rng: random.Random, fd: FieldDescriptor, n: int) -> Matrix:
     """Upper triangular, ones on the diagonal, random entries above."""
-    pool = default_pool(fd) if pool is None else tuple(pool)
+    pool = default_pool(fd)
     rows = [list(r) for r in identity(fd, n).rows]
     for i in range(n):
         for j in range(i + 1, n):

@@ -60,14 +60,14 @@ class Verdict(Value):
         }
 
 
-def _sample_matrix(rng, fd, n, pool) -> Matrix:
+def _sample_matrix(rng, fd, n) -> Matrix:
     """A singular-prone entrywise draw three times in ten, else a length 8
-    transvection word times a dilation; both draw from pool."""
+    transvection word times a dilation; both draw from the default pool."""
     if rng.random() < 0.3:
-        entries = pool + (zero(fd),)
+        entries = default_pool(fd) + (zero(fd),)
         rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
         return Matrix(fd, rows)
-    return random_gl(rng, fd, n, length=8, pool=pool)
+    return random_gl(rng, fd, n, length=8)
 
 
 def _zero_entry(m: Matrix, i: int, j: int) -> Matrix:
@@ -103,10 +103,9 @@ def _fuzz(fails, pairs: bool, fd: FieldDescriptor, n: int, config: FuzzConfig) -
     """Sample config.pair_count inputs, pairs (A, B) or single matrices A
     with B = None, and return the first on which fails(A, B) holds, shrunk."""
     rng = random.Random(config.seed)
-    pool = default_pool(fd)
     for done in range(1, config.pair_count + 1):
-        a = _sample_matrix(rng, fd, n, pool)
-        b = _sample_matrix(rng, fd, n, pool) if pairs else None
+        a = _sample_matrix(rng, fd, n)
+        b = _sample_matrix(rng, fd, n) if pairs else None
         if fails(a, b):
             return Verdict(False, _shrink(fails, a, b), done, config.seed)
     return Verdict(True, None, config.pair_count, config.seed)
@@ -139,12 +138,11 @@ def lcs_depth_check(
     if depth < 0:
         raise DimensionMismatch("nesting depth must be nonnegative")
     rng = random.Random(config.seed)
-    pool = default_pool(fd)
     bound = min(depth, n - 1)
     for done in range(1, config.pair_count + 1):
-        c = random_unitriangular(rng, fd, n, pool)
+        c = random_unitriangular(rng, fd, n)
         for _ in range(depth):
-            c = commutator(random_unitriangular(rng, fd, n, pool), c)
+            c = commutator(random_unitriangular(rng, fd, n), c)
         ok = all(
             c[i, j].is_zero for i in range(n) for j in range(i + 1, min(i + bound + 1, n))
         )

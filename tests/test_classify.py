@@ -17,9 +17,11 @@ from multmap.classify import (
     _read,
     _resolve_hom,
     classify,
+    normalize_idempotents,
 )
 from multmap.errors import (
     CharacterOutOfBound,
+    FieldMismatch,
     NonDiagonalizableTrivial,
     NotMultiplicative,
     OracleBudgetExceeded,
@@ -40,10 +42,14 @@ from multmap.field import (
     zero,
 )
 from multmap.matrix import (
+    DiagUnit,
     Matrix,
+    Swap,
+    Transvection,
     coidempotent,
     diag,
     from_values,
+    gen_matrix,
     identity,
     unit_matrix,
     zeros,
@@ -66,6 +72,10 @@ from helpers import int_matrix, random_mapexpr, rand_singular
 
 Q2 = quadratic(2)
 QI = quadratic(-1)
+
+
+def _x(power):
+    return ScalarCharacter((("id", power),))
 
 
 def semantically_equal(report, reference_oracle, fd, n, seed=99, samples=25):
@@ -433,6 +443,124 @@ def test_each_dispatcher_rejection_keeps_its_type_message_and_probe_count(
     assert len(seen) == calls
 
 
+def _gen(n, g):
+    return gen_matrix(g, RATIONAL, n)
+
+
+def _dil(n, x):
+    """D_1(x) at size n."""
+    return _gen(n, DiagUnit(1, as_elem(RATIONAL, x)))
+
+
+def _plus(i, j):
+    """The image plus E_ij, at the image's own size."""
+    return lambda y: y + unit_matrix(y.field, y.n_rows, i, j)
+
+
+def _const(m):
+    return lambda y: m
+
+
+_Q1, _QM1, _Q2 = (as_elem(RATIONAL, v) for v in (1, -1, 2))
+_DET2_N2 = MapExpr(2, RATIONAL, (DetScale(_x(2)),))
+_DET_N3 = MapExpr(3, RATIONAL, (DetScale(_x(1)),))
+_DET2_COF_N3 = MapExpr(3, RATIONAL, (DetScale(_x(1)), Cof()))
+_COF_N2 = MapExpr(2, RATIONAL, (Cof(),))
+_DET_CUBE = MapExpr(3, RATIONAL, (TrivialDet((_x(3), _x(3)), 0, 0),))
+_ONE_ON_INVERTIBLES = MapExpr(2, RATIONAL, (TrivialDet((_x(0), _x(0)), 0, 0),))
+_UP = from_values(RATIONAL, [[1, 1], [0, 1]])
+_FLIP = from_values(RATIONAL, [[1, 0], [0, -1]])
+
+
+# (valid oracle, {probe input: how its image changes}, error, message)
+_REJECTIONS = [
+    (_DET2_N2, {_dil(2, -1): _plus(1, 1)}, NotMultiplicative,
+     "image of a determinant involution must square to I"),
+    (_DET2_N2, {_dil(2, -1): _plus(1, 2)}, NotMultiplicative,
+     "determinant involution images do not commute"),
+    (_DET2_N2, {_dil(2, -1): _const(identity(RATIONAL, 2))}, NotMultiplicative,
+     "involution eigenspace sizes are unbalanced"),
+    (_DET2_N2, {_dil(2, -1): lambda y: -y}, NotMultiplicative,
+     "involution eigenvectors are dependent"),
+    (
+        _DET2_N2,
+        {
+            _dil(2, -1): _const(identity(RATIONAL, 2)),
+            _gen(2, DiagUnit(2, _QM1)): _const(identity(RATIONAL, 2)),
+        },
+        NotMultiplicative,
+        "involution eigenvalue multiplicities match no canonical form",
+    ),
+    (_DET2_N2, {_gen(2, Swap(1, 2)): _plus(1, 2)}, NotMultiplicative,
+     "swap block is not an exchange of weight one"),
+    (_DET2_N2, {_gen(2, Transvection(1, 2, _Q1)): _plus(1, 1)}, NotMultiplicative,
+     "unit transvection image matches neither orientation"),
+    (_DET2_N2, {_gen(2, Transvection(1, 2, _Q2)): _plus(1, 2)}, NotMultiplicative,
+     "entry map is not additive"),
+    (_DET2_N2, {_dil(2, 2): _const(zeros(RATIONAL, 2))}, NotMultiplicative,
+     "dilation image is singular"),
+    (_DET2_N2, {_dil(2, 2): _plus(1, 1)}, NotMultiplicative,
+     "dilation image disagrees with the entry map"),
+    (_DET2_N2, {diag(RATIONAL, [_Q2, _Q2.inv()]): _plus(1, 1)}, NotMultiplicative,
+     "unimodular dilation image is off"),
+    (_DET_N3, {_dil(3, 2): _plus(3, 3)}, NotMultiplicative,
+     "dilation image tail is not scalar"),
+    (_DET_N3, {_gen(3, Transvection(2, 3, _Q1)): _const(identity(RATIONAL, 3))},
+     NotMultiplicative, "transvection images disagree across positions"),
+    (_DET2_COF_N3, {_gen(3, Transvection(2, 1, _QM1)): _plus(1, 2)}, NotMultiplicative,
+     "entry map does not fix 1"),
+    (_COF_N2, {_Q2 * unit_matrix(RATIONAL, 2, 1, 1): _plus(2, 2)}, NotMultiplicative,
+     "entry map is not multiplicative"),
+    (_COF_N2, {_gen(2, Transvection(1, 2, _Q1)): _plus(2, 1)}, NotMultiplicative,
+     "unit and transvection probes disagree"),
+    (_DET_CUBE, {_dil(3, 2): _plus(1, 1)}, NotMultiplicative,
+     "determinant block fails multiplicativity"),
+    (_DET_CUBE, {_gen(3, Swap(1, 2)): _plus(1, 1)}, NotMultiplicative,
+     "swap image leaves its determinant coset"),
+    (
+        _ONE_ON_INVERTIBLES,
+        {
+            _dil(2, 2): _const(_UP),
+            _dil(2, 3): _const(_FLIP),
+            _dil(2, 6): _const(_UP * _FLIP),
+            _dil(2, 15): _const(_FLIP),
+        },
+        NotMultiplicative,
+        "determinant block images do not commute",
+    ),
+    (_DET_N3, {Z3: _const(from_values(RATIONAL, [[0, 0, 0], [0, 0, 0]]))},
+     NotMultiplicative, "oracle output is not a square matrix"),
+    (_DET_N3, {Z3: _const(zeros(Q2, 3))}, FieldMismatch,
+     "oracle output lies outside the declared field"),
+]
+
+
+@pytest.mark.parametrize(
+    "expr, overrides, error, message", _REJECTIONS, ids=[m for *_, m in _REJECTIONS]
+)
+def test_every_reachable_rejection_is_pinned(expr, overrides, error, message):
+    # a valid oracle with one or two probe images changed; each change is
+    # read off the image the oracle gives at that probe
+    def oracle(a):
+        out = expr.evaluate(a)
+        change = overrides.get(a)
+        return out if change is None else change(out)
+
+    with pytest.raises(error) as info:
+        classify(oracle, RATIONAL, expr.n, seed=0)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_unit_recovery_checks_the_corank_one_images():
+    # the unit path reads phi and R off E_ij probes only; an oracle that lies
+    # at I - E_11 alone would otherwise get a report contradicting its own log
+    i3 = identity(RATIONAL, 3)
+    with pytest.raises(VerificationFailed) as info:
+        classify(lambda a: i3 if a == CO1 else a, RATIONAL, 3)
+    assert str(info.value) == "corank one image disagrees with the recovered plain form"
+
+
 def test_transpose_adversary():
     with pytest.raises(NotMultiplicative):
         classify(lambda a: a.transpose(), RATIONAL, 3)
@@ -515,6 +643,8 @@ def test_inconsistent_output_size():
 def test_dimension_guards():
     with pytest.raises(UnsupportedDimension):
         classify(lambda a: a, RATIONAL, 1)
+    with pytest.raises(UnsupportedDimension):
+        normalize_idempotents(lambda a: a, RATIONAL, 1)
     with pytest.raises(UnsupportedDimension):
         classify(lambda a: identity(RATIONAL, 4), RATIONAL, 3)
 
@@ -599,8 +729,6 @@ def test_report_doc_shape():
 
 
 def test_normalize_idempotents_public():
-    from multmap.classify import normalize_idempotents
-
     char = ScalarCharacter((("id", 1),))
     inner = MapExpr(3, RATIONAL, (TrivialDet((char,), 1, 1),))
     s0 = int_matrix(RATIONAL, [[1, 0, 1], [2, 1, 0], [0, 0, 1]])
@@ -617,10 +745,6 @@ def test_normalize_idempotents_public():
 
 
 # -- pinned reports -------------------------------------------------
-
-
-def _x(power):
-    return ScalarCharacter((("id", power),))
 
 
 def report_corpus():

@@ -67,6 +67,10 @@ def test_descriptor_validation():
         FieldDescriptor("rational", 2)
     with pytest.raises(FieldMismatch, match="^unknown field kind 'real'$"):
         FieldDescriptor(kind="real")
+    # a float, a string or a bool would build a field whose arithmetic fails
+    for d in (2.0, "2", True, Fraction(2)):
+        with pytest.raises(FieldMismatch, match="^quadratic radicand must be an int, got "):
+            quadratic(d)
     assert quadratic(-1).d == -1
     assert quadratic(10).d == 10
 

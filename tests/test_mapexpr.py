@@ -269,6 +269,55 @@ def test_r_forms_refuse_a_hom_or_an_eps_they_cannot_represent():
         assert build(IDENTITY_HOM, 1).eps == 1
 
 
+def test_expressions_and_forms_refuse_the_same_bad_arguments():
+    i2 = identity(RATIONAL, 2)
+    conjugator_builds = (
+        lambda r: MapExpr(2, RATIONAL, (Conj(r),)),
+        lambda r: NonDegenerateForm(RATIONAL, 2, IDENTITY_HOM, r, 0),
+        lambda r: DegenerateForm(RATIONAL, 2, X, IDENTITY_HOM, r, 1),
+    )
+    bad_conjugators = (
+        ("x", DimensionMismatch, "conjugator must be a matrix"),
+        (identity(Q2, 2), FieldMismatch, "conjugator over the wrong field"),
+        (identity(RATIONAL, 3), DimensionMismatch, "conjugator must be n x n"),
+        (int_matrix(RATIONAL, [[1, 1], [1, 1]]), SingularConjugator, "conjugator must be invertible"),
+    )
+    character_builds = (
+        lambda c: MapExpr(2, RATIONAL, (DetScale(c),)),
+        lambda c: MapExpr(2, RATIONAL, (TrivialDet((c,), 0, 0),)),
+        lambda c: DegenerateForm(RATIONAL, 2, c, IDENTITY_HOM, i2, 0),
+        lambda c: TrivialForm(RATIONAL, 2, (c,), 0, 0),
+    )
+    bad_characters = (
+        ("x", UnregisteredHom, "determinant characters must be ScalarCharacters"),
+        (char_of_hom(CONJUGATION_HOM), FieldMismatch, "conjugation character over a rational field"),
+    )
+    pad_builds = (
+        lambda pads: MapExpr(2, RATIONAL, (TrivialDet((X,), *pads),)),
+        lambda pads: TrivialForm(RATIONAL, 2, (X,), *pads),
+    )
+    bad_pads = (
+        (("1", 0), DimensionMismatch, "padding sizes must be integers"),
+        ((0, 1.0), DimensionMismatch, "padding sizes must be integers"),
+        ((True, 0), DimensionMismatch, "padding sizes must be integers"),
+        ((-1, 2), DimensionMismatch, "padding sizes must be nonnegative"),
+        ((0, -1), DimensionMismatch, "padding sizes must be nonnegative"),
+    )
+    # one check per invariant: an expression and a form refuse alike
+    for builds, cases in (
+        (conjugator_builds, bad_conjugators),
+        (character_builds, bad_characters),
+        (pad_builds, bad_pads),
+    ):
+        for build in builds:
+            for arg, error, message in cases:
+                with pytest.raises(error) as info:
+                    build(arg)
+                assert type(info.value) is error and str(info.value) == message
+    with pytest.raises(DimensionMismatch, match="^padded determinant map needs k >= 1$"):
+        TrivialForm(RATIONAL, 2, (), 0, 0)
+
+
 def test_canonical_eq_up_to_presentation():
     r1 = int_matrix(RATIONAL, [[2, 0], [0, 2]])
     a = NonDegenerateForm(RATIONAL, 2, IDENTITY_HOM, identity(RATIONAL, 2), 0)

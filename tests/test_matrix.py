@@ -338,6 +338,20 @@ def test_conjugator_rejects_corrupted_units():
     units[0][1] = int_matrix(RATIONAL, [[0, 1], [1, 0]])
     with pytest.raises(NotMatrixUnits):
         conjugator_from_units(units)
+    # the zero family satisfies every relation but holds no unit structure
+    z2 = zeros(RATIONAL, 2)
+    with pytest.raises(NotMatrixUnits, match="^F_11 is zero, no unit structure to recover$"):
+        conjugator_from_units([[z2, z2], [z2, z2]])
+
+
+def test_structural_recoveries_refuse_mismatched_shapes():
+    i2 = identity(RATIONAL, 2)
+    with pytest.raises(DimensionMismatch, match="^idempotent pair must be square of equal size$"):
+        split_idempotent_pair(zeros(RATIONAL, 2), identity(RATIONAL, 3))
+    with pytest.raises(DimensionMismatch, match="^unit family must be square$"):
+        conjugator_from_units([[i2, i2]])
+    with pytest.raises(DimensionMismatch, match="^full unit recovery needs n x n units in M_n$"):
+        conjugator_from_units([[i2]])
 
 
 def test_normalize_scale():

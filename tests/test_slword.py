@@ -252,13 +252,6 @@ def test_evaluate_word_reports_the_last_bad_generator_first():
         evaluate_word(word[:2], RATIONAL, 3)
 
 
-def test_random_sl_rejects_a_pool_outside_the_field():
-    with pytest.raises(FieldMismatch, match="^transvection scalar outside the field$"):
-        random_sl(random.Random(1), RATIONAL, 3, pool=[one(Q2)])
-    with pytest.raises(FieldMismatch, match="^diagonal scalar outside the field$"):
-        random_gl(random.Random(1), RATIONAL, 3, pool=[one(Q2)])
-
-
 def test_random_words_need_two_indices():
     for sample in (
         lambda rng: random_transvection_word(rng, RATIONAL, 1, 3),
