@@ -94,7 +94,7 @@ from .mapexpr import (
     TrivialForm,
 )
 from .slword import _apply_word, random_gl, random_transvection_word
-from .value import Value, _set
+from .value import Value
 
 MapOracle = Callable[[Matrix], Matrix]
 
@@ -223,30 +223,6 @@ class ClassifyReport(Value):
         "lambda_table",
         "probe_log",
     )
-
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        field: FieldDescriptor,
-        s: int,
-        l: int,
-        pre_conjugator: Matrix,
-        form: CanonicalForm,
-        hom_table: tuple[tuple[FieldElem, FieldElem], ...] | None,
-        lambda_table: tuple[tuple[FieldElem, FieldElem], ...] | None,
-        probe_log: tuple[tuple[Matrix, Matrix], ...],
-    ) -> None:
-        _set(self, "n", n)
-        _set(self, "k", k)
-        _set(self, "field", field)
-        _set(self, "s", s)
-        _set(self, "l", l)
-        _set(self, "pre_conjugator", pre_conjugator)
-        _set(self, "form", form)
-        _set(self, "hom_table", hom_table)
-        _set(self, "lambda_table", lambda_table)
-        _set(self, "probe_log", probe_log)
 
     def reconstructed_oracle(self) -> MapOracle:
         """The reported map, the one final verification checked."""

@@ -445,9 +445,6 @@ class HomTable(Value):
 
     __slots__ = ("table",)
 
-    def __init__(self, table: tuple[tuple[FieldElem, FieldElem], ...]) -> None:
-        _set(self, "table", table)
-
 
 def sampled_hom(pairs) -> HomTable:
     return HomTable(tuple((x, y) for x, y in pairs))

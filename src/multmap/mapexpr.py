@@ -54,7 +54,9 @@ from .value import Value, _set
 
 class ScalarCharacter(Value):
     """A formal product prod h^(p_h) over the registered homomorphisms,
-    evaluated at nonzero scalars. The empty product is the constant 1."""
+    evaluated at nonzero scalars. The empty product is the constant 1. An
+    unknown hom raises UnregisteredHom, and a power that is no int (bools
+    included) ParseError."""
 
     __slots__ = ("factors",)
 
@@ -63,6 +65,8 @@ class ScalarCharacter(Value):
         for kind, p in factors:
             if kind not in ("id", "conj"):
                 raise UnregisteredHom(f"character over unknown hom {kind!r}")
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise ParseError("character power must be an integer")
             merged[kind] = merged.get(kind, 0) + p
         canon = tuple(
             (kind, merged[kind]) for kind in ("id", "conj") if merged.get(kind, 0) != 0
@@ -120,8 +124,6 @@ class ScalarCharacter(Value):
             kind, p = entry.get("phi"), entry.get("pow")
             if kind not in ("id", "conj"):
                 raise ParseError(f"unknown character hom {kind!r}")
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise ParseError("character power must be an integer")
             factors.append((kind, p))
         return cls(tuple(factors))
 
@@ -144,44 +146,36 @@ def char_of_hom(h: RingHom, power: int = 1) -> ScalarCharacter:
 class Conj(Value):
     __slots__ = ("R",)
 
-    def __init__(self, R: Matrix) -> None:
-        _set(self, "R", R)
-
 
 class Cof(Value):
     __slots__ = ()
-
-    def __init__(self) -> None:
-        pass
 
 
 class Hom(Value):
     __slots__ = ("phi",)
 
-    def __init__(self, phi: RingHom) -> None:
-        _set(self, "phi", phi)
-
 
 class DetScale(Value):
     __slots__ = ("character",)
 
-    def __init__(self, character: ScalarCharacter) -> None:
-        _set(self, "character", character)
-
 
 class TrivialDet(Value):
     __slots__ = ("chars", "zero_pad", "one_pad")
-
-    def __init__(self, chars: tuple[ScalarCharacter, ...], zero_pad: int, one_pad: int) -> None:
-        _set(self, "chars", chars)
-        _set(self, "zero_pad", zero_pad)
-        _set(self, "one_pad", one_pad)
 
 
 Atom = Conj | Cof | Hom | DetScale | TrivialDet
 
 
 # -- expressions -----------------------------------------------------------------
+
+
+def _check_domain(field, n) -> None:
+    """Refuse a field that is no FieldDescriptor, with FieldMismatch, and an
+    n that is no int of at least 1 (bools included), with DimensionMismatch."""
+    if not isinstance(field, FieldDescriptor):
+        raise FieldMismatch("maps need a FieldDescriptor field")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DimensionMismatch("maps need n >= 1")
 
 
 def _check_character(char, fd: FieldDescriptor) -> None:
@@ -222,14 +216,15 @@ def _check_padded(chars, zero_pad, one_pad, fd: FieldDescriptor) -> None:
 
 class MapExpr(Value):
     """A composite of atoms acting on M_n over a fixed field; atoms[-1] is
-    applied first, so the list reads like function composition."""
+    applied first, so the list reads like function composition. A field
+    that is no FieldDescriptor raises FieldMismatch, and an n that is no int
+    of at least 1 DimensionMismatch, here and in the three forms."""
 
     __slots__ = ("n", "field", "atoms")
 
     def __init__(self, n: int, field: FieldDescriptor, atoms: tuple[Atom, ...]) -> None:
         atoms = tuple(atoms)
-        if n < 1:
-            raise DimensionMismatch("maps need n >= 1")
+        _check_domain(field, n)
         for atom in atoms:
             if isinstance(atom, TrivialDet):
                 if len(atoms) != 1:
@@ -409,6 +404,7 @@ class TrivialForm(Value):
         zero_pad: int,
         one_pad: int,
     ) -> None:
+        _check_domain(field, n)
         _check_padded(chars, zero_pad, one_pad, field)
         _set(self, "field", field)
         _set(self, "n", n)
@@ -454,6 +450,7 @@ class DegenerateForm(Value):
         R: Matrix,
         eps: int,
     ) -> None:
+        _check_domain(field, n)
         _check_character(lam, field)
         _check_core(field, n, phi, R, eps)
         _set(self, "field", field)
@@ -489,6 +486,7 @@ class NonDegenerateForm(Value):
     kind = "nondegenerate"
 
     def __init__(self, field: FieldDescriptor, n: int, phi: RingHom, R: Matrix, eps: int) -> None:
+        _check_domain(field, n)
         _check_core(field, n, phi, R, eps)
         _set(self, "field", field)
         _set(self, "n", n)

@@ -490,13 +490,16 @@ def _check_index(n: int, i: int, j: int | None = None, allow_equal: bool = False
 
 
 class Transvection(Value):
-    """P_ij(k) = I + k E_ij with i != j; determinant one."""
+    """P_ij(k) = I + k E_ij with i != j; determinant one. A k that is no
+    FieldElem raises FieldMismatch."""
 
     __slots__ = ("i", "j", "k")
 
     def __init__(self, i: int, j: int, k: FieldElem) -> None:
         if i < 1 or j < 1 or i == j:
             raise IndexOutOfRange("transvection needs distinct one-based indices")
+        if not isinstance(k, FieldElem):
+            raise FieldMismatch("transvection scalar must be a field element")
         _set(self, "i", i)
         _set(self, "j", j)
         _set(self, "k", k)
@@ -506,13 +509,16 @@ class Transvection(Value):
 
 
 class DiagUnit(Value):
-    """D_i(k) = I + (k - 1) E_ii with k != 0; determinant k."""
+    """D_i(k) = I + (k - 1) E_ii with k != 0; determinant k. A k that is no
+    FieldElem raises FieldMismatch."""
 
     __slots__ = ("i", "k")
 
     def __init__(self, i: int, k: FieldElem) -> None:
         if i < 1:
             raise IndexOutOfRange("diagonal unit needs a one-based index")
+        if not isinstance(k, FieldElem):
+            raise FieldMismatch("diagonal scalar must be a field element")
         if k.is_zero:
             raise SingularMatrix("diagonal unit with zero scale")
         _set(self, "i", i)
@@ -553,7 +559,7 @@ def _check_generator(gen: Generator, fd: FieldDescriptor, n: int) -> None:
     elif isinstance(gen, Swap):
         _check_index(n, gen.i, gen.j)
     else:
-        raise TypeError(f"not an elementary generator: {gen!r}")
+        raise ParseError(f"not a word generator: {gen!r}")
 
 
 def gen_matrix(gen: Generator, fd: FieldDescriptor, n: int) -> Matrix:

@@ -50,7 +50,7 @@ from .matrix import (
     _check_generator,
     identity,
 )
-from .value import Value, _set
+from .value import Value
 
 
 @cache
@@ -136,10 +136,6 @@ class GlFactorization(Value):
     """m = D_1(det_scalar) * product(word)."""
 
     __slots__ = ("det_scalar", "word")
-
-    def __init__(self, det_scalar: FieldElem, word: list) -> None:
-        _set(self, "det_scalar", det_scalar)
-        _set(self, "word", word)
 
     def evaluate(self, fd: FieldDescriptor, n: int) -> Matrix:
         dilation = DiagUnit(1, self.det_scalar)

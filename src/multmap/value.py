@@ -4,8 +4,10 @@ Field descriptors, homomorphism tags, elementary generators, map atoms and
 expressions, canonical forms, factorizations, fuzz settings, verdicts and
 classification reports are all records: a few named fields, compared and
 hashed by value, never changed after construction. Value gives them that
-behaviour from their __slots__ alone. Nothing is generated or compiled when
-a class is defined, so importing the package stays cheap.
+behaviour, and a constructor, from their __slots__ alone; a record writes
+its own __init__ only when it checks, normalises or defaults its arguments.
+Nothing is generated or compiled when a class is defined, so importing the
+package stays cheap.
 """
 
 from __future__ import annotations
@@ -19,15 +21,19 @@ class Value:
     """Base of an immutable record whose fields are its __slots__.
 
     A subclass names its fields, in constructor order, as its __slots__ (a
-    tuple; a subclass of a record adds its own after its parent's) and
-    writes each one once in its own __init__ with
-    _set(self, name, value), since instances are immutable: assigning or
-    deleting any attribute of an instance raises AttributeError. Equality
-    and hashing go by value: two records are equal exactly when they are of
-    the same class (no subclass matches) and their field tuples are equal,
-    and the hash is that of the field tuple, so it agrees with ==. repr is
-    Name(field=value, ...) with the fields in slot order. Copying and
-    pickling rebuild a record through its constructor from the field tuple.
+    tuple; a subclass of a record adds its own after its parent's). The
+    derived constructor takes exactly those fields, by position or by
+    keyword, and raises TypeError for a missing field, an extra argument, an
+    unknown name or a field given twice. A record that checks, normalises or
+    defaults its arguments writes its own __init__ instead and sets each
+    field once with _set(self, name, value), since instances are immutable:
+    assigning or deleting any attribute of an instance raises
+    AttributeError. Equality and hashing go by value: two records are equal
+    exactly when they are of the same class (no subclass matches) and their
+    field tuples are equal, and the hash is that of the field tuple, so it
+    agrees with ==. repr is Name(field=value, ...) with the fields in slot
+    order. Copying and pickling rebuild a record through its constructor
+    from the field tuple.
     """
 
     __slots__ = ()
@@ -47,6 +53,19 @@ class Value:
                 return tuple(getattr(self, name) for name in names)
 
         cls._fields = staticmethod(fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._names
+        rest = names[len(args):]
+        if len(args) + len(kwargs) != len(names) or not all(name in kwargs for name in rest):
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes ({', '.join(names)}), each once; "
+                f"got {len(args)} positional and keywords {sorted(kwargs)}"
+            )
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in rest:
+            _set(self, name, kwargs[name])
 
     def __eq__(self, other) -> bool:
         if self is other:

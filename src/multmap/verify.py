@@ -35,18 +35,6 @@ class FuzzConfig(Value):
 class Verdict(Value):
     __slots__ = ("passed", "counterexample", "samples", "seed")
 
-    def __init__(
-        self,
-        passed: bool,
-        counterexample: tuple[Matrix, Matrix | None] | None,
-        samples: int,
-        seed: int,
-    ) -> None:
-        _set(self, "passed", passed)
-        _set(self, "counterexample", counterexample)
-        _set(self, "samples", samples)
-        _set(self, "seed", seed)
-
     def to_doc(self) -> dict:
         ce = None
         if self.counterexample is not None:

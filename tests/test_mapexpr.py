@@ -303,11 +303,26 @@ def test_expressions_and_forms_refuse_the_same_bad_arguments():
         ((-1, 2), DimensionMismatch, "padding sizes must be nonnegative"),
         ((0, -1), DimensionMismatch, "padding sizes must be nonnegative"),
     )
+    domain_builds = (
+        lambda fn: MapExpr(fn[1], fn[0], ()),
+        lambda fn: TrivialForm(*fn, (X,), 0, 0),
+        lambda fn: DegenerateForm(*fn, X, IDENTITY_HOM, i2, 0),
+        lambda fn: NonDegenerateForm(*fn, IDENTITY_HOM, i2, 0),
+    )
+    bad_domains = (
+        (("rational", 2), FieldMismatch, "maps need a FieldDescriptor field"),
+        ((None, 2), FieldMismatch, "maps need a FieldDescriptor field"),
+        ((RATIONAL, 0), DimensionMismatch, "maps need n >= 1"),
+        ((RATIONAL, "2"), DimensionMismatch, "maps need n >= 1"),
+        ((RATIONAL, 2.0), DimensionMismatch, "maps need n >= 1"),
+        ((RATIONAL, True), DimensionMismatch, "maps need n >= 1"),
+    )
     # one check per invariant: an expression and a form refuse alike
     for builds, cases in (
         (conjugator_builds, bad_conjugators),
         (character_builds, bad_characters),
         (pad_builds, bad_pads),
+        (domain_builds, bad_domains),
     ):
         for build in builds:
             for arg, error, message in cases:
@@ -316,6 +331,47 @@ def test_expressions_and_forms_refuse_the_same_bad_arguments():
                 assert type(info.value) is error and str(info.value) == message
     with pytest.raises(DimensionMismatch, match="^padded determinant map needs k >= 1$"):
         TrivialForm(RATIONAL, 2, (), 0, 0)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: MapExpr(2, "Q", (Cof(),)), FieldMismatch, "maps need a FieldDescriptor field"),
+        (lambda: MapExpr("2", RATIONAL, ()), DimensionMismatch, "maps need n >= 1"),
+        (
+            lambda: TrivialForm("Q", 2, (ScalarCharacter((("conj", 1),)),), 0, 0),
+            FieldMismatch,
+            "maps need a FieldDescriptor field",
+        ),
+        (lambda: TrivialForm(RATIONAL, "x", (), 1, 0), DimensionMismatch, "maps need n >= 1"),
+        (
+            lambda: DegenerateForm(None, 2, X, IDENTITY_HOM, identity(RATIONAL, 2), 0),
+            FieldMismatch,
+            "maps need a FieldDescriptor field",
+        ),
+        (
+            lambda: NonDegenerateForm(RATIONAL, True, IDENTITY_HOM, identity(RATIONAL, 1), 0),
+            DimensionMismatch,
+            "maps need n >= 1",
+        ),
+        (lambda: ScalarCharacter((("id", "2"),)), ParseError, "character power must be an integer"),
+        (lambda: ScalarCharacter((("id", True),)), ParseError, "character power must be an integer"),
+    ],
+    ids=[
+        "expr-field",
+        "expr-n",
+        "trivial-field",
+        "trivial-n",
+        "degenerate-field",
+        "nondegenerate-bool-n",
+        "character-str-power",
+        "character-bool-power",
+    ],
+)
+def test_records_refuse_a_field_n_or_power_they_cannot_represent(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_canonical_eq_up_to_presentation():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from multmap.errors import (
     DimensionMismatch,
+    FieldMismatch,
     IndexOutOfRange,
     NotCommutingIdempotents,
     NotMatrixUnits,
@@ -250,6 +251,15 @@ def test_generator_validation():
         Swap(1, 1)
     with pytest.raises(IndexOutOfRange):
         gen_matrix(Transvection(1, 4, one(RATIONAL)), RATIONAL, 3)
+
+
+def test_generators_refuse_scalars_and_objects_they_cannot_represent():
+    with pytest.raises(FieldMismatch, match="^transvection scalar must be a field element$"):
+        Transvection(1, 2, 3)
+    with pytest.raises(FieldMismatch, match="^diagonal scalar must be a field element$"):
+        DiagUnit(1, 3)
+    with pytest.raises(ParseError, match="^not a word generator: 'x'$"):
+        gen_matrix("x", RATIONAL, 2)
 
 
 def test_unit_and_idempotent_constructors():

@@ -5,7 +5,10 @@ atoms and expressions, canonical forms, factorizations, fuzz settings,
 verdicts, classification reports) is built from the shared Value base. Each
 test below runs over all of them: construction by position and by keyword,
 equality and hashing by value with an exact class match, immutability, the
-Name(field=value, ...) repr, and copying.
+Name(field=value, ...) repr, and copying. The records that take the
+constructor Value derives from their slots are also checked to refuse, with
+a TypeError, an extra argument, a missing field, an unknown keyword and a
+field given twice.
 """
 
 import copy
@@ -193,3 +196,69 @@ def test_copies_are_equal_records(cls, fields, change):
     assert copy.copy(a) == a
     assert copy.deepcopy(a) == a
     assert pickle.loads(pickle.dumps(a)) == a
+
+
+# the records whose constructor is the one Value derives from their slots
+DERIVED = {HomTable, Conj, Cof, Hom, DetScale, TrivialDet, GlFactorization, Verdict, ClassifyReport}
+DERIVED_RECORDS = [record for record in RECORDS if record[0] in DERIVED]
+
+
+def over(records):
+    return pytest.mark.parametrize(
+        "cls, fields, change", records, ids=[cls.__name__ for cls, _, _ in records]
+    )
+
+
+derived = over(DERIVED_RECORDS)
+# Cof has no field to leave out or to give twice
+derived_with_fields = over([record for record in DERIVED_RECORDS if record[1]])
+
+
+def refuses(cls, *args, **kwargs):
+    """The TypeError message of cls(*args, **kwargs), which must name the
+    class and its fields in slot order."""
+    with pytest.raises(TypeError) as info:
+        cls(*args, **kwargs)
+    message = str(info.value)
+    assert message.startswith(f"{cls.__name__} takes ({', '.join(cls.__match_args__)}), ")
+    return message
+
+
+@derived
+def test_derived_constructor_is_the_only_one(cls, fields, change):
+    assert len(DERIVED_RECORDS) == len(DERIVED) == 9
+    assert "__init__" not in cls.__dict__
+    assert cls.__init__ is Value.__init__
+
+
+@derived
+def test_derived_constructor_refuses_an_extra_positional_argument(cls, fields, change):
+    refuses(cls, *[value for _, value in fields], None)
+
+
+@derived
+def test_derived_constructor_refuses_an_unknown_keyword(cls, fields, change):
+    assert "'extra'" in refuses(cls, **dict(fields), extra=1)
+
+
+@derived_with_fields
+def test_derived_constructor_refuses_a_missing_field(cls, fields, change):
+    for i, (name, _) in enumerate(fields):
+        keywords = dict(fields)
+        del keywords[name]
+        refuses(cls, **keywords)
+        refuses(cls, *[value for _, value in fields[:i]])
+
+
+@derived_with_fields
+def test_derived_constructor_refuses_a_field_given_twice(cls, fields, change):
+    for i, (name, value) in enumerate(fields):
+        positional = [v for _, v in fields[: i + 1]]
+        rest = dict(fields[i + 1 :])
+        assert f"'{name}'" in refuses(cls, *positional, **rest, **{name: value})
+
+
+def test_a_record_without_fields_takes_no_arguments():
+    assert Cof() == Cof(*[]) == Cof(**{})
+    assert refuses(Cof, 1) == "Cof takes (), each once; got 1 positional and keywords []"
+    assert refuses(Cof, R=R) == "Cof takes (), each once; got 0 positional and keywords ['R']"
