@@ -24,7 +24,11 @@ stage runs next, and calls each stage from one place, in this order:
                          or E_11 dies but none of them do (cofactor)
   cofactor check         in the cofactor case: eps = 1, lam = id, and the
                          corank one images match the form
-  final verification     fresh samples against A -> S form(A) S^-1
+  final verification     fresh samples against A -> S form(A) S^-1; on an
+                         invertible sample, a word D_1(x) P_1 ... P_8, the
+                         form's value is computed from the images of the
+                         generators with no elimination, on a singular one
+                         by the form itself
 
 Every probe goes through a Session that memoizes, logs and enforces a budget
 of 10 n^2 + 200 oracle calls. Each probe image must match an exact pattern,
@@ -62,6 +66,7 @@ from .field import (
     FieldDescriptor,
     FieldElem,
     RingHom,
+    _scale_row,
     format_scalar,
     one,
     scalars,
@@ -93,7 +98,7 @@ from .mapexpr import (
     ScalarCharacter,
     TrivialForm,
 )
-from .slword import _apply_word, random_gl, random_transvection_word
+from .slword import _dilated_word, _transvect, _transvection_triples, random_gl
 from .value import Value
 
 MapOracle = Callable[[Matrix], Matrix]
@@ -736,15 +741,17 @@ def _check_corank_one(w, fd: FieldDescriptor, n: int, form: NonDegenerateForm) -
 def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: int, seed: int):
     """Fresh random samples, invertible and singular, against the rebuilt
     oracle. The recovered form must match the oracle on every sample
-    exactly, and is evaluated before the oracle is asked."""
+    exactly, and is evaluated before the oracle is asked: on an invertible
+    sample D_1(x) P_1 ... P_8 its value is read off the images of the
+    generators (_word_image), on a singular one it is the form's own."""
     rng = random.Random(seed)
-    reported = _reported_map(form, s_total)
+    expect = _word_image(form, s_total)
     lam_pool = _lam_pool(fd)
     for i in range(VERIFY_INVERTIBLE):
-        # D_1(x) times a word: the dilation scales the first row last
-        dilation = DiagUnit(1, lam_pool[i % len(lam_pool)])
-        word = random_transvection_word(rng, fd, n, 8)
-        _check_sample(session, reported, _apply_word([dilation, *word], fd, n))
+        x = lam_pool[i % len(lam_pool)]
+        word = _transvection_triples(rng, fd, n, 8)
+        _check_sample(session, expect(x, word), _dilated_word(x, word, fd, n))
+    reported = _reported_map(form, s_total)
     z = zero(fd)
     for _ in range(VERIFY_SINGULAR):
         r = rng.randrange(0, n)
@@ -752,15 +759,64 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
         g2 = random_gl(rng, fd, n)
         # G1 diag(I_r, 0) is G1 with its columns from r on set to zero
         a = Matrix(fd, [row[:r] + (z,) * (n - r) for row in g1.rows]) * g2
-        _check_sample(session, reported, a)
+        _check_sample(session, reported(a), a)
 
 
-def _check_sample(session, reported: MapOracle, a: Matrix) -> None:
-    expected = reported(a)
+def _check_sample(session, expected: Matrix, a: Matrix) -> None:
     if session.call(a) != expected:
         raise VerificationFailed(
             "oracle and recovered form disagree on a fresh sample"
         )
+
+
+def _word_image(form: CanonicalForm, s: Matrix):
+    """expect(x, word) = S form(D_1(x) P_1 ... P_m) S^-1 for a word of
+    one-based (i, j, k) triples standing for transvections P_ij(k), computed
+    from the images of the generators with no elimination.
+
+    A trivial form depends on det = x alone. The other forms are
+    A -> lam(det A) R^-1 C^eps(phi(A)) R, lam = 1 when nondegenerate, and
+    phi(D_1(x)) = D_1(phi x), phi(P_ij(c)) = P_ij(phi c),
+    C(D_1(y)) = diag(1, y, ..., y), C(P_ij(c)) = P_ji(-c).
+    So the value is lam(x) (S R^-1) W (R S^-1), with S R^-1 and R S^-1 built
+    once and W the image word, applied as row operations to the rows of
+    R S^-1: one product per sample. What depends on x alone is cached per
+    x, which cycles through the lambda pool."""
+    fd, n = form.field, form.n
+    s_inv = s.inverse()
+    if isinstance(form, TrivialForm):
+
+        @cache
+        def block(x: FieldElem) -> Matrix:
+            return s * form.evaluate(gen_matrix(DiagUnit(1, x), fd, n)) * s_inv
+
+        return lambda x, word: block(x)
+
+    left = s * form.R.inverse()
+    left = None if left.is_identity else left
+    right_rows = (form.R * s_inv).rows
+    lam = form.lam if isinstance(form, DegenerateForm) else IDENTITY_CHAR
+    conj = form.phi.kind == "conj"
+
+    @cache
+    def dilation(x: FieldElem) -> tuple[FieldElem, ...]:
+        # lam(x) times the image of D_1(x), as its diagonal
+        lx = lam.evaluate(x)
+        y = lx * (x.conjugate() if conj else x)
+        return (lx,) + (y,) * (n - 1) if form.eps else (y,) + (lx,) * (n - 1)
+
+    def expect(x: FieldElem, word) -> Matrix:
+        if conj:
+            word = [(i, j, k.conjugate()) for i, j, k in word]
+        if form.eps:
+            word = [(j, i, -k) for i, j, k in word]
+        rows = _transvect(right_rows, word)
+        m = Matrix._of(
+            fd, [r if d.is_one else _scale_row(d, r) for d, r in zip(dilation(x), rows)]
+        )
+        return m if left is None else left * m
+
+    return expect
 
 
 # -- small helpers -------------------------------------------------------

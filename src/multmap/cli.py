@@ -10,11 +10,13 @@ Every command prints a single JSON document with sorted keys to stdout;
 diagnostics go to stderr. Exit codes: 0 success (a failing verdict is
 data, not an error), 2 parse errors, 3 dimension or field mismatches,
 4 oracle provably not multiplicative, 5 recovered form contradicted by
-a fresh sample, 6 unsupported dimensions, 1 any other library error.
+a fresh sample, 6 unsupported dimensions, 7 standard output closed before
+the whole document was written, 1 any other library error.
 """
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(code: int, exc: Exception) -> int:
+def _fail(code: int, exc: Exception | str) -> int:
     print(f"multmap: {exc}", file=sys.stderr)
     return code
 
@@ -334,7 +336,18 @@ def main(argv=None) -> int:
         return _fail(6, exc)
     except MultmapError as exc:
         return _fail(1, exc)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    closed = "standard output closed before the whole document was written"
+    if sys.stdout is None:
+        # started with no standard output at all
+        return _fail(7, closed)
+    try:
+        # flushed here, so that a reader that stops early shows up here and
+        # not at interpreter exit
+        print(json.dumps(doc, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # the exit flush would fail again on the unwritten rest; send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail(7, closed)
     return 0
 
 

@@ -54,15 +54,23 @@ from .value import Value, _set
 
 class ScalarCharacter(Value):
     """A formal product prod h^(p_h) over the registered homomorphisms,
-    evaluated at nonzero scalars. The empty product is the constant 1. An
-    unknown hom raises UnregisteredHom, and a power that is no int (bools
-    included) ParseError."""
+    evaluated at nonzero scalars. The empty product is the constant 1.
+    Factors that are no tuple or list of (hom, power) pairs, and a power that
+    is no int (bools included), raise ParseError; an unknown hom raises
+    UnregisteredHom."""
 
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[tuple[str, int], ...] = ()) -> None:
+        if not isinstance(factors, (tuple, list)):
+            raise ParseError(
+                f"character factors must be a tuple or list of (hom, power) pairs, got {factors!r}"
+            )
         merged: dict[str, int] = {}
-        for kind, p in factors:
+        for factor in factors:
+            if not isinstance(factor, (tuple, list)) or len(factor) != 2:
+                raise ParseError(f"character factor must be a (hom, power) pair, got {factor!r}")
+            kind, p = factor
             if kind not in ("id", "conj"):
                 raise UnregisteredHom(f"character over unknown hom {kind!r}")
             if not isinstance(p, int) or isinstance(p, bool):
@@ -218,11 +226,14 @@ class MapExpr(Value):
     """A composite of atoms acting on M_n over a fixed field; atoms[-1] is
     applied first, so the list reads like function composition. A field
     that is no FieldDescriptor raises FieldMismatch, and an n that is no int
-    of at least 1 DimensionMismatch, here and in the three forms."""
+    of at least 1 DimensionMismatch, here and in the three forms; atoms that
+    are no tuple or list raise ParseError."""
 
     __slots__ = ("n", "field", "atoms")
 
     def __init__(self, n: int, field: FieldDescriptor, atoms: tuple[Atom, ...]) -> None:
+        if not isinstance(atoms, (tuple, list)):
+            raise ParseError(f"map atoms must be a tuple or list of atoms, got {atoms!r}")
         atoms = tuple(atoms)
         _check_domain(field, n)
         for atom in atoms:

@@ -489,13 +489,25 @@ def _check_index(n: int, i: int, j: int | None = None, allow_equal: bool = False
             raise IndexOutOfRange("indices must differ")
 
 
+def _check_int_indices(what: str, *indices) -> None:
+    """Refuse generator indices that are no ints (bools included), with
+    IndexOutOfRange. The constructors call it only when an index is not a
+    plain int, since words build generators by the thousand."""
+    for i in indices:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise IndexOutOfRange(f"{what} index must be an int, got {i!r}")
+
+
 class Transvection(Value):
-    """P_ij(k) = I + k E_ij with i != j; determinant one. A k that is no
-    FieldElem raises FieldMismatch."""
+    """P_ij(k) = I + k E_ij with i != j; determinant one. An index that is no
+    int of at least one, or i = j, raises IndexOutOfRange, and a k that is no
+    FieldElem FieldMismatch."""
 
     __slots__ = ("i", "j", "k")
 
     def __init__(self, i: int, j: int, k: FieldElem) -> None:
+        if i.__class__ is not int or j.__class__ is not int:
+            _check_int_indices("transvection", i, j)
         if i < 1 or j < 1 or i == j:
             raise IndexOutOfRange("transvection needs distinct one-based indices")
         if not isinstance(k, FieldElem):
@@ -509,12 +521,15 @@ class Transvection(Value):
 
 
 class DiagUnit(Value):
-    """D_i(k) = I + (k - 1) E_ii with k != 0; determinant k. A k that is no
-    FieldElem raises FieldMismatch."""
+    """D_i(k) = I + (k - 1) E_ii with k != 0; determinant k. An index that
+    is no int of at least one raises IndexOutOfRange, and a k that is no
+    FieldElem FieldMismatch."""
 
     __slots__ = ("i", "k")
 
     def __init__(self, i: int, k: FieldElem) -> None:
+        if i.__class__ is not int:
+            _check_int_indices("diagonal unit", i)
         if i < 1:
             raise IndexOutOfRange("diagonal unit needs a one-based index")
         if not isinstance(k, FieldElem):
@@ -529,11 +544,14 @@ class DiagUnit(Value):
 
 
 class Swap(Value):
-    """The transposition matrix exchanging coordinates i and j; det -1."""
+    """The transposition matrix exchanging coordinates i and j; det -1. An
+    index that is no int of at least one, or i = j, raises IndexOutOfRange."""
 
     __slots__ = ("i", "j")
 
     def __init__(self, i: int, j: int) -> None:
+        if i.__class__ is not int or j.__class__ is not int:
+            _check_int_indices("swap", i, j)
         if i < 1 or j < 1 or i == j:
             raise IndexOutOfRange("swap needs distinct one-based indices")
         _set(self, "i", i)

@@ -166,9 +166,12 @@ def _word_length(n: int, length: int | None) -> int:
     return length
 
 
-def random_transvection_word(
+def _transvection_triples(
     rng: random.Random, fd: FieldDescriptor, n: int, length: int
-) -> list[Transvection]:
+) -> list[tuple[int, int, FieldElem]]:
+    """The one draw of a random transvection word, as one-based (i, j, k)
+    triples standing for P_ij(k): per generator a row i, a distinct column j
+    and a scalar of the default pool, in that order."""
     _word_length(n, length)
     pool = default_pool(fd)
     word = []
@@ -177,19 +180,45 @@ def random_transvection_word(
         j = rng.randrange(1, n)
         if j >= i:
             j += 1
-        word.append(Transvection(i, j, rng.choice(pool)))
+        word.append((i, j, rng.choice(pool)))
     return word
 
 
+def _transvect(rows, word) -> list:
+    """The rows of P_1 ... P_m M, for the rows of M and a word of (i, j, k)
+    triples: the transvections, last first, add k times row j to row i, one
+    fused update per nonzero entry of row j."""
+    rows = list(rows)
+    for i, j, k in reversed(word):
+        rows[i - 1] = _sub_mul_row(rows[i - 1], -k, rows[j - 1])
+    return rows
+
+
+def _dilated_word(x: FieldElem, word, fd: FieldDescriptor, n: int) -> Matrix:
+    """D_1(x) P_1 ... P_m for a word of (i, j, k) triples: the dilation
+    scales the first row last."""
+    rows = _transvect(identity(fd, n).rows, word)
+    rows[0] = _scale_row(x, rows[0])
+    return Matrix._of(fd, rows)
+
+
+def random_transvection_word(
+    rng: random.Random, fd: FieldDescriptor, n: int, length: int
+) -> list[Transvection]:
+    """The word of _transvection_triples as Transvection records."""
+    return [Transvection(i, j, k) for i, j, k in _transvection_triples(rng, fd, n, length)]
+
+
 def random_sl(rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None) -> Matrix:
-    return _apply_word(random_transvection_word(rng, fd, n, _word_length(n, length)), fd, n)
+    word = _transvection_triples(rng, fd, n, _word_length(n, length))
+    return Matrix._of(fd, _transvect(identity(fd, n).rows, word))
 
 
 def random_gl(rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None) -> Matrix:
     """D_1(d) times random_sl's product, d drawn from the pool first."""
     length = _word_length(n, length)
-    dilation = DiagUnit(1, rng.choice(default_pool(fd)))
-    return _apply_word([dilation, *random_transvection_word(rng, fd, n, length)], fd, n)
+    d = rng.choice(default_pool(fd))
+    return _dilated_word(d, _transvection_triples(rng, fd, n, length), fd, n)
 
 
 def random_unitriangular(rng: random.Random, fd: FieldDescriptor, n: int) -> Matrix:

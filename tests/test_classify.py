@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib
 import json
 import pickle
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from multmap.classify import (
+    VERIFY_INVERTIBLE,
     ClassifyReport,
     Session,
     _character_values,
@@ -15,7 +17,9 @@ from multmap.classify import (
     _final_verification,
     _lam_pool,
     _read,
+    _reported_map,
     _resolve_hom,
+    _word_image,
     classify,
     normalize_idempotents,
 )
@@ -32,6 +36,7 @@ from multmap.errors import (
 )
 from multmap.field import (
     CONJUGATION_HOM,
+    IDENTITY_HOM,
     RATIONAL,
     FieldElem,
     as_elem,
@@ -58,17 +63,22 @@ from multmap.mapexpr import (
     Cof,
     Conj,
     DetScale,
+    DegenerateForm,
     Hom,
     MapExpr,
     NonDegenerateForm,
     ScalarCharacter,
     TrivialDet,
+    TrivialForm,
     canonical_eq,
     simplify,
 )
-from multmap.slword import random_gl
+from multmap.slword import _dilated_word, _transvection_triples, evaluate_word, random_gl
 
-from helpers import int_matrix, random_mapexpr, rand_singular
+from helpers import int_matrix, rand_invertible, random_mapexpr, rand_singular
+
+# the module, not the function the package exports under the same name
+classify_module = importlib.import_module("multmap.classify")
 
 Q2 = quadratic(2)
 QI = quadratic(-1)
@@ -572,6 +582,16 @@ def test_shift_adversary():
         classify(lambda a: a + ident, RATIONAL, 3)
 
 
+def _verification_sample(fd, n, seed, index):
+    """The invertible final-verification sample number index, drawn as
+    _final_verification draws it."""
+    rng = random.Random(seed)
+    pool = _lam_pool(fd)
+    for _ in range(index + 1):
+        word = _transvection_triples(rng, fd, n, 8)
+    return _dilated_word(pool[index % len(pool)], word, fd, n)
+
+
 def test_liar_caught_by_final_verification():
     calls = {"n": 0}
 
@@ -582,6 +602,31 @@ def test_liar_caught_by_final_verification():
     with pytest.raises(VerificationFailed):
         classify(liar, RATIONAL, 3)
 
+    # a liar that differs from a true map on one invertible sample only, in
+    # every class and on both sides of eps and the hom
+    r = int_matrix(RATIONAL, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    r2 = int_matrix(Q2, [[1, 0, 0], [0, 1, 1], [1, 0, 1]]) + sqrt_gen(Q2) * unit_matrix(Q2, 3, 1, 2)
+    cases = (
+        ("trivial", MapExpr(3, RATIONAL, (TrivialDet((_x(1), _x(-2)), 1, 0),))),
+        ("degenerate", MapExpr(3, RATIONAL, (Conj(r), DetScale(_x(2))))),
+        ("nondegenerate", MapExpr(3, RATIONAL, (Conj(r),))),
+        ("nondegenerate", MapExpr(3, RATIONAL, (Conj(r), Cof()))),
+        ("degenerate", MapExpr(3, Q2, (Conj(r2), Cof(), Hom(CONJUGATION_HOM), DetScale(_x(1))))),
+    )
+    for kind, expr in cases:
+        fd, true_map = expr.field, expr.as_oracle()
+        report = classify(true_map, fd, 3, seed=5)
+        assert report.form.kind == kind
+        target = _verification_sample(fd, 3, 5, 23)
+        assert any(a == target for a, _ in report.probe_log)
+
+        def one_lie(a):
+            out = true_map(a)
+            return out + identity(fd, out.n_rows) if a == target else out
+
+        with pytest.raises(VerificationFailed, match="^oracle and recovered form disagree"):
+            classify(one_lie, fd, 3, seed=5)
+
 
 def test_a_form_over_a_hom_table_is_refused_at_construction():
     # an entry map known only at 0 and 1 is no ring homomorphism, so no form
@@ -591,16 +636,96 @@ def test_a_form_over_a_hom_table_is_refused_at_construction():
         NonDegenerateForm(RATIONAL, 3, table, identity(RATIONAL, 3), 0)
 
 
-def test_final_verification_evaluates_the_form_before_asking_the_oracle():
-    class Unevaluable:
-        def evaluate(self, a):
-            raise UnregisteredHom("no form to evaluate")
+def test_final_verification_evaluates_the_form_before_asking_the_oracle(monkeypatch):
+    r = int_matrix(RATIONAL, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    s3 = int_matrix(RATIONAL, [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    cases = (
+        (NonDegenerateForm(RATIONAL, 3, IDENTITY_HOM, r, 1), s3),
+        (DegenerateForm(RATIONAL, 3, _x(2), IDENTITY_HOM, r, 0), identity(RATIONAL, 3)),
+        (TrivialForm(RATIONAL, 3, (_x(1),), 1, 0), int_matrix(RATIONAL, [[1, 1], [0, 2]])),
+    )
 
-    for s_total in (identity(RATIONAL, 3), int_matrix(RATIONAL, [[1, 1, 0], [0, 1, 0], [0, 0, 2]])):
-        session = Session(lambda a: a + a, RATIONAL, 3)
+    def unevaluable(*args):
+        raise UnregisteredHom("no form to evaluate")
+
+    # invertible samples: the expectation comes first, so the oracle is
+    # never asked
+    with monkeypatch.context() as patch:
+        patch.setattr(classify_module, "_word_image", lambda form, s: unevaluable)
+        for form, s_total in cases:
+            session = Session(lambda a: a + a, RATIONAL, 3)
+            with pytest.raises(UnregisteredHom, match="^no form to evaluate$"):
+                _final_verification(session, s_total, form, RATIONAL, 3, seed=7)
+            assert session.log == []
+    # singular samples: the oracle answers every invertible one truly, and
+    # is not asked at the first singular one
+    monkeypatch.setattr(classify_module, "_reported_map", lambda form, s: unevaluable)
+    for form, s_total in cases:
+        true_map = _reported_map(form, s_total)
+        session = Session(true_map, RATIONAL, 3)
         with pytest.raises(UnregisteredHom, match="^no form to evaluate$"):
-            _final_verification(session, s_total, Unevaluable(), RATIONAL, 3, seed=7)
-        assert session.log == []
+            _final_verification(session, s_total, form, RATIONAL, 3, seed=7)
+        assert 0 < len(session.log) <= VERIFY_INVERTIBLE
+        assert all(not a.det.is_zero for a, _ in session.log)
+
+
+def _dense(rng, fd, n):
+    return rand_invertible(rng, fd, n, span=2)
+
+
+def _word_image_forms(rng, fd, n):
+    """(form, S) pairs over fd at size n: a trivial form with S = I and with
+    a dense S, and for each class, hom and eps one form, its (R, S) choice
+    from {I, dense}^2 rotating with n so that every n and field meets each."""
+    ident = identity(fd, n)
+    chars = (_x(1), _x(-2)) + ((ScalarCharacter((("conj", 1),)),) if fd.is_quadratic else ())
+    trivial = TrivialForm(fd, n, chars, 1, 1)
+    k = trivial.k
+    out = [(trivial, identity(fd, k)), (trivial, _dense(rng, fd, k))]
+    homs = (IDENTITY_HOM, CONJUGATION_HOM) if fd.is_quadratic else (IDENTITY_HOM,)
+    lam = ScalarCharacter((("id", 2),) + ((("conj", -1),) if fd.is_quadratic else ()))
+    t = n
+    for phi in homs:
+        for eps in (0, 1):
+            for degenerate in (False, True):
+                dense_r, dense_s = divmod(t % 4, 2)
+                t += 1
+                rr = _dense(rng, fd, n) if dense_r else ident
+                ss = _dense(rng, fd, n) if dense_s else ident
+                if degenerate:
+                    out.append((DegenerateForm(fd, n, lam, phi, rr, eps), ss))
+                else:
+                    out.append((NonDegenerateForm(fd, n, phi, rr, eps), ss))
+    return out
+
+
+@pytest.mark.parametrize(
+    "fd",
+    [RATIONAL, Q2, QI, quadratic(-3)],
+    ids=lambda fd: "rational" if fd.d is None else f"d={fd.d}",
+)
+def test_word_image_matches_the_reported_map(fd):
+    # the generator-image expectation of final verification against the
+    # form's own value, at every pool scalar
+    rng = random.Random(f"word-image:{fd.d}")
+    seen = set()
+    for n in range(2, 9):
+        for form, s in _word_image_forms(rng, fd, n):
+            if form.kind != "trivial":
+                seen.add((form.kind, form.eps, form.phi, form.R.is_identity, s.is_identity))
+            expect, reported = _word_image(form, s), _reported_map(form, s)
+            for x in _lam_pool(fd):
+                word = _transvection_triples(rng, fd, n, 8)
+                a = _dilated_word(x, word, fd, n)
+                gens = [DiagUnit(1, x)] + [Transvection(i, j, k) for i, j, k in word]
+                assert a == evaluate_word(gens, fd, n)
+                assert expect(x, word) == reported(a), (form, s, x, word)
+    # every class, hom and eps met R = I, a dense R, S = I and a dense S
+    for kind in ("degenerate", "nondegenerate"):
+        for phi in (IDENTITY_HOM, CONJUGATION_HOM) if fd.is_quadratic else (IDENTITY_HOM,):
+            for eps in (0, 1):
+                combos = {(r, s) for k, e, p, r, s in seen if (k, e, p) == (kind, eps, phi)}
+                assert combos == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_entry_map_tables_fit_the_identity_or_the_conjugation_only():

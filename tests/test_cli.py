@@ -484,6 +484,31 @@ def test_stdout_is_canonical_json():
         assert out == golden(json.loads(out))
 
 
+CLOSED_STDOUT = "multmap: standard output closed before the whole document was written\n"
+
+
+def test_closed_stdout_ends_in_exit_7_without_a_traceback():
+    # a reader gone before the first write, and one that stops after a byte
+    # of a classify report larger than a pipe holds (about 100 KB)
+    for argv, read in ((["gen", "sl", "--n", "2"], 0), (["classify", "cofactor:5"], 1)):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "multmap", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 7
+        assert err == CLOSED_STDOUT
+    # started with no standard output at all: nothing was written either
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m multmap gen sl --n 2 >&-', sys.executable],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (7, CLOSED_STDOUT)
+
+
 def test_cli_import_generates_no_code():
     # dataclasses (which pulls in inspect and ast) and typing cost start-up
     # time on every run; the package uses neither

@@ -374,6 +374,34 @@ def test_records_refuse_a_field_n_or_power_they_cannot_represent(build, error, m
     assert type(info.value) is error and str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: MapExpr(2, RATIONAL, Cof()),
+            "map atoms must be a tuple or list of atoms, got Cof()",
+        ),
+        (
+            lambda: ScalarCharacter((("id", 1, 2),)),
+            "character factor must be a (hom, power) pair, got ('id', 1, 2)",
+        ),
+        (
+            lambda: ScalarCharacter(("id",)),
+            "character factor must be a (hom, power) pair, got 'id'",
+        ),
+        (
+            lambda: ScalarCharacter("id"),
+            "character factors must be a tuple or list of (hom, power) pairs, got 'id'",
+        ),
+    ],
+    ids=["expr-atoms-not-a-sequence", "character-triple", "character-bare-hom", "character-str"],
+)
+def test_records_refuse_atoms_and_factors_of_the_wrong_shape(build, message):
+    with pytest.raises(ParseError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_canonical_eq_up_to_presentation():
     r1 = int_matrix(RATIONAL, [[2, 0], [0, 2]])
     a = NonDegenerateForm(RATIONAL, 2, IDENTITY_HOM, identity(RATIONAL, 2), 0)

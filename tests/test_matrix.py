@@ -262,6 +262,22 @@ def test_generators_refuse_scalars_and_objects_they_cannot_represent():
         gen_matrix("x", RATIONAL, 2)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda k: Transvection("1", 2, k), "transvection index must be an int, got '1'"),
+        (lambda k: Transvection(1, 2.0, k), "transvection index must be an int, got 2.0"),
+        (lambda k: DiagUnit(True, k), "diagonal unit index must be an int, got True"),
+        (lambda k: Swap(1.0, 2), "swap index must be an int, got 1.0"),
+        (lambda k: Swap(1, False), "swap index must be an int, got False"),
+    ],
+)
+def test_generators_refuse_indices_that_are_no_ints(build, message):
+    with pytest.raises(IndexOutOfRange) as info:
+        build(one(RATIONAL))
+    assert str(info.value) == message
+
+
 def test_unit_and_idempotent_constructors():
     e12 = unit_matrix(RATIONAL, 3, 1, 2)
     assert e12 == int_matrix(RATIONAL, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
