@@ -56,7 +56,6 @@ from .errors import (
     NotMultiplicative,
     OracleBudgetExceeded,
     RankLadderViolation,
-    SingularMatrix,
     UnsupportedDimension,
     VerificationFailed,
 )
@@ -180,6 +179,8 @@ class _Working:
     def __init__(self, session: Session, s_mat: Matrix, l: int, z_pad: int, s_pad: int):
         fd = session.fd
         self.session = session
+        # not left to the identity shortcut of Matrix.__mul__: it would scan
+        # S and S^-1 on every probe
         self.basis_change = None if s_mat.is_identity else (s_mat, s_mat.inverse())
         self.l = l
         self.z_pad = z_pad
@@ -273,8 +274,6 @@ def classify(oracle: MapOracle, fd: FieldDescriptor, n: int, seed: int = 0) -> C
     fresh sample, UnsupportedDimension for n < 2 or image size above n, and
     OracleBudgetExceeded when the probe allowance runs out.
     """
-    if n < 2:
-        raise UnsupportedDimension("classification needs a source of size at least 2")
     session = Session(oracle, fd, n)
     s_total, s_pad, l = _normalize_idempotents(session)
     k = session.k
@@ -311,13 +310,13 @@ def normalize_idempotents(oracle: MapOracle, fd: FieldDescriptor, n: int):
 
     Returns (S, s, l) with S^-1 Phi(0) S = diag(0_l, 0, I_s) and
     S^-1 Phi(I) S = diag(I_l, 0, I_s)."""
-    if n < 2:
-        raise UnsupportedDimension("classification needs a source of size at least 2")
     return _normalize_idempotents(Session(oracle, fd, n))
 
 
 def _normalize_idempotents(session: Session):
     fd, n = session.fd, session.n
+    if n < 2:
+        raise UnsupportedDimension("classification needs a source of size at least 2")
     p_zero = session.call(zeros(fd, n))
     if session.k > n:
         raise UnsupportedDimension(
@@ -396,12 +395,9 @@ def _joint_diagonalize(mats, cand_vals, fd: FieldDescriptor, l: int):
     for m_x, vals in zip(mats, cand_vals):
         refined = []
         for basis, eigs in blocks:
-            try:
-                t = solve_exact(basis, m_x * basis)
-            except SingularMatrix as exc:
-                raise NotMultiplicative(
-                    "probe image does not preserve a joint eigenspace"
-                ) from exc
+            # m_x commutes with the earlier images (checked above), so it keeps
+            # their joint eigenspaces and this solve cannot fail
+            t = solve_exact(basis, m_x * basis)
             m = basis.n_cols
             ident = identity(fd, m)
             covered = 0
@@ -793,7 +789,6 @@ def _word_image(form: CanonicalForm, s: Matrix):
         return lambda x, word: block(x)
 
     left = s * form.R.inverse()
-    left = None if left.is_identity else left
     right_rows = (form.R * s_inv).rows
     lam = form.lam if isinstance(form, DegenerateForm) else IDENTITY_CHAR
     conj = form.phi.kind == "conj"
@@ -814,7 +809,7 @@ def _word_image(form: CanonicalForm, s: Matrix):
         m = Matrix._of(
             fd, [r if d.is_one else _scale_row(d, r) for d, r in zip(dilation(x), rows)]
         )
-        return m if left is None else left * m
+        return left * m
 
     return expect
 
@@ -836,9 +831,7 @@ def _lam_pool(fd: FieldDescriptor) -> tuple[FieldElem, ...]:
 
 
 def _reported_map(form: CanonicalForm, s: Matrix) -> MapOracle:
-    """A -> S form(A) S^-1, or form.evaluate itself when S is the identity."""
-    if s.is_identity:
-        return form.evaluate
+    """A -> S form(A) S^-1."""
     s_inv = s.inverse()
     return lambda a: s * form.evaluate(a) * s_inv
 

@@ -45,7 +45,7 @@ from .field import (
     one,
     zero,
 )
-from .matrix import MAX_SIZE, Matrix, diag, identity, normalize_scale, zeros
+from .matrix import MAX_SIZE, Matrix, _check_domain, diag, identity, normalize_scale, zeros
 from .value import Value, _set
 
 
@@ -177,15 +177,6 @@ Atom = Conj | Cof | Hom | DetScale | TrivialDet
 # -- expressions -----------------------------------------------------------------
 
 
-def _check_domain(field, n) -> None:
-    """Refuse a field that is no FieldDescriptor, with FieldMismatch, and an
-    n that is no int of at least 1 (bools included), with DimensionMismatch."""
-    if not isinstance(field, FieldDescriptor):
-        raise FieldMismatch("maps need a FieldDescriptor field")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DimensionMismatch("maps need n >= 1")
-
-
 def _check_character(char, fd: FieldDescriptor) -> None:
     """Refuse a determinant character that is no ScalarCharacter
     (UnregisteredHom) or that needs the conjugation over Q (FieldMismatch)."""
@@ -209,8 +200,11 @@ def _check_conjugator(r, fd: FieldDescriptor, n: int) -> None:
 
 
 def _check_padded(chars, zero_pad, one_pad, fd: FieldDescriptor) -> None:
-    """Refuse pads that are no nonnegative ints (bools included) or an empty
-    block, with DimensionMismatch, and check each character."""
+    """Refuse chars that are no tuple or list, with ParseError, pads that are
+    no nonnegative ints (bools included) or an empty block, with
+    DimensionMismatch, and check each character."""
+    if not isinstance(chars, (tuple, list)):
+        raise ParseError(f"padded determinant characters must be a tuple or list, got {chars!r}")
     for pad in (zero_pad, one_pad):
         if not isinstance(pad, int) or isinstance(pad, bool):
             raise DimensionMismatch("padding sizes must be integers")
@@ -235,7 +229,7 @@ class MapExpr(Value):
         if not isinstance(atoms, (tuple, list)):
             raise ParseError(f"map atoms must be a tuple or list of atoms, got {atoms!r}")
         atoms = tuple(atoms)
-        _check_domain(field, n)
+        _check_domain(field, n, "maps")
         for atom in atoms:
             if isinstance(atom, TrivialDet):
                 if len(atoms) != 1:
@@ -400,9 +394,10 @@ def _atom_from_doc(doc: object, fd: FieldDescriptor, n: int) -> Atom:
 
 class TrivialForm(Value):
     """A -> blockdiag(diag(chi_i(det A)), 0, I), zero character block on
-    singular input. The kernel of the map contains all of SL_n. A character
-    of the wrong type raises UnregisteredHom, the conjugation over Q
-    FieldMismatch, and bad pads or an empty block DimensionMismatch."""
+    singular input. The kernel of the map contains all of SL_n. chars that
+    are no tuple or list raise ParseError, a character of the wrong type
+    UnregisteredHom, the conjugation over Q FieldMismatch, and bad pads or an
+    empty block DimensionMismatch."""
 
     __slots__ = ("field", "n", "chars", "zero_pad", "one_pad")
     kind = "trivial"
@@ -415,7 +410,7 @@ class TrivialForm(Value):
         zero_pad: int,
         one_pad: int,
     ) -> None:
-        _check_domain(field, n)
+        _check_domain(field, n, "maps")
         _check_padded(chars, zero_pad, one_pad, field)
         _set(self, "field", field)
         _set(self, "n", n)
@@ -461,7 +456,7 @@ class DegenerateForm(Value):
         R: Matrix,
         eps: int,
     ) -> None:
-        _check_domain(field, n)
+        _check_domain(field, n, "maps")
         _check_character(lam, field)
         _check_core(field, n, phi, R, eps)
         _set(self, "field", field)
@@ -497,7 +492,7 @@ class NonDegenerateForm(Value):
     kind = "nondegenerate"
 
     def __init__(self, field: FieldDescriptor, n: int, phi: RingHom, R: Matrix, eps: int) -> None:
-        _check_domain(field, n)
+        _check_domain(field, n, "maps")
         _check_core(field, n, phi, R, eps)
         _set(self, "field", field)
         _set(self, "n", n)
@@ -613,12 +608,11 @@ def simplify(expr: MapExpr) -> CanonicalForm:
             lam = new_lam
             eps = 1 - eps
             r = r.cofactor()
-        elif isinstance(atom, DetScale):
+        else:
+            # a DetScale: MapExpr admits no other atom, and a TrivialDet only alone
             det_char = lam.power(n).multiply(char_of_hom(phi, (n - 1) if eps else 1))
             lam = lam.multiply(atom.character.compose_char(det_char))
             saw_degenerate = True
-        else:
-            raise ParseError(f"unknown atom {atom!r}")
     r = normalize_scale(r)
     if lam.is_empty and not saw_degenerate:
         return NonDegenerateForm(fd, n, phi, r, eps)

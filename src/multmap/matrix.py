@@ -11,8 +11,10 @@ It is only for matrices whose every entry the package built itself from
 operands of one already-checked field: products, sums, negations, scalings,
 transposes, inverses, cofactors, generator matrices, the entrywise hom
 and word evaluations of mapexpr and slword, and the rows decompose_gl scales
-by the inverse determinant. Everything read from outside goes through the
-checked constructor.
+by the inverse determinant. identity, zeros, unit_matrix and rank_idempotent
+check their field, size and indices and then build through it too, since
+their every entry is zero(fd) or one(fd). Everything read from outside goes
+through the checked constructor.
 
 Row scalings and row updates (elimination, Matrix.scale, the determinant
 factor of the cofactor) run through the row kernels of the field layer.
@@ -427,20 +429,35 @@ def _augment_identity(m: Matrix) -> list[list[FieldElem]]:
 # -- constructors --------------------------------------------------------------
 
 
+def _check_domain(fd, n, what: str) -> None:
+    """Refuse an fd that is no FieldDescriptor, with FieldMismatch, and an n
+    that is no int of at least 1 (bools included), with DimensionMismatch;
+    what names the objects in the message."""
+    if not isinstance(fd, FieldDescriptor):
+        raise FieldMismatch(f"{what} need a FieldDescriptor field")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DimensionMismatch(f"{what} need n >= 1")
+
+
+def _diagonal_rows(fd: FieldDescriptor, entries: list) -> list:
+    """The rows of the square matrix with this diagonal."""
+    z = zero(fd)
+    return [[x if i == j else z for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
 def diag(fd: FieldDescriptor, entries) -> Matrix:
     """The square matrix with the given diagonal and zeros elsewhere."""
-    es = list(entries)
-    z = zero(fd)
-    return Matrix(fd, [[x if i == j else z for j in range(len(es))] for i, x in enumerate(es)])
+    return Matrix(fd, _diagonal_rows(fd, list(entries)))
 
 
 def identity(fd: FieldDescriptor, n: int) -> Matrix:
-    return diag(fd, [one(fd)] * n)
+    _check_domain(fd, n, "matrices")
+    return Matrix._of(fd, _diagonal_rows(fd, [one(fd)] * n))
 
 
 def zeros(fd: FieldDescriptor, n: int) -> Matrix:
-    z = zero(fd)
-    return Matrix(fd, [[z] * n for _ in range(n)])
+    _check_domain(fd, n, "matrices")
+    return Matrix._of(fd, [[zero(fd)] * n] * n)
 
 
 def from_values(fd: FieldDescriptor, rows) -> Matrix:
@@ -457,18 +474,22 @@ def from_columns(fd: FieldDescriptor, columns) -> Matrix:
 
 def unit_matrix(fd: FieldDescriptor, n: int, i: int, j: int) -> Matrix:
     """E_ij, one-based: 1 in row i column j and 0 elsewhere."""
-    _check_index(n, i, j, allow_equal=True)
+    _check_domain(fd, n, "matrices")
+    _check_int_indices("unit matrix", i, j)
+    _check_index(n, i, j)
     z = zero(fd)
     rows = [[z] * n for _ in range(n)]
     rows[i - 1][j - 1] = one(fd)
-    return Matrix(fd, rows)
+    return Matrix._of(fd, rows)
 
 
 def rank_idempotent(fd: FieldDescriptor, n: int, r: int) -> Matrix:
     """diag(1 ... 1, 0 ... 0) with r ones."""
+    _check_domain(fd, n, "matrices")
+    _check_int_indices("rank idempotent", r)
     if not 0 <= r <= n:
         raise IndexOutOfRange(f"rank {r} outside 0..{n}")
-    return diag(fd, [one(fd)] * r + [zero(fd)] * (n - r))
+    return Matrix._of(fd, _diagonal_rows(fd, [one(fd)] * r + [zero(fd)] * (n - r)))
 
 
 def coidempotent(fd: FieldDescriptor, n: int, j: int) -> Matrix:
@@ -479,20 +500,16 @@ def coidempotent(fd: FieldDescriptor, n: int, j: int) -> Matrix:
 # -- elementary generators -------------------------------------------------------
 
 
-def _check_index(n: int, i: int, j: int | None = None, allow_equal: bool = False) -> None:
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"index {i} outside 1..{n}")
-    if j is not None:
-        if not 1 <= j <= n:
-            raise IndexOutOfRange(f"index {j} outside 1..{n}")
-        if i == j and not allow_equal:
-            raise IndexOutOfRange("indices must differ")
+def _check_index(n: int, *indices: int) -> None:
+    for i in indices:
+        if not 1 <= i <= n:
+            raise IndexOutOfRange(f"index {i} outside 1..{n}")
 
 
 def _check_int_indices(what: str, *indices) -> None:
-    """Refuse generator indices that are no ints (bools included), with
-    IndexOutOfRange. The constructors call it only when an index is not a
-    plain int, since words build generators by the thousand."""
+    """Refuse indices that are no ints (bools included), with
+    IndexOutOfRange. The generator constructors call it only when an index
+    is not a plain int, since words build generators by the thousand."""
     for i in indices:
         if not isinstance(i, int) or isinstance(i, bool):
             raise IndexOutOfRange(f"{what} index must be an int, got {i!r}")

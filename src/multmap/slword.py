@@ -61,17 +61,12 @@ def default_pool(fd: FieldDescriptor) -> tuple[FieldElem, ...]:
 
 
 def evaluate_word(word, fd: FieldDescriptor, n: int) -> Matrix:
-    """Product of the generators in list order, as an n x n matrix."""
-    for gen in reversed(word):
-        _check_generator(gen, fd, n)
-    return _apply_word(word, fd, n)
-
-
-def _apply_word(word, fd: FieldDescriptor, n: int) -> Matrix:
-    """Product of a word of generators already known to act on n x n
-    matrices over fd: the generators, last first, act on the rows of the
+    """Product of the generators in list order, as an n x n matrix: once
+    every generator is checked, they act, last first, on the rows of the
     identity from the left. A transvection adds k times row j to row i as
     one fused update per entry, skipping the zero entries of row j."""
+    for gen in reversed(word):
+        _check_generator(gen, fd, n)
     rows = [list(r) for r in identity(fd, n).rows]
     for gen in reversed(word):
         if isinstance(gen, Transvection):

@@ -126,6 +126,19 @@ def test_field_mismatch_guard():
         one(RATIONAL) + one(Q2)
     with pytest.raises(FieldMismatch):
         FieldElem(RATIONAL, Fraction(1), Fraction(1))
+    with pytest.raises(FieldMismatch, match="^sqrt generator exists only in quadratic fields$"):
+        sqrt_gen(RATIONAL)
+    x = q2(1, 1)
+    assert as_elem(Q2, x) is x
+    with pytest.raises(FieldMismatch, match="^element of "):
+        as_elem(RATIONAL, x)
+
+
+def test_arithmetic_with_an_operand_that_is_no_element_is_a_type_error():
+    x = one(RATIONAL)
+    for op in (lambda: x + 1, lambda: x - 1, lambda: x * 1, lambda: x / 1):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_pow_negative_exponent():
@@ -173,6 +186,7 @@ def test_parse_frozen_examples():
     assert parse_scalar("-7", RATIONAL) == as_elem(RATIONAL, -7)
     assert parse_scalar("0", Q2) == zero(Q2)
     assert format_scalar(q2(0, 1)) == "0+1*s"
+    assert str(q2(Fraction(1, 2), -1)) == "1/2-1*s"
 
 
 @pytest.mark.parametrize(
@@ -192,6 +206,7 @@ def test_parse_frozen_examples():
         "\u0663",
         2,
         ["1"],
+        "1+2*sx",
     ],
 )
 def test_parse_rejects(bad):

@@ -158,6 +158,7 @@ def test_simplify_identity():
     assert form.phi == IDENTITY_HOM
     assert form.eps == 0
     assert form.R == identity(RATIONAL, 3)
+    assert form.k == 3
 
 
 def test_simplify_cof_cof_n2_is_identity():
@@ -174,6 +175,7 @@ def test_simplify_cof_cof_n3_is_det_scale():
     assert form.lam == X
     assert form.eps == 0
     assert form.phi == IDENTITY_HOM
+    assert form.k == 3
     # and the fold is honest about singulars: C(C(A)) = det(A) A everywhere
     a = int_matrix(RATIONAL, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert a.rank == 2
@@ -247,6 +249,17 @@ def test_compose_rejects_shape_mismatch():
     ok_shape = MapExpr(3, RATIONAL, (Cof(),))
     with pytest.raises(DimensionMismatch):
         compose(ok_shape, t)
+
+
+def test_evaluate_and_compose_refuse_operands_off_the_domain():
+    f = MapExpr(2, RATIONAL, (Cof(),))
+    with pytest.raises(FieldMismatch, match="^input over the wrong field$"):
+        f.evaluate(identity(Q2, 2))
+    for a in (identity(RATIONAL, 3), int_matrix(RATIONAL, [[1, 2]])):
+        with pytest.raises(DimensionMismatch, match="^input must be 2 x 2$"):
+            f.evaluate(a)
+    with pytest.raises(FieldMismatch, match="^composition across fields$"):
+        compose(f, MapExpr(2, Q2, ()))
 
 
 def test_r_forms_refuse_a_hom_or_an_eps_they_cannot_represent():
@@ -393,8 +406,23 @@ def test_records_refuse_a_field_n_or_power_they_cannot_represent(build, error, m
             lambda: ScalarCharacter("id"),
             "character factors must be a tuple or list of (hom, power) pairs, got 'id'",
         ),
+        (
+            lambda: TrivialForm(RATIONAL, 2, 5, 0, 0),
+            "padded determinant characters must be a tuple or list, got 5",
+        ),
+        (
+            lambda: MapExpr(2, RATIONAL, (TrivialDet(5, 0, 0),)),
+            "padded determinant characters must be a tuple or list, got 5",
+        ),
     ],
-    ids=["expr-atoms-not-a-sequence", "character-triple", "character-bare-hom", "character-str"],
+    ids=[
+        "expr-atoms-not-a-sequence",
+        "character-triple",
+        "character-bare-hom",
+        "character-str",
+        "trivial-chars-int",
+        "trivialdet-chars-int",
+    ],
 )
 def test_records_refuse_atoms_and_factors_of_the_wrong_shape(build, message):
     with pytest.raises(ParseError) as info:
@@ -414,6 +442,8 @@ def test_canonical_eq_up_to_presentation():
     assert canonical_eq(t1, t2)  # character order is immaterial
     assert not canonical_eq(t1, TrivialForm(RATIONAL, 2, (X, X), 1, 0))
     assert not canonical_eq(a, t1)
+    shear = int_matrix(RATIONAL, [[1, 1], [0, 1]])
+    assert not canonical_eq(a, NonDegenerateForm(RATIONAL, 2, IDENTITY_HOM, shear, 0))
     d1 = DegenerateForm(RATIONAL, 2, X, IDENTITY_HOM, identity(RATIONAL, 2), 0)
     d2 = DegenerateForm(RATIONAL, 2, X.power(2), IDENTITY_HOM, identity(RATIONAL, 2), 0)
     assert not canonical_eq(d1, d2)
@@ -437,6 +467,8 @@ def test_expr_doc_round_trip():
     assert MapExpr.from_doc(doc) == expr
     t = MapExpr(3, RATIONAL, (TrivialDet((X,), 1, 2),))
     assert MapExpr.from_doc(t.to_doc()) == t
+    h = MapExpr(2, RATIONAL, (Hom(IDENTITY_HOM),))
+    assert MapExpr.from_doc(h.to_doc()) == h
 
 
 @pytest.mark.parametrize(
@@ -448,6 +480,14 @@ def test_expr_doc_round_trip():
         {"n": 2, "field": {"kind": "rational"}, "atoms": [], "order": "apply-first"},
         {"n": 2, "field": {"kind": "rational"}, "atoms": "cof"},
         {"n": 2, "field": {"kind": "rational"}, "atoms": [{"atom": "detscale", "lambda": [{"phi": "id", "pow": "3"}]}]},
+        {"n": 2, "field": {"kind": "rational"}, "atoms": [{"atom": "detscale", "lambda": {"phi": "id"}}]},
+        {"n": 2, "field": {"kind": "rational"}, "atoms": [{"atom": "detscale", "lambda": ["id"]}]},
+        {"n": 2, "field": {"kind": "rational"}, "atoms": [{"atom": "detscale", "lambda": [{"phi": "frob", "pow": 1}]}]},
+        {"n": 2, "field": {"kind": "rational"}, "atoms": ["cof"]},
+        {"n": 2, "field": {"kind": "rational"}, "atoms": [{"atom": "conj", "R": identity(Q2, 2).to_doc()}]},
+        {"n": 2, "field": {"kind": "rational"}, "atoms": [{"atom": "conj", "R": identity(RATIONAL, 3).to_doc()}]},
+        {"n": 2, "field": {"kind": "rational"}, "atoms": [{"atom": "trivialdet", "chars": "id"}]},
+        {"n": 2, "field": {"kind": "rational"}, "atoms": [{"atom": "trivialdet", "chars": [], "zeroPad": -1}]},
     ],
 )
 def test_expr_doc_rejects_malformed(doc):

@@ -235,6 +235,7 @@ def test_elementary_generators():
     assert s.det == as_elem(RATIONAL, -1)
     assert gen_matrix(Transvection(1, 2, k).inv(), RATIONAL, 3) == p.inverse()
     assert gen_matrix(DiagUnit(2, k).inv(), RATIONAL, 3) == d.inverse()
+    assert Swap(1, 3).inv() == Swap(1, 3)
 
 
 def test_generator_validation():
@@ -288,6 +289,85 @@ def test_unit_and_idempotent_constructors():
         RATIONAL, [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
     )
     assert coidempotent(RATIONAL, 3, 2).cofactor() == unit_matrix(RATIONAL, 3, 2, 2)
+    assert rank_idempotent(RATIONAL, 2, 0) == zeros(RATIONAL, 2)
+    assert rank_idempotent(RATIONAL, 2, 2) == identity(RATIONAL, 2)
+
+
+NOT_A_FIELD = "matrices need a FieldDescriptor field"
+NOT_A_SIZE = "matrices need n >= 1"
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: identity("Q", 2), FieldMismatch, NOT_A_FIELD),
+        (lambda: zeros(None, 2), FieldMismatch, NOT_A_FIELD),
+        (lambda: unit_matrix("Q", 2, 1, 1), FieldMismatch, NOT_A_FIELD),
+        (lambda: rank_idempotent(None, 2, 1), FieldMismatch, NOT_A_FIELD),
+        (lambda: coidempotent("Q", 2, 1), FieldMismatch, NOT_A_FIELD),
+        (lambda: identity(RATIONAL, 2.0), DimensionMismatch, NOT_A_SIZE),
+        (lambda: identity(RATIONAL, True), DimensionMismatch, NOT_A_SIZE),
+        (lambda: zeros(RATIONAL, 2.0), DimensionMismatch, NOT_A_SIZE),
+        (lambda: zeros(RATIONAL, 0), DimensionMismatch, NOT_A_SIZE),
+        (lambda: unit_matrix(RATIONAL, "3", 1, 1), DimensionMismatch, NOT_A_SIZE),
+        (lambda: rank_idempotent(RATIONAL, -1, 0), DimensionMismatch, NOT_A_SIZE),
+        (lambda: coidempotent(RATIONAL, False, 1), DimensionMismatch, NOT_A_SIZE),
+        (
+            lambda: unit_matrix(RATIONAL, 3, 1.0, 2),
+            IndexOutOfRange,
+            "unit matrix index must be an int, got 1.0",
+        ),
+        (
+            lambda: unit_matrix(RATIONAL, 3, True, 2),
+            IndexOutOfRange,
+            "unit matrix index must be an int, got True",
+        ),
+        (lambda: unit_matrix(RATIONAL, 3, 1, 4), IndexOutOfRange, "index 4 outside 1..3"),
+        (
+            lambda: rank_idempotent(RATIONAL, 3, 1.5),
+            IndexOutOfRange,
+            "rank idempotent index must be an int, got 1.5",
+        ),
+        (
+            lambda: rank_idempotent(RATIONAL, 3, True),
+            IndexOutOfRange,
+            "rank idempotent index must be an int, got True",
+        ),
+        (lambda: rank_idempotent(RATIONAL, 3, 4), IndexOutOfRange, "rank 4 outside 0..3"),
+        (
+            lambda: coidempotent(RATIONAL, 3, True),
+            IndexOutOfRange,
+            "unit matrix index must be an int, got True",
+        ),
+        (lambda: coidempotent(RATIONAL, 3, 0), IndexOutOfRange, "index 0 outside 1..3"),
+    ],
+    ids=[
+        "identity-field",
+        "zeros-field",
+        "unit-field",
+        "rank-field",
+        "coidempotent-field",
+        "identity-float-size",
+        "identity-bool-size",
+        "zeros-float-size",
+        "zeros-zero-size",
+        "unit-str-size",
+        "rank-negative-size",
+        "coidempotent-bool-size",
+        "unit-float-index",
+        "unit-bool-index",
+        "unit-index-past-n",
+        "rank-float",
+        "rank-bool",
+        "rank-past-n",
+        "coidempotent-bool-index",
+        "coidempotent-index-zero",
+    ],
+)
+def test_constructors_refuse_a_field_size_or_index_they_cannot_represent(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_diag_constructor():
@@ -416,6 +496,31 @@ def test_shape_guards():
         int_matrix(RATIONAL, [[1, 2]]) * int_matrix(RATIONAL, [[1, 2]])
     with pytest.raises(DimensionMismatch):
         int_matrix(RATIONAL, [[1, 2]]).det
+    for rows in ([], [[]]):
+        with pytest.raises(DimensionMismatch, match="^matrices must have at least one row and column$"):
+            Matrix(RATIONAL, rows)
+    with pytest.raises(DimensionMismatch, match="^shape mismatch in addition$"):
+        identity(RATIONAL, 2) + int_matrix(RATIONAL, [[1, 2]])
+    with pytest.raises(DimensionMismatch, match="^need at least one column$"):
+        from_columns(RATIONAL, [])
+    # a non-square matrix has a rank but no determinant
+    assert int_matrix(RATIONAL, [[1, 2], [2, 4], [0, 1]]).rank == 2
+
+
+def test_matrices_are_immutable_and_refuse_operands_they_cannot_take():
+    a = identity(RATIONAL, 2)
+    with pytest.raises(AttributeError, match="^Matrix is immutable$"):
+        a.rows = ()
+    with pytest.raises(FieldMismatch, match="^entry outside the matrix field$"):
+        Matrix(RATIONAL, [[one(Q2)]])
+    with pytest.raises(FieldMismatch, match="^scalar outside the matrix field$"):
+        a.scale(one(Q2))
+    with pytest.raises(FieldMismatch, match="^mixed-field linear solve$"):
+        solve_exact(a, identity(Q2, 2))
+    assert (a == 1) is False
+    for op in (lambda: a + 1, lambda: a - 1, lambda: a * 1, lambda: 1 * a):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_solve_exact_square_and_tall():

@@ -166,6 +166,8 @@ def test_word_doc_round_trip():
         ]
     }
     assert word_from_doc(doc, Q2) == word
+    with pytest.raises(ParseError, match="^not a word generator: 'x'$"):
+        word_to_doc([*word, "x"])
 
 
 @pytest.mark.parametrize(

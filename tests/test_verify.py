@@ -2,6 +2,7 @@
 
 import pytest
 
+from multmap import verify
 from multmap.errors import DimensionMismatch
 from multmap.field import RATIONAL, quadratic
 from multmap.mapexpr import Cof, MapExpr
@@ -86,3 +87,14 @@ def test_lcs_depths(n):
 def test_lcs_depth_validation():
     with pytest.raises(DimensionMismatch):
         lcs_depth_check(RATIONAL, 3, -1)
+
+
+def test_lcs_depth_check_fails_a_nest_that_does_not_collapse(monkeypatch):
+    # a bracket that returns its first operand leaves a fresh random
+    # unitriangular matrix where the nest should have collapsed
+    monkeypatch.setattr(verify, "commutator", lambda a, b: a)
+    verdict = lcs_depth_check(RATIONAL, 3, 2, FuzzConfig(seed=4, pair_count=25))
+    assert not verdict.passed
+    c, none = verdict.counterexample
+    assert none is None and not c.is_identity
+    assert verdict.samples >= 1 and verdict.seed == 4
