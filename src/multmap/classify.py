@@ -49,6 +49,7 @@ from itertools import combinations, product
 
 from .errors import (
     CharacterOutOfBound,
+    DimensionMismatch,
     FieldMismatch,
     NonDiagonalizableTrivial,
     NotCommutingIdempotents,
@@ -134,10 +135,18 @@ class Session:
 
     Repeat probes are free; distinct probes count against the budget. The
     image size k is pinned by the first call and every later output must
-    match it.
+    match it. An fd that is no FieldDescriptor raises FieldMismatch, an n
+    that is no int (bools included) DimensionMismatch, and an n below 2
+    UnsupportedDimension, before anything reads n.
     """
 
     def __init__(self, oracle: MapOracle, fd: FieldDescriptor, n: int) -> None:
+        if not isinstance(fd, FieldDescriptor):
+            raise FieldMismatch("classification needs a FieldDescriptor field")
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise DimensionMismatch(f"classification needs an int n, got {n!r}")
+        if n < 2:
+            raise UnsupportedDimension("classification needs a source of size at least 2")
         self.oracle = oracle
         self.fd = fd
         self.n = n
@@ -271,8 +280,9 @@ def classify(oracle: MapOracle, fd: FieldDescriptor, n: int, seed: int = 0) -> C
 
     Raises NotMultiplicative when a probe contradicts multiplicativity,
     VerificationFailed when the recovered form disagrees with the oracle on a
-    fresh sample, UnsupportedDimension for n < 2 or image size above n, and
-    OracleBudgetExceeded when the probe allowance runs out.
+    fresh sample, UnsupportedDimension for n < 2 or image size above n,
+    OracleBudgetExceeded when the probe allowance runs out, and FieldMismatch
+    or DimensionMismatch for an fd or an n of the wrong type.
     """
     session = Session(oracle, fd, n)
     s_total, s_pad, l = _normalize_idempotents(session)
@@ -315,8 +325,6 @@ def normalize_idempotents(oracle: MapOracle, fd: FieldDescriptor, n: int):
 
 def _normalize_idempotents(session: Session):
     fd, n = session.fd, session.n
-    if n < 2:
-        raise UnsupportedDimension("classification needs a source of size at least 2")
     p_zero = session.call(zeros(fd, n))
     if session.k > n:
         raise UnsupportedDimension(

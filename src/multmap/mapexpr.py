@@ -170,6 +170,13 @@ class DetScale(Value):
 class TrivialDet(Value):
     __slots__ = ("chars", "zero_pad", "one_pad")
 
+    def __init__(self, *args, **kwargs) -> None:
+        # a list of characters is stored as a tuple, so the atom hashes and
+        # equals its tuple form; MapExpr refuses chars of any other type
+        super().__init__(*args, **kwargs)
+        if isinstance(self.chars, list):
+            _set(self, "chars", tuple(self.chars))
+
 
 Atom = Conj | Cof | Hom | DetScale | TrivialDet
 
@@ -414,7 +421,7 @@ class TrivialForm(Value):
         _check_padded(chars, zero_pad, one_pad, field)
         _set(self, "field", field)
         _set(self, "n", n)
-        _set(self, "chars", chars)
+        _set(self, "chars", tuple(chars))
         _set(self, "zero_pad", zero_pad)
         _set(self, "one_pad", one_pad)
 

@@ -32,8 +32,6 @@ matrix unit images.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -659,34 +657,43 @@ def split_idempotent_pair(p_zero: Matrix, p_one: Matrix):
 
 def conjugator_from_units(units: list[list[Matrix]]) -> Matrix:
     """Given F[i][j] (zero-based lists) claimed to behave like matrix units,
-    find R with R F_ij R^-1 = E_ij.
+    find R with R F_ij R^-1 = E_ij; raises NotMatrixUnits when there is none.
 
-    Checks F_ij F_kl = delta_jk F_il first; any failure raises NotMatrixUnits.
-    The conjugator is assembled from v, a nonzero column of F_11, via
-    R^-1 = [F_11 v | F_21 v | ... | F_n1 v]; those columns are independent
-    whenever the relations hold, because applying F_1m picks out the m-th
-    coefficient. The result is normalized so its first nonzero entry in row
-    major order is one.
+    R^-1 = [F_11 v | F_21 v | ... | F_n1 v] for v the first nonzero column of
+    F_11, and R is returned only if every F_ij equals (column i of R^-1)
+    (row j of R), which is R F_ij R^-1 = E_ij itself. This accepts exactly
+    the families with F_ij F_kl = delta_jk F_il and F_11 nonzero: the E_ij
+    satisfy the relations, so their conjugates do; conversely the relations
+    give F_ij F_m1 v = delta_jm F_i1 v, so R^-1 is invertible (F_1m picks out
+    the m-th coefficient) and F_ij R^-1 = R^-1 E_ij. If F_11 = 0, the
+    relations force every F_ij = F_i1 F_11 F_1j to vanish. The result is
+    normalized so its first nonzero entry in row major order is one.
     """
     n = len(units)
     if n < 1 or any(len(row) != n for row in units):
         raise DimensionMismatch("unit family must be square")
-    fd = units[0][0].field
-    k = units[0][0].n_rows
-    if k != n:
-        raise DimensionMismatch("full unit recovery needs n x n units in M_n")
-    zero_m = zeros(fd, k)
-    for i, j, p, q in product(range(n), repeat=4):
-        if units[i][j] * units[p][q] != (units[i][q] if j == p else zero_m):
-            raise NotMatrixUnits("matrix unit relations F_ij F_kl = delta_jk F_il violated")
     f11 = units[0][0]
-    v = next((f11.column(c) for c in range(k) if any(not x.is_zero for x in f11.column(c))), None)
+    fd = f11.field
+    if f11.n_rows != n:
+        raise DimensionMismatch("full unit recovery needs n x n units in M_n")
+    violated = "matrix unit relations F_ij F_kl = delta_jk F_il violated"
+    v = next((c for c in zip(*f11.rows) if any(not x.is_zero for x in c)), None)
     if v is None:
-        raise NotMatrixUnits("F_11 is zero, no unit structure to recover")
+        if all(f.is_zero for row in units for f in row):
+            raise NotMatrixUnits("F_11 is zero, no unit structure to recover")
+        raise NotMatrixUnits(violated)
     v_mat = from_columns(fd, [v])
-    # F_ij F_m1 v = delta_jm F_i1 v: R^-1 is invertible and aligns the units
     r_inv = from_columns(fd, [(units[j][0] * v_mat).column(0) for j in range(n)])
-    return normalize_scale(r_inv.inverse())
+    try:
+        r = r_inv.inverse()
+    except SingularMatrix:
+        raise NotMatrixUnits(violated) from None
+    # F_ij = (column i of R^-1)(row j of R): n^2 rank-one checks, no product
+    for i, family in enumerate(units):
+        for f, r_row in zip(family, r.rows):
+            if f.rows != tuple(tuple(_scale_row(row[i], r_row)) for row in r_inv.rows):
+                raise NotMatrixUnits(violated)
+    return normalize_scale(r)
 
 
 def normalize_scale(m: Matrix) -> Matrix:

@@ -22,12 +22,27 @@ elimination, matrix scaling, the cofactor and word evaluation as they were
 before the row kernels: one FieldElem operation per entry, with the
 identity and the scalar one multiplied out like any other operand. They are
 the references for the differential tests of the row kernels.
+
+ref_conjugator_from_units is matrix unit recovery as it was before it
+checked the conjugator it returns: every relation F_ij F_kl = delta_jk F_il
+multiplied out in full, O(n^7), then R built from the first column of units.
+It is the reference for the differential test of that recovery.
+
+assert_report_matches_its_log checks a classify report against its own probe
+log: the reconstructed map must give back every image the oracle gave.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from multmap.errors import DivisionByZero, NotSpecialLinear, SingularMatrix
+from multmap.errors import (
+    DimensionMismatch,
+    DivisionByZero,
+    NotMatrixUnits,
+    NotSpecialLinear,
+    SingularMatrix,
+)
 from multmap.field import (
     CONJUGATION_HOM,
     IDENTITY_HOM,
@@ -51,8 +66,10 @@ from multmap.matrix import (
     DiagUnit,
     Matrix,
     Transvection,
+    from_columns,
     from_values,
     gen_matrix,
+    normalize_scale,
     rank_idempotent,
     zeros,
 )
@@ -410,3 +427,32 @@ def ref_apply_word(word, fd: FieldDescriptor, n: int) -> Matrix:
             a, b = gen.i - 1, gen.j - 1
             rows[a], rows[b] = rows[b], rows[a]
     return Matrix(fd, rows)
+
+
+def ref_conjugator_from_units(units: list[list[Matrix]]) -> Matrix:
+    """R with R F_ij R^-1 = E_ij, after multiplying out every relation."""
+    n = len(units)
+    if n < 1 or any(len(row) != n for row in units):
+        raise DimensionMismatch("unit family must be square")
+    fd = units[0][0].field
+    k = units[0][0].n_rows
+    if k != n:
+        raise DimensionMismatch("full unit recovery needs n x n units in M_n")
+    zero_m = zeros(fd, k)
+    for i, j, p, q in product(range(n), repeat=4):
+        if units[i][j] * units[p][q] != (units[i][q] if j == p else zero_m):
+            raise NotMatrixUnits("matrix unit relations F_ij F_kl = delta_jk F_il violated")
+    f11 = units[0][0]
+    v = next((f11.column(c) for c in range(k) if any(not x.is_zero for x in f11.column(c))), None)
+    if v is None:
+        raise NotMatrixUnits("F_11 is zero, no unit structure to recover")
+    v_mat = from_columns(fd, [v])
+    r_inv = from_columns(fd, [(units[j][0] * v_mat).column(0) for j in range(n)])
+    return normalize_scale(r_inv.inverse())
+
+
+def assert_report_matches_its_log(report) -> None:
+    """Every probe (a, b) of the report's log has reconstructed(a) == b."""
+    reconstructed = report.reconstructed_oracle()
+    for a, b in report.probe_log:
+        assert reconstructed(a) == b, f"report disagrees with its log at probe {a!r}"

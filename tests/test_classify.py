@@ -25,6 +25,7 @@ from multmap.classify import (
 )
 from multmap.errors import (
     CharacterOutOfBound,
+    DimensionMismatch,
     FieldMismatch,
     NonDiagonalizableTrivial,
     NotMultiplicative,
@@ -75,7 +76,13 @@ from multmap.mapexpr import (
 )
 from multmap.slword import _dilated_word, _transvection_triples, evaluate_word, random_gl
 
-from helpers import int_matrix, rand_invertible, random_mapexpr, rand_singular
+from helpers import (
+    assert_report_matches_its_log,
+    int_matrix,
+    rand_invertible,
+    random_mapexpr,
+    rand_singular,
+)
 
 # the module, not the function the package exports under the same name
 classify_module = importlib.import_module("multmap.classify")
@@ -772,6 +779,15 @@ def test_dimension_guards():
         normalize_idempotents(lambda a: a, RATIONAL, 1)
     with pytest.raises(UnsupportedDimension):
         classify(lambda a: identity(RATIONAL, 4), RATIONAL, 3)
+    for n in (0, -3):
+        with pytest.raises(UnsupportedDimension):
+            classify(lambda a: a, RATIONAL, n)
+    # an n of another type is refused by name before the budget reads it
+    for n in ("2", 2.0, True):
+        with pytest.raises(DimensionMismatch, match=f"^classification needs an int n, got {n!r}$"):
+            classify(lambda a: a, RATIONAL, n)
+    with pytest.raises(FieldMismatch, match="^classification needs a FieldDescriptor field$"):
+        normalize_idempotents(lambda a: a, "rational", 2)
 
 
 def test_session_budget_and_memo():
@@ -958,7 +974,9 @@ REPORT_SHA256 = {
 def test_whole_reports_are_pinned():
     digests = {}
     for name, oracle, fd, n, seed in report_corpus():
-        doc = classify(oracle, fd, n, seed=seed).to_doc()
+        report = classify(oracle, fd, n, seed=seed)
+        assert_report_matches_its_log(report)
+        doc = report.to_doc()
         digests[name] = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digests == REPORT_SHA256
 

@@ -430,6 +430,18 @@ def test_records_refuse_atoms_and_factors_of_the_wrong_shape(build, message):
     assert str(info.value) == message
 
 
+def test_padded_records_store_a_chars_list_as_a_tuple():
+    chars = [ScalarCharacter(), X]
+    form = TrivialForm(RATIONAL, 2, chars, 0, 0)
+    expr = MapExpr(2, RATIONAL, [TrivialDet(chars, 0, 0)])
+    chars.append(X)  # the records keep what they were given
+    assert form == TrivialForm(RATIONAL, 2, (ScalarCharacter(), X), 0, 0)
+    assert expr.atoms[0] == TrivialDet(chars=(ScalarCharacter(), X), zero_pad=0, one_pad=0)
+    assert hash(form) == hash(TrivialForm(RATIONAL, 2, (ScalarCharacter(), X), 0, 0))
+    assert hash(expr) == hash(MapExpr(2, RATIONAL, (TrivialDet((ScalarCharacter(), X), 0, 0),)))
+    assert hash(TrivialDet([X], 1, 0)) == hash(TrivialDet((X,), 1, 0))
+
+
 def test_canonical_eq_up_to_presentation():
     r1 = int_matrix(RATIONAL, [[2, 0], [0, 2]])
     a = NonDegenerateForm(RATIONAL, 2, IDENTITY_HOM, identity(RATIONAL, 2), 0)

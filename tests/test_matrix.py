@@ -11,6 +11,7 @@ from multmap.errors import (
     DimensionMismatch,
     FieldMismatch,
     IndexOutOfRange,
+    MultmapError,
     NotCommutingIdempotents,
     NotMatrixUnits,
     ParseError,
@@ -43,9 +44,11 @@ from helpers import (
     laplace_cofactor,
     laplace_det,
     minor_cofactor,
+    rand_elem,
     rand_invertible,
     rand_matrix,
     rand_singular,
+    ref_conjugator_from_units,
     ref_det_inverse,
     ref_product,
 )
@@ -450,6 +453,74 @@ def test_conjugator_rejects_corrupted_units():
         conjugator_from_units([[z2, z2], [z2, z2]])
 
 
+def _dense_invertible(rng, fd, n):
+    """An invertible n x n matrix with no zero entry."""
+    while True:
+        rows = [[rand_elem(rng, fd) for _ in range(n)] for _ in range(n)]
+        for row in rows:
+            for c in range(n):
+                while row[c].is_zero:
+                    row[c] = rand_elem(rng, fd)
+        m = Matrix(fd, rows)
+        if m.is_invertible:
+            return m
+
+
+def _conjugated_units(s, n):
+    """The family F_ij = S^-1 E_ij S, zero-based lists."""
+    fd, s_inv = s.field, s.inverse()
+    return [[s_inv * unit_matrix(fd, n, i + 1, j + 1) * s for j in range(n)] for i in range(n)]
+
+
+def _recovery_outcome(recover, units):
+    try:
+        return recover(units)
+    except MultmapError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    fd=st.sampled_from((RATIONAL, Q2)),
+    n=st.integers(1, 6),
+    change=st.sampled_from(("none", "shift", "scale", "swap", "zero", "all-zero")),
+    seed=st.integers(0, 2**32),
+)
+def test_conjugator_from_units_matches_the_full_relation_check(fd, n, change, seed):
+    rng = random.Random(seed)
+    units = _conjugated_units(_dense_invertible(rng, fd, n), n)
+    i, j, p, q = (rng.randrange(n) for _ in range(4))
+    if change == "shift":
+        units[i][j] = units[i][j] + unit_matrix(fd, n, p + 1, q + 1)
+    elif change == "scale":
+        units[i][j] = units[i][j].scale(as_elem(fd, rng.choice((2, -1, Fraction(1, 3)))))
+    elif change == "swap":
+        units[i][j], units[p][q] = units[p][q], units[i][j]
+    elif change == "zero":
+        units[i][j] = zeros(fd, n)
+    elif change == "all-zero":
+        units = [[zeros(fd, n)] * n for _ in range(n)]
+    got = _recovery_outcome(conjugator_from_units, units)
+    assert got == _recovery_outcome(ref_conjugator_from_units, units)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_conjugator_from_units_makes_at_most_n_products(n, monkeypatch):
+    units = _conjugated_units(_dense_invertible(random.Random(n), RATIONAL, n), n)
+    calls = []
+    mul = Matrix.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    r = conjugator_from_units(units)
+    monkeypatch.undo()
+    assert len(calls) <= n
+    assert r * units[0][1] * r.inverse() == unit_matrix(RATIONAL, n, 1, 2)
+
+
 def test_structural_recoveries_refuse_mismatched_shapes():
     i2 = identity(RATIONAL, 2)
     with pytest.raises(DimensionMismatch, match="^idempotent pair must be square of equal size$"):
@@ -458,6 +529,13 @@ def test_structural_recoveries_refuse_mismatched_shapes():
         conjugator_from_units([[i2, i2]])
     with pytest.raises(DimensionMismatch, match="^full unit recovery needs n x n units in M_n$"):
         conjugator_from_units([[i2]])
+    # one unit of another size or field, anywhere in a true family
+    for odd in (identity(RATIONAL, 3), Matrix(RATIONAL, [[one(RATIONAL)] * 3] * 2), identity(Q2, 2)):
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            units = [[unit_matrix(RATIONAL, 2, a + 1, b + 1) for b in range(2)] for a in range(2)]
+            units[i][j] = odd
+            with pytest.raises(MultmapError):
+                conjugator_from_units(units)
 
 
 def test_normalize_scale():

@@ -198,8 +198,10 @@ def test_copies_are_equal_records(cls, fields, change):
     assert pickle.loads(pickle.dumps(a)) == a
 
 
-# the records whose constructor is the one Value derives from their slots
+# the records whose constructor is the one Value derives from their slots;
+# TrivialDet's own __init__ runs that one, then stores a chars list as a tuple
 DERIVED = {HomTable, Conj, Cof, Hom, DetScale, TrivialDet, GlFactorization, Verdict, ClassifyReport}
+NORMALISING = {TrivialDet}
 DERIVED_RECORDS = [record for record in RECORDS if record[0] in DERIVED]
 
 
@@ -224,7 +226,7 @@ def refuses(cls, *args, **kwargs):
     return message
 
 
-@derived
+@over([record for record in DERIVED_RECORDS if record[0] not in NORMALISING])
 def test_derived_constructor_is_the_only_one(cls, fields, change):
     assert len(DERIVED_RECORDS) == len(DERIVED) == 9
     assert "__init__" not in cls.__dict__
