@@ -98,7 +98,13 @@ from .mapexpr import (
     ScalarCharacter,
     TrivialForm,
 )
-from .slword import _dilated_word, _transvect, _transvection_triples, random_gl
+from .slword import (
+    _dilated_word,
+    _transvect,
+    _transvection_triples,
+    default_pool,
+    random_gl,
+)
 from .value import Value
 
 MapOracle = Callable[[Matrix], Matrix]
@@ -751,18 +757,22 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
     rng = random.Random(seed)
     expect = _word_image(form, s_total)
     lam_pool = _lam_pool(fd)
+    pool = default_pool(fd)
+    base = identity(fd, n).rows
     for i in range(VERIFY_INVERTIBLE):
         x = lam_pool[i % len(lam_pool)]
         word = _transvection_triples(rng, fd, n, 8)
-        _check_sample(session, expect(x, word), _dilated_word(x, word, fd, n))
+        _check_sample(session, expect(x, word), _dilated_word(x, word, fd, base))
     reported = _reported_map(form, s_total)
-    z = zero(fd)
+    zero_row = (zero(fd),) * n
     for _ in range(VERIFY_SINGULAR):
         r = rng.randrange(0, n)
-        g1 = random_gl(rng, fd, n)
+        # G1 = D_1(d1) W1, drawn as random_gl draws it, and G2 after it;
+        # G1 diag(I_r, 0) G2 is G1 applied to G2 with its rows from r on zero
+        d1 = rng.choice(pool)
+        w1 = _transvection_triples(rng, fd, n, 4 * n)
         g2 = random_gl(rng, fd, n)
-        # G1 diag(I_r, 0) is G1 with its columns from r on set to zero
-        a = Matrix(fd, [row[:r] + (z,) * (n - r) for row in g1.rows]) * g2
+        a = _dilated_word(d1, w1, fd, g2.rows[:r] + (zero_row,) * (n - r))
         _check_sample(session, reported(a), a)
 
 

@@ -6,10 +6,10 @@ q = 0. Equal values therefore have equal triples, and equality and hashing
 compare triples (the hash leaves the field out: equal elements share one
 anyway). The rational coordinates a = p/den and b = q/den are
 Fraction properties. All arithmetic is exact, no floats anywhere. The
-private helpers _integer_vector, _dot, _scale_row and _sub_mul_row let the
-matrix layer work on the triples directly: a dot product is one integer
-accumulation over a common denominator, normalized once, and a row scaling
-or row update is one loop over the triples with one gcd per entry.
+private helpers _integer_vector and _from_integer_vector let the matrix
+layer hold a row as integers over one common denominator and turn integer
+results back into elements, and _scale_row and _sub_mul_row make a row
+scaling or row update one loop over the triples with one gcd per entry.
 
 The module also carries the two ring homomorphisms of these fields
 (identity and Galois conjugation), the finite probe tables that hom_check
@@ -26,8 +26,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import partial
-from math import gcd
-from operator import mul
+from itertools import repeat
+from math import gcd, lcm
 
 from .errors import (
     DivisionByZero,
@@ -170,10 +170,6 @@ class FieldElem:
     def is_one(self) -> bool:
         return self._p == 1 and self._den == 1 and not self._q
 
-    @property
-    def is_rational_value(self) -> bool:
-        return not self._q
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElem):
             return NotImplemented
@@ -295,33 +291,43 @@ def _power(result, base, e: int):
     return result
 
 
-def _integer_vector(xs) -> tuple[list[int], list[int], int]:
+def _integer_vector(xs) -> tuple[list[int], list[int] | None, int]:
     """(ps, qs, den) with xs[k] = (ps[k] + qs[k]*s)/den for every k, den the
-    least common denominator of the entries."""
-    den = 1
-    for x in xs:
-        if den % x._den:
-            den = den // gcd(den, x._den) * x._den
+    least common denominator of the entries; qs is None when no entry has a
+    surd part."""
+    den = lcm(*{x._den for x in xs})
     if den == 1:
         # integer entries, the usual case for probes, need no scaling
-        return [x._p for x in xs], [x._q for x in xs], 1
-    scales = [den // x._den for x in xs]
-    ps = [x._p * m for x, m in zip(xs, scales)]
-    qs = [x._q * m for x, m in zip(xs, scales)]
-    return ps, qs, den
+        ps = [x._p for x in xs]
+        qs = [x._q for x in xs]
+    else:
+        ps = [x._p * (den // x._den) for x in xs]
+        qs = [x._q * (den // x._den) for x in xs]
+    return ps, qs if any(qs) else None, den
 
 
-def _dot(fd: FieldDescriptor, u, v) -> FieldElem:
-    """sum_k u[k]*v[k] for u and v in _integer_vector form: one integer
-    accumulation over the denominator u_den*v_den, normalized once."""
-    up, uq, ud = u
-    vp, vq, vd = v
-    p = sum(map(mul, up, vp))
-    if fd.d is None:
-        return _norm(fd, p, 0, ud * vd)
-    p += fd.d * sum(map(mul, uq, vq))
-    q = sum(map(mul, up, vq)) + sum(map(mul, uq, vp))
-    return _norm(fd, p, q, ud * vd)
+def _from_integer_vector(fd: FieldDescriptor, ps, qs, den: int):
+    """(xs, v) for the elements xs[k] = (ps[k] + qs[k]*s)/den, den > 0 and
+    qs None or zeros standing for no surd part: xs in normal form, and v the
+    same vector over the least common denominator of xs, as
+    _integer_vector(xs) gives it. One gcd reduces the whole vector, and one
+    per entry normalizes the entries when the denominator is not one."""
+    if qs is not None and not any(qs):
+        qs = None
+    if den != 1:
+        g = gcd(den, *ps, *qs) if qs else gcd(den, *ps)
+        if g != 1:
+            den //= g
+            ps = [p // g for p in ps]
+            qs = qs and [q // g for q in qs]
+    if den == 1:
+        return [_raw(fd, p, q, 1) for p, q in zip(ps, qs or repeat(0))], (ps, qs, 1)
+    xs = []
+    append = xs.append
+    for p, q in zip(ps, qs or repeat(0)):
+        g = gcd(p, q, den)
+        append(_raw(fd, p, q, den) if g == 1 else _raw(fd, p // g, q // g, den // g))
+    return xs, (ps, qs, den)
 
 
 def _scale_row(f: FieldElem, xs) -> list[FieldElem]:
@@ -552,16 +558,27 @@ def parse_scalar(text: str, fd: FieldDescriptor) -> FieldElem:
     return FieldElem(fd, a, sign * b)
 
 
+def _ratio(p: int, den: int) -> str:
+    """p/den in lowest terms, as Fraction prints it."""
+    g = gcd(p, den)
+    if g != 1:
+        p //= g
+        den //= g
+    return str(p) if den == 1 else f"{p}/{den}"
+
+
 def format_scalar(x: FieldElem) -> str:
     """Canonical rendering; parse_scalar(format_scalar(x)) == x. Raises
     ScalarTooLarge when a number has more digits than the interpreter
-    converts to a string."""
+    converts to a string. Written from the triple: with no surd part
+    gcd(p, den) is already one, and otherwise each coordinate is reduced by
+    its own gcd with den."""
+    p, q, den = x._p, x._q, x._den
     try:
-        if x.is_rational_value:
-            return str(x.a)
-        b = x.b
-        sign = "+" if b > 0 else "-"
-        return f"{x.a}{sign}{abs(b)}*s"
+        if not q:
+            return str(p) if den == 1 else f"{p}/{den}"
+        sign = "+" if q > 0 else "-"
+        return f"{_ratio(p, den)}{sign}{_ratio(abs(q), den)}*s"
     except ValueError:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         raise ScalarTooLarge(

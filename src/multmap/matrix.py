@@ -1,8 +1,16 @@
 """Exact dense matrices over the scalar layer.
 
 Rows are stored as tuples of FieldElem, so matrices are immutable value
-objects; determinant, rank, and reduced row echelon data are computed once
-and cached. Everything here is exact Gaussian elimination, no pivots are
+objects. Each matrix computes at most once, and caches, its determinant,
+its reduced row echelon rows with their pivots, its inverse, and two
+integer forms of its entries: every row over the row's least common
+denominator, and every column over the least common denominator of the
+whole matrix. A product reads the rows of its left operand and the
+columns of its right one in that form, so every entry is one integer sum,
+normalized once, and it hands the result its integer rows. The
+determinant is one fraction-free (Bareiss) sweep over the integer rows,
+in Z or in Z[sqrt d]; rank, kernels, inverses, solves and the cofactor
+run exact Gauss-Jordan elimination. Everything is exact and no pivot is
 chosen for numerical reasons, so results are reproducible bit for bit.
 
 Matrix(fd, rows) checks its input: nonempty, rectangular, every entry a
@@ -32,6 +40,10 @@ matrix unit images.
 
 from __future__ import annotations
 
+from itertools import repeat
+from math import prod
+from operator import add, mul
+
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -44,8 +56,9 @@ from .errors import (
 from .field import (
     FieldDescriptor,
     FieldElem,
-    _dot,
+    _from_integer_vector,
     _integer_vector,
+    _norm,
     _power,
     _scale_row,
     _sub_mul_row,
@@ -68,7 +81,9 @@ MAX_SIZE = 32
 class Matrix:
     """Immutable r x c matrix with exact entries over a fixed field."""
 
-    __slots__ = ("field", "n_rows", "n_cols", "rows", "_reduced", "_inv")
+    __slots__ = (
+        "field", "n_rows", "n_cols", "rows", "_reduced", "_inv", "_det", "_irows", "_icols",
+    )
 
     def __init__(self, fd: FieldDescriptor, rows) -> None:
         tup = tuple(tuple(r) for r in rows)
@@ -184,15 +199,55 @@ class Matrix:
             return other
         if other.is_identity:
             return self
-        # every entry is one integer dot product of a row and a column, each
-        # brought to its common denominator once
+        # every entry is one integer dot product of a row of self over its
+        # denominator and a column of other over its one denominator; the
+        # product keeps its rows in that form for the next product or det
         fd = self.field
-        cols = [_integer_vector(c) for c in zip(*other.rows)]
-        out = []
-        for r in self.rows:
-            u = _integer_vector(r)
-            out.append([_dot(fd, u, v) for v in cols])
-        return Matrix._of(fd, out)
+        d = fd.d
+        cols, surd_cols, cden = other._int_cols()
+        # with surd parts on both sides, three sums per entry: p = a + d b
+        # and q = e - a - b for a = ps.c, b = qs.t, e = (ps + qs).(c + t)
+        both = surd_cols and [(c, t, list(map(add, c, t))) for c, t in zip(cols, surd_cols)]
+        out, vectors = [], []
+        for ps, qs, den in self._int_rows():
+            if both and qs:
+                pq = list(map(add, ps, qs))
+                p, q = [], []
+                for c, t, ct in both:
+                    a = sum(map(mul, ps, c))
+                    b = sum(map(mul, qs, t))
+                    p.append(a + d * b)
+                    q.append(sum(map(mul, pq, ct)) - a - b)
+            else:
+                p = [sum(map(mul, ps, c)) for c in cols]
+                q = [sum(map(mul, ps, t)) for t in surd_cols] if both else qs and [
+                    sum(map(mul, qs, c)) for c in cols
+                ]
+            row, vector = _from_integer_vector(fd, p, q, den * cden)
+            out.append(row)
+            vectors.append(vector)
+        m = Matrix._of(fd, out)
+        _set(m, "_irows", vectors)
+        return m
+
+    def _int_rows(self) -> list:
+        """Every row as _integer_vector gives it, (ps, qs, den) over the
+        row's least common denominator; computed once."""
+        if self._irows is None:
+            _set(self, "_irows", [_integer_vector(r) for r in self.rows])
+        return self._irows
+
+    def _int_cols(self):
+        """(cols, surd_cols, den): the columns over den, the least common
+        denominator of every entry, as lists of integer numerators of the
+        rational parts and of the surd parts, surd_cols None when no entry
+        has a surd part; computed once."""
+        if self._icols is None:
+            m = self.n_cols
+            ps, qs, den = _integer_vector([x for r in self.rows for x in r])
+            cols = [ps[j::m] for j in range(m)]
+            _set(self, "_icols", (cols, qs and [qs[j::m] for j in range(m)], den))
+        return self._icols
 
     def __rmul__(self, scalar) -> "Matrix":
         if not isinstance(scalar, FieldElem):
@@ -218,20 +273,11 @@ class Matrix:
     # -- elimination ---------------------------------------------------------
 
     def _reduce(self):
-        """Reduced row echelon form with pivot columns and exact determinant
-        bookkeeping (det of the original matrix when square, else None)."""
-        if self._reduced is not None:
-            return self._reduced
-        rows, pivots, det = _eliminate(
-            self.field, [list(r) for r in self.rows], self.n_cols
-        )
-        if self.is_square:
-            det_value = det if len(pivots) == self.n_rows else zero(self.field)
-        else:
-            det_value = None
-        reduced = (tuple(tuple(r) for r in rows), pivots, det_value)
-        object.__setattr__(self, "_reduced", reduced)
-        return reduced
+        """Reduced row echelon rows and pivot columns; computed once."""
+        if self._reduced is None:
+            rows, pivots = _eliminate(self.field, [list(r) for r in self.rows], self.n_cols)
+            _set(self, "_reduced", (tuple(map(tuple, rows)), pivots))
+        return self._reduced
 
     @property
     def rank(self) -> int:
@@ -239,8 +285,22 @@ class Matrix:
 
     @property
     def det(self) -> FieldElem:
-        self._require_square("determinant")
-        return self._reduce()[2]
+        """One fraction-free sweep over the integer rows, normalized once:
+        det A = det(P) / (product of the row denominators), P the integer
+        numerators, in Z or, when some entry has a surd part, in Z[sqrt d].
+        Computed once."""
+        if self._det is None:
+            self._require_square("determinant")
+            rows = self._int_rows()
+            den = prod(v[2] for v in rows)
+            if all(v[1] is None for v in rows):
+                p, q = _bareiss([ps for ps, _, _ in rows]), 0
+            else:
+                p, q = _bareiss_surd(
+                    self.field.d, [list(zip(ps, qs or repeat(0))) for ps, qs, _ in rows]
+                )
+            _set(self, "_det", _norm(self.field, p, q, den))
+        return self._det
 
     @property
     def is_invertible(self) -> bool:
@@ -250,7 +310,7 @@ class Matrix:
         if self._inv is not None:
             return self._inv
         n = self._require_square("inverse")
-        rows, pivots, _ = _eliminate(self.field, _augment_identity(self), n)
+        rows, pivots = _eliminate(self.field, _augment_identity(self), n)
         if len(pivots) < n:
             raise SingularMatrix("matrix is not invertible")
         inv = Matrix._of(self.field, [row[n:] for row in rows])
@@ -260,7 +320,7 @@ class Matrix:
     def kernel_basis(self) -> list[tuple[FieldElem, ...]]:
         """Basis of the right null space, one vector per free column, in
         column order; deterministic for reproducible conjugators."""
-        reduced, pivots, _ = self._reduce()
+        reduced, pivots = self._reduce()
         return [
             tuple(_null_vector(self.field, reduced, pivots, free, self.n_cols))
             for free in range(self.n_cols)
@@ -269,8 +329,7 @@ class Matrix:
 
     def image_basis(self) -> list[tuple[FieldElem, ...]]:
         """Pivot columns of the original matrix, in column order."""
-        _, pivots, _ = self._reduce()
-        return [self.column(c) for c in pivots]
+        return [self.column(c) for c in self._reduce()[1]]
 
     def column(self, j: int) -> tuple[FieldElem, ...]:
         return tuple(r[j] for r in self.rows)
@@ -288,21 +347,23 @@ class Matrix:
         matrix and A C(A)^T = det(A) I; defined for size two and up.
 
         One elimination of [A | I] gives the rank of A:
-          - rank n: C = det(A) (A^-1)^T;
+          - rank n: C = det(A) (A^-1)^T, with det(A) the cached determinant;
           - rank n - 1: C = c y x^T, where A x = 0 comes from the reduced
             left block, y^T A = 0 is the right block of the row whose left
             part vanished, and c comes from one (n-1)-minor at a position
             where y and x are both nonzero;
           - rank n - 2 or less: every minor vanishes, so C = 0.
-        Nothing is cached on self: the elimination runs on a copy."""
+        The elimination runs on a copy, so it leaves no echelon form or
+        inverse cached on self."""
         n = self._require_square("cofactor")
         if n < 2:
             raise DimensionMismatch("cofactor needs size at least two")
         fd = self.field
-        rows, pivots, det = _eliminate(fd, _augment_identity(self), n)
+        rows, pivots = _eliminate(fd, _augment_identity(self), n)
         rank = len(pivots)
         if rank == n:
             # the transpose of det(A) A^-1, the right block of the rows
+            det = self.det
             return Matrix._of(fd, zip(*(_scale_row(det, row[n:]) for row in rows)))
         if rank < n - 1:
             return zeros(fd, n)
@@ -317,7 +378,7 @@ class Matrix:
             for k, row in enumerate(self.rows)
             if k != i
         ]
-        _, _, signed = _eliminate(fd, minor, n - 1)
+        signed = Matrix._of(fd, minor).det
         if (i + free) % 2:
             signed = -signed
         c = signed / y[i]
@@ -369,6 +430,9 @@ def _fill(m: Matrix, fd: FieldDescriptor, rows: tuple) -> None:
     _set(m, "rows", rows)
     _set(m, "_reduced", None)
     _set(m, "_inv", None)
+    _set(m, "_det", None)
+    _set(m, "_irows", None)
+    _set(m, "_icols", None)
 
 
 # -- elimination ------------------------------------------------------------------
@@ -379,11 +443,8 @@ def _eliminate(fd: FieldDescriptor, rows: list[list[FieldElem]], n_pivot_cols: i
     first n_pivot_cols columns only. Every pivot row is scaled to a leading
     one and its column is cleared in every other row.
 
-    Returns (rows, pivots, det): the pivot columns as a tuple, and the
-    signed product of the pivots, which is the determinant of the leading
-    square block when all of its columns are pivots."""
+    Returns (rows, pivots), the pivot columns as a tuple."""
     nr = len(rows)
-    det = one(fd)
     pivots = []
     r = 0
     for c in range(n_pivot_cols):
@@ -394,17 +455,58 @@ def _eliminate(fd: FieldDescriptor, rows: list[list[FieldElem]], n_pivot_cols: i
             continue
         if p != r:
             rows[p], rows[r] = rows[r], rows[p]
-            det = -det
-        pv = rows[r][c]
-        det = det * pv
-        pivot_row = rows[r] = _scale_row(pv.inv(), rows[r])
+        pivot_row = rows[r] = _scale_row(rows[r][c].inv(), rows[r])
         for i in range(nr):
             f = rows[i][c]
             if i != r and not f.is_zero:
                 rows[i] = _sub_mul_row(rows[i], f, pivot_row)
         pivots.append(c)
         r += 1
-    return rows, tuple(pivots), det
+    return rows, tuple(pivots)
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """The determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: after each step every entry is a minor of a, so dividing
+    by the previous pivot is exact. a itself is not changed."""
+    sign, prev = 1, 1
+    while len(a) > 1:
+        k = next((i for i, r in enumerate(a) if r[0]), None)
+        if k is None:
+            return 0
+        if k:
+            a = [a[k], *a[1:k], a[0], *a[k + 1 :]]
+            sign = -sign
+        (pivot, *top), *rest = a
+        a = [[(x * pivot - r[0] * y) // prev for x, y in zip(r[1:], top)] for r in rest]
+        prev = pivot
+    return sign * a[0][0]
+
+
+def _bareiss_surd(d: int, a: list[list[tuple[int, int]]]) -> tuple[int, int]:
+    """_bareiss over Z[sqrt d], entries (u, v) standing for u + v sqrt d:
+    dividing by the previous pivot u + v sqrt d is multiplying by its
+    conjugate and dividing both coordinates exactly by its norm."""
+    sign, pu, pv, norm = 1, 1, 0, 1
+    while len(a) > 1:
+        k = next((i for i, r in enumerate(a) if r[0] != (0, 0)), None)
+        if k is None:
+            return 0, 0
+        if k:
+            a = [a[k], *a[1:k], a[0], *a[k + 1 :]]
+            sign = -sign
+        ((ku, kv), *top), *rest = a
+        a = []
+        for (ru, rv), *xs in rest:
+            row = []
+            for (xu, xv), (yu, yv) in zip(xs, top):
+                u = xu * ku + d * xv * kv - ru * yu - d * rv * yv
+                v = xu * kv + xv * ku - ru * yv - rv * yu
+                row.append(((u * pu - d * v * pv) // norm, (v * pu - u * pv) // norm))
+            a.append(row)
+        pu, pv, norm = ku, kv, ku * ku - d * kv * kv
+    u, v = a[0][0]
+    return sign * u, sign * v
 
 
 def _null_vector(fd: FieldDescriptor, rows, pivots, free: int, width: int) -> list[FieldElem]:
@@ -619,7 +721,7 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch("row counts disagree in linear solve")
     m = a.n_cols
     aug = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
-    rows, pivots, _ = _eliminate(a.field, aug, m + b.n_cols)
+    rows, pivots = _eliminate(a.field, aug, m + b.n_cols)
     if pivots != tuple(range(m)):
         raise SingularMatrix("linear system is rank deficient or inconsistent")
     return Matrix(a.field, [row[m:] for row in rows[:m]])

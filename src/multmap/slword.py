@@ -189,10 +189,11 @@ def _transvect(rows, word) -> list:
     return rows
 
 
-def _dilated_word(x: FieldElem, word, fd: FieldDescriptor, n: int) -> Matrix:
-    """D_1(x) P_1 ... P_m for a word of (i, j, k) triples: the dilation
-    scales the first row last."""
-    rows = _transvect(identity(fd, n).rows, word)
+def _dilated_word(x: FieldElem, word, fd: FieldDescriptor, rows) -> Matrix:
+    """D_1(x) P_1 ... P_m M for a word of (i, j, k) triples and the rows of
+    M: the transvections act on the rows, and the dilation scales the first
+    row last."""
+    rows = _transvect(rows, word)
     rows[0] = _scale_row(x, rows[0])
     return Matrix._of(fd, rows)
 
@@ -213,7 +214,7 @@ def random_gl(rng: random.Random, fd: FieldDescriptor, n: int, length: int | Non
     """D_1(d) times random_sl's product, d drawn from the pool first."""
     length = _word_length(n, length)
     d = rng.choice(default_pool(fd))
-    return _dilated_word(d, _transvection_triples(rng, fd, n, length), fd, n)
+    return _dilated_word(d, _transvection_triples(rng, fd, n, length), fd, identity(fd, n).rows)
 
 
 def random_unitriangular(rng: random.Random, fd: FieldDescriptor, n: int) -> Matrix:

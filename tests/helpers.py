@@ -8,8 +8,10 @@ kept as a second reference for Matrix.cofactor.
 
 RefElem is the scalar arithmetic of the package before its integer core:
 a + b*sqrt(d) held as two Fractions. ref_product and ref_det_inverse redo
-the matrix product and Gauss-Jordan elimination on RefElem, as references
-for the differential tests of the integer triples.
+the matrix product and Gauss-Jordan elimination on RefElem, one scalar
+operation per entry, as references for the differential tests of the
+integer triples, of the integer product and of the fraction-free
+determinant.
 
 ref_decompose_sl, ref_decompose_gl and ref_gl_evaluate are the
 factorization path as it was before decompose_sl read its determinant check

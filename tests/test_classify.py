@@ -10,6 +10,7 @@ import pytest
 
 from multmap.classify import (
     VERIFY_INVERTIBLE,
+    VERIFY_SINGULAR,
     ClassifyReport,
     Session,
     _character_values,
@@ -596,7 +597,7 @@ def _verification_sample(fd, n, seed, index):
     pool = _lam_pool(fd)
     for _ in range(index + 1):
         word = _transvection_triples(rng, fd, n, 8)
-    return _dilated_word(pool[index % len(pool)], word, fd, n)
+    return _dilated_word(pool[index % len(pool)], word, fd, identity(fd, n).rows)
 
 
 def test_liar_caught_by_final_verification():
@@ -676,6 +677,40 @@ def test_final_verification_evaluates_the_form_before_asking_the_oracle(monkeypa
         assert all(not a.det.is_zero for a, _ in session.log)
 
 
+class _RecordingSession:
+    """Answers every probe with the probe itself, and keeps every probe,
+    repeats included."""
+
+    def __init__(self):
+        self.inputs = []
+
+    def call(self, a):
+        self.inputs.append(a)
+        return a
+
+
+@pytest.mark.parametrize("fd", [RATIONAL, Q2], ids=["rational", "d=2"])
+def test_singular_samples_are_products_of_two_gl_draws(fd):
+    # built by row operations on G2, each singular sample is still
+    # G1 diag(I_r, 0) G2 for G1 and G2 drawn by random_gl, in that order
+    # seed 1 draws every rank 0..n-1 over both fields
+    n, seed = 4, 1
+    ident = identity(fd, n)
+    session = _RecordingSession()
+    _final_verification(session, ident, NonDegenerateForm(fd, n, IDENTITY_HOM, ident, 0), fd, n, seed)
+    rng = random.Random(seed)
+    for _ in range(VERIFY_INVERTIBLE):
+        _transvection_triples(rng, fd, n, 8)
+    z = zero(fd)
+    expected = []
+    for _ in range(VERIFY_SINGULAR):
+        r = rng.randrange(0, n)
+        g1, g2 = random_gl(rng, fd, n), random_gl(rng, fd, n)
+        expected.append(Matrix(fd, [row[:r] + (z,) * (n - r) for row in g1.rows]) * g2)
+    assert session.inputs[VERIFY_INVERTIBLE:] == expected
+    assert {a.rank for a in expected} == set(range(n))
+
+
 def _dense(rng, fd, n):
     return rand_invertible(rng, fd, n, span=2)
 
@@ -723,7 +758,7 @@ def test_word_image_matches_the_reported_map(fd):
             expect, reported = _word_image(form, s), _reported_map(form, s)
             for x in _lam_pool(fd):
                 word = _transvection_triples(rng, fd, n, 8)
-                a = _dilated_word(x, word, fd, n)
+                a = _dilated_word(x, word, fd, identity(fd, n).rows)
                 gens = [DiagUnit(1, x)] + [Transvection(i, j, k) for i, j, k in word]
                 assert a == evaluate_word(gens, fd, n)
                 assert expect(x, word) == reported(a), (form, s, x, word)
@@ -979,6 +1014,38 @@ def test_whole_reports_are_pinned():
         doc = report.to_doc()
         digests[name] = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digests == REPORT_SHA256
+
+
+def _acceptance_reports(criterion: str):
+    """The reports that acceptance criterion c06, c08 or c11 classifies,
+    rebuilt from the same seeds in the same draw order as
+    tests/test_acceptance.py, which this test leaves as it is."""
+    if criterion in ("c06", "c08"):
+        rng, fd, count = (
+            (random.Random(606), Q2, 100) if criterion == "c06" else (random.Random(808), RATIONAL, 50)
+        )
+        for trial in range(count):
+            expr = random_mapexpr(rng, fd, 3, max_depth=5)
+            yield classify(expr.as_oracle(), fd, 3, seed=trial)
+        return
+    rng, n = random.Random(1111), 3
+    for trial in range(50):
+        k = rng.randint(1, n)
+        l = rng.randint(0, k)
+        z = rng.randint(0, k - l)
+        chars = tuple(ScalarCharacter((("id", rng.randint(-4, 4)),)) for _ in range(l))
+        inner = MapExpr(n, RATIONAL, (TrivialDet(chars, z, k - l - z),))
+        s0 = rand_invertible(rng, RATIONAL, k, span=2)
+        s0_inv = s0.inverse()
+        yield classify(lambda a: s0_inv * inner.evaluate(a) * s0, RATIONAL, n, seed=trial)
+
+
+@pytest.mark.parametrize("criterion, count", [("c06", 100), ("c08", 50), ("c11", 50)])
+def test_acceptance_reports_match_their_logs(criterion, count):
+    reports = list(_acceptance_reports(criterion))
+    assert len(reports) == count
+    for report in reports:
+        assert_report_matches_its_log(report)
 
 
 def test_probe_budget_headroom():

@@ -347,6 +347,26 @@ def test_elements_are_immutable():
             setattr(x, attr, 0)
 
 
+@pytest.mark.parametrize(
+    "fd, a, b, text",
+    [
+        (Q2, Fraction(1), Fraction(1, 2), "1+1/2*s"),
+        (Q2, Fraction(0), Fraction(-1, 3), "0-1/3*s"),
+        (Q2, Fraction(-7, 4), Fraction(0), "-7/4"),
+        (RATIONAL, Fraction(-7, 4), Fraction(0), "-7/4"),
+        (Q2, Fraction(0), Fraction(0), "0"),
+        (RATIONAL, Fraction(12), Fraction(0), "12"),
+        (QM1, Fraction(5, 6), Fraction(-3, 2), "5/6-3/2*s"),
+        (Q2, Fraction(-3, 4), Fraction(1, 4), "-3/4+1/4*s"),
+    ],
+)
+def test_format_reduces_each_coordinate_of_the_triple(fd, a, b, text):
+    # (2 + s)/2 is the triple (2, 1, 2): its rational part prints as 1
+    x = FieldElem(fd, a, b)
+    assert format_scalar(x) == text
+    assert parse_scalar(text, fd) == x
+
+
 def test_format_past_the_digit_limit_raises_a_domain_error():
     # 10**5000 has 5001 digits, past the interpreter's default limit of 4300
     for x in (as_elem(RATIONAL, 10**5000), q2(1, Fraction(1, 10**5000))):

@@ -451,6 +451,11 @@ def test_conjugator_rejects_corrupted_units():
     z2 = zeros(RATIONAL, 2)
     with pytest.raises(NotMatrixUnits, match="^F_11 is zero, no unit structure to recover$"):
         conjugator_from_units([[z2, z2], [z2, z2]])
+    # a zero F_11 in a family that is not all zero breaks the relations
+    units = [[unit_matrix(RATIONAL, n, i + 1, j + 1) for j in range(n)] for i in range(n)]
+    units[0][0] = z2
+    with pytest.raises(NotMatrixUnits, match="^matrix unit relations"):
+        conjugator_from_units(units)
 
 
 def _dense_invertible(rng, fd, n):
