@@ -188,7 +188,9 @@ class _Working:
     """The live l x l block of the oracle in the splitting basis.
 
     Every call re-checks that the image really is blockdiag(B, 0, I); any
-    straying entry means the map was never multiplicative.
+    straying entry means the map was never multiplicative. When the live
+    block is the whole image there is nothing around it to check, and the
+    call returns the image itself.
     """
 
     def __init__(self, session: Session, s_mat: Matrix, l: int, z_pad: int, s_pad: int):
@@ -208,6 +210,8 @@ class _Working:
         if self.basis_change:
             s_mat, s_inv = self.basis_change
             x = s_inv * x * s_mat
+        if self.l == x.n_rows:
+            return x
         entries = _read(
             x, self.frame, self.block, "image violates the fixed zero and identity blocks"
         )

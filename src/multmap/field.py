@@ -6,9 +6,10 @@ q = 0. Equal values therefore have equal triples, and equality and hashing
 compare triples (the hash leaves the field out: equal elements share one
 anyway). The rational coordinates a = p/den and b = q/den are
 Fraction properties. All arithmetic is exact, no floats anywhere. The
-private helpers _integer_vector and _from_integer_vector let the matrix
-layer hold a row as integers over one common denominator and turn integer
-results back into elements, and _scale_row and _sub_mul_row make a row
+private helpers _integer_vector, _reduce_integer_vector and
+_from_integer_vector let the matrix layer hold a row as integers over one
+common denominator, bring an integer result to that form, and build its
+elements when they are read, and _scale_row and _sub_mul_row make a row
 scaling or row update one loop over the triples with one gcd per entry.
 
 The module also carries the two ring homomorphisms of these fields
@@ -306,12 +307,11 @@ def _integer_vector(xs) -> tuple[list[int], list[int] | None, int]:
     return ps, qs if any(qs) else None, den
 
 
-def _from_integer_vector(fd: FieldDescriptor, ps, qs, den: int):
-    """(xs, v) for the elements xs[k] = (ps[k] + qs[k]*s)/den, den > 0 and
-    qs None or zeros standing for no surd part: xs in normal form, and v the
-    same vector over the least common denominator of xs, as
-    _integer_vector(xs) gives it. One gcd reduces the whole vector, and one
-    per entry normalizes the entries when the denominator is not one."""
+def _reduce_integer_vector(ps, qs, den: int) -> tuple[list[int], list[int] | None, int]:
+    """(ps, qs, den), den > 0 and qs None or zeros standing for no surd part,
+    divided through by gcd(den, ps, qs): the same vector over the least
+    common denominator of its elements, as _integer_vector gives it. One
+    gcd reduces the whole vector."""
     if qs is not None and not any(qs):
         qs = None
     if den != 1:
@@ -320,14 +320,20 @@ def _from_integer_vector(fd: FieldDescriptor, ps, qs, den: int):
             den //= g
             ps = [p // g for p in ps]
             qs = qs and [q // g for q in qs]
+    return ps, qs, den
+
+
+def _from_integer_vector(fd: FieldDescriptor, ps, qs, den: int) -> tuple[FieldElem, ...]:
+    """The elements (ps[k] + qs[k]*s)/den in normal form, for a vector as
+    _reduce_integer_vector gives it: one gcd per entry when den is not one."""
     if den == 1:
-        return [_raw(fd, p, q, 1) for p, q in zip(ps, qs or repeat(0))], (ps, qs, 1)
+        return tuple([_raw(fd, p, q, 1) for p, q in zip(ps, qs or repeat(0))])
     xs = []
     append = xs.append
     for p, q in zip(ps, qs or repeat(0)):
         g = gcd(p, q, den)
         append(_raw(fd, p, q, den) if g == 1 else _raw(fd, p // g, q // g, den // g))
-    return xs, (ps, qs, den)
+    return tuple(xs)
 
 
 def _scale_row(f: FieldElem, xs) -> list[FieldElem]:

@@ -1,17 +1,21 @@
 """Exact dense matrices over the scalar layer.
 
-Rows are stored as tuples of FieldElem, so matrices are immutable value
-objects. Each matrix computes at most once, and caches, its determinant,
-its reduced row echelon rows with their pivots, its inverse, and two
-integer forms of its entries: every row over the row's least common
-denominator, and every column over the least common denominator of the
-whole matrix. A product reads the rows of its left operand and the
-columns of its right one in that form, so every entry is one integer sum,
-normalized once, and it hands the result its integer rows. The
-determinant is one fraction-free (Bareiss) sweep over the integer rows,
-in Z or in Z[sqrt d]; rank, kernels, inverses, solves and the cofactor
-run exact Gauss-Jordan elimination. Everything is exact and no pivot is
-chosen for numerical reasons, so results are reproducible bit for bit.
+Matrices are immutable value objects with two forms of their entries:
+rows, tuples of FieldElem, and integer rows, every row as integers over
+the row's least common denominator. Each matrix computes at most once, and
+caches, the form it lacks, its columns over the least common denominator
+of the whole matrix, its determinant, its reduced row echelon rows with
+their pivots and its inverse. A product reads the integer rows of its left
+operand and the integer columns of its right one, so every entry is one
+integer sum, and it keeps only its integer rows, each reduced by one gcd:
+its FieldElem entries are built on the first read of rows (directly or
+through indexing, hash, repr, to_doc or elimination). The next product,
+the determinant, is_identity, and equality with a matrix that has no
+entries yet read the integer rows alone. The determinant is one
+fraction-free (Bareiss) sweep over the integer rows, in Z or in
+Z[sqrt d]; rank, kernels, inverses, solves and the cofactor run exact
+Gauss-Jordan elimination. Everything is exact and no pivot is chosen for
+numerical reasons, so results are reproducible bit for bit.
 
 Matrix(fd, rows) checks its input: nonempty, rectangular, every entry a
 FieldElem of fd. The private Matrix._of(fd, rows) runs none of these checks.
@@ -41,7 +45,7 @@ matrix unit images.
 from __future__ import annotations
 
 from itertools import repeat
-from math import prod
+from math import lcm, prod
 from operator import add, mul
 
 from .errors import (
@@ -60,6 +64,7 @@ from .field import (
     _integer_vector,
     _norm,
     _power,
+    _reduce_integer_vector,
     _scale_row,
     _sub_mul_row,
     as_elem,
@@ -82,7 +87,7 @@ class Matrix:
     """Immutable r x c matrix with exact entries over a fixed field."""
 
     __slots__ = (
-        "field", "n_rows", "n_cols", "rows", "_reduced", "_inv", "_det", "_irows", "_icols",
+        "field", "n_rows", "n_cols", "_rows", "_reduced", "_inv", "_det", "_irows", "_icols",
     )
 
     def __init__(self, fd: FieldDescriptor, rows) -> None:
@@ -96,7 +101,7 @@ class Matrix:
             for x in r:
                 if not isinstance(x, FieldElem) or (x._field is not fd and x._field != fd):
                     raise FieldMismatch("entry outside the matrix field")
-        _fill(self, fd, tup)
+        _fill(self, fd, len(tup), width, tup, None)
 
     @classmethod
     def _of(cls, fd: FieldDescriptor, rows) -> "Matrix":
@@ -104,8 +109,20 @@ class Matrix:
         built over fd itself from operands of one already-checked field, in
         at least one nonempty row of equal widths."""
         m = _new(cls)
-        _fill(m, fd, tuple(map(tuple, rows)))
+        tup = tuple(map(tuple, rows))
+        _fill(m, fd, len(tup), len(tup[0]), tup, None)
         return m
+
+    @property
+    def rows(self) -> tuple:
+        """The entries, row by row, as tuples of FieldElem. A product holds
+        only its integer rows, and the first read builds these from them."""
+        rows = self._rows
+        if rows is None:
+            fd = self.field
+            rows = tuple([_from_integer_vector(fd, *v) for v in self._irows])
+            _set(self, "_rows", rows)
+        return rows
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -122,7 +139,12 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        if self.field != other.field:
+            return False
+        if self._rows is None or other._rows is None:
+            # _int_rows is canonical: the reduced vector of each row
+            return self._int_rows() == other._int_rows()
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
         return hash((self.field, self.rows))
@@ -143,17 +165,13 @@ class Matrix:
 
     @property
     def is_identity(self) -> bool:
-        """Square with ones on the diagonal and zeros elsewhere; the scan
-        stops at the first entry that breaks the pattern."""
+        """Square with ones on the diagonal and zeros elsewhere, read off the
+        integer rows; the scan stops at the first row that breaks it."""
         if self.n_rows != self.n_cols:
             return False
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if i == j:
-                    if x._p != 1 or x._den != 1 or x._q:
-                        return False
-                elif x._p or x._q:
-                    return False
+        for i, (ps, qs, den) in enumerate(self._int_rows()):
+            if den != 1 or qs or ps[i] != 1 or any(ps[:i]) or any(ps[i + 1 :]):
+                return False
         return True
 
     def _require_square(self, what: str) -> int:
@@ -208,7 +226,7 @@ class Matrix:
         # with surd parts on both sides, three sums per entry: p = a + d b
         # and q = e - a - b for a = ps.c, b = qs.t, e = (ps + qs).(c + t)
         both = surd_cols and [(c, t, list(map(add, c, t))) for c, t in zip(cols, surd_cols)]
-        out, vectors = [], []
+        vectors = []
         for ps, qs, den in self._int_rows():
             if both and qs:
                 pq = list(map(add, ps, qs))
@@ -223,30 +241,34 @@ class Matrix:
                 q = [sum(map(mul, ps, t)) for t in surd_cols] if both else qs and [
                     sum(map(mul, qs, c)) for c in cols
                 ]
-            row, vector = _from_integer_vector(fd, p, q, den * cden)
-            out.append(row)
-            vectors.append(vector)
-        m = Matrix._of(fd, out)
-        _set(m, "_irows", vectors)
+            vectors.append(_reduce_integer_vector(p, q, den * cden))
+        m = _new(Matrix)
+        _fill(m, fd, self.n_rows, other.n_cols, None, vectors)
         return m
 
     def _int_rows(self) -> list:
         """Every row as _integer_vector gives it, (ps, qs, den) over the
         row's least common denominator; computed once."""
         if self._irows is None:
-            _set(self, "_irows", [_integer_vector(r) for r in self.rows])
+            _set(self, "_irows", [_integer_vector(r) for r in self._rows])
         return self._irows
 
     def _int_cols(self):
         """(cols, surd_cols, den): the columns over den, the least common
-        denominator of every entry, as lists of integer numerators of the
+        denominator of every entry, as tuples of integer numerators of the
         rational parts and of the surd parts, surd_cols None when no entry
-        has a surd part; computed once."""
+        has a surd part; built from the integer rows, computed once."""
         if self._icols is None:
-            m = self.n_cols
-            ps, qs, den = _integer_vector([x for r in self.rows for x in r])
-            cols = [ps[j::m] for j in range(m)]
-            _set(self, "_icols", (cols, qs and [qs[j::m] for j in range(m)], den))
+            rows = self._int_rows()
+            den = lcm(*{v[2] for v in rows})
+            zero_row = [0] * self.n_cols
+            ps_rows, qs_rows = [], []
+            for ps, qs, row_den in rows:
+                f = den // row_den
+                ps_rows.append(ps if f == 1 else [p * f for p in ps])
+                qs_rows.append(zero_row if not qs else qs if f == 1 else [q * f for q in qs])
+            surd_cols = any(qs for _, qs, _ in rows) and list(zip(*qs_rows)) or None
+            _set(self, "_icols", (list(zip(*ps_rows)), surd_cols, den))
         return self._icols
 
     def __rmul__(self, scalar) -> "Matrix":
@@ -304,7 +326,9 @@ class Matrix:
 
     @property
     def is_invertible(self) -> bool:
-        return self.is_square and self.rank == self.n_rows
+        """Square with a nonzero determinant: the cached fraction-free sweep,
+        no elimination."""
+        return self.is_square and not self.det.is_zero
 
     def inverse(self) -> "Matrix":
         if self._inv is not None:
@@ -423,15 +447,17 @@ class Matrix:
 _new = object.__new__
 
 
-def _fill(m: Matrix, fd: FieldDescriptor, rows: tuple) -> None:
+def _fill(m: Matrix, fd: FieldDescriptor, n_rows: int, n_cols: int, rows, irows) -> None:
+    """Set every slot of a new matrix from its entries or from its integer
+    rows; the other caches start empty."""
     _set(m, "field", fd)
-    _set(m, "n_rows", len(rows))
-    _set(m, "n_cols", len(rows[0]))
-    _set(m, "rows", rows)
+    _set(m, "n_rows", n_rows)
+    _set(m, "n_cols", n_cols)
+    _set(m, "_rows", rows)
     _set(m, "_reduced", None)
     _set(m, "_inv", None)
     _set(m, "_det", None)
-    _set(m, "_irows", None)
+    _set(m, "_irows", irows)
     _set(m, "_icols", None)
 
 
