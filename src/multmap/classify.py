@@ -31,12 +31,13 @@ stage runs next, and calls each stage from one place, in this order:
                          by the form itself
 
 Every probe goes through a Session that memoizes, logs and enforces a budget
-of 10 n^2 + 200 oracle calls. Each probe image must match an exact pattern,
-and the entry map read off the images must pass fixed additivity and
-multiplicativity checks; a broken law raises NotMultiplicative. A returned
-report is a checked claim: its map matched the oracle on every probe and
-fresh sample. Characters (lam and the chi_i) have exponents within
-CHAR_POWER_BOUND; determinant values that fit none raise CharacterOutOfBound.
+of 10 n^2 + 200 oracle calls. Each probe image must match an exact pattern.
+The entry map read off the images must be the identity or the conjugation at
+every scalar it is read at, and every later probe must agree with it; a
+broken law raises NotMultiplicative. A returned report is a checked claim:
+its map matched the oracle on every probe and fresh sample. Characters (lam
+and the chi_i) have exponents within CHAR_POWER_BOUND; determinant values
+that fit none raise CharacterOutOfBound.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .field import (
     RingHom,
     _scale_row,
     format_scalar,
+    hom_apply,
     one,
     scalars,
     zero,
@@ -113,11 +115,13 @@ CHAR_POWER_BOUND = 6
 VERIFY_INVERTIBLE = 50
 VERIFY_SINGULAR = 10
 
-# Probe scalars and law pairs as data for field.scalars: each is (entries
-# over every field, entries added over Q(sqrt d) only), and an entry (a, b)
-# stands for a + b*sqrt(d).
+# Probe scalars and product pairs as data for field.scalars: each is
+# (entries over every field, entries added over Q(sqrt d) only), and an entry
+# (a, b) stands for a + b*sqrt(d).
 HALF = Fraction(1, 2)
 S, S1 = (0, 1), (1, 1)  # sqrt(d) and 1 + sqrt(d)
+# phi is resolved from its reads at PHI_POOL, LAM_POOL and PHI_TAIL, in that
+# order; sqrt(d) is among them, so at most one of id and conj fits
 PHI_POOL = ((1, 2, 3, HALF, -1), (S, S1))
 # chosen so that distinct bounded characters stay distinct on it
 LAM_POOL = ((2, 3, 5, -1, HALF), (S, S1))
@@ -126,12 +130,14 @@ LAM_POOL = ((2, 3, 5, -1, HALF), (S, S1))
 # is a multiple of the orders of those roots (4 over Q(i)); at 2 + sqrt(d)
 # the ratio is no root of unity, which separates them.
 LAM_POOL_EXTRA = {-1: ((2, 1),), -3: ((2, 1),)}
+# two more table reads; 0 lands on the identity transvection, which the
+# idempotent split probed
+PHI_TAIL = ((0,), ((0, 2),))
 # a few entries suffice: the follow-up verification re-tests on words
 TRIVIAL_POOL = ((1, 2, HALF), (S,))
-# the pair (1, -1) lands on the identity transvection and pins phi(-1)
-ADD_PAIRS = (((1, 1), (1, 2), (2, 3), (HALF, HALF), (1, -1)), ((1, S), (S, S)))
-# the invertible-side and matrix-unit recoveries push different products
-# through their probes; each list fixes the probes its recovery makes
+# after phi is resolved, each recovery reads the products xy of its pairs at
+# probes of its own and compares them with phi(xy); unit recovery first
+# compares its x E_11 probe with phi(x). Each list fixes its recovery's probes
 GL_MULT_PAIRS = (((2, 3), (2, HALF), (3, 3)), ((S, S), (S, S1)))
 UNIT_MULT_PAIRS = (((2, 3), (2, HALF)), ((S, S),))
 
@@ -548,17 +554,19 @@ def _classify_gl(w, fd: FieldDescriptor, n: int):
     else:
         raise NotMultiplicative("unit transvection image matches neither orientation")
 
-    phi_pool, lam_pool = scalars(fd, *PHI_POOL), _lam_pool(fd)
+    lam_pool = _lam_pool(fd)
     entry = _EntryMap(fd, n, w2, eps)
-    for x in phi_pool + lam_pool:
+    for x in scalars(fd, *PHI_POOL) + lam_pool + scalars(fd, *PHI_TAIL):
         entry(x)
-    _check_laws(entry, _pairs(fd, ADD_PAIRS))
-    mult_pairs = _pairs(fd, GL_MULT_PAIRS)
+    phi = _resolve_hom(fd, entry.table)
+    products = [x * y for x, y in _pairs(fd, GL_MULT_PAIRS)]
     if n >= 3:
         for y in scalars(fd, (1, 2)):
             if entry.at(2, 3, y) != entry(y):
                 raise NotMultiplicative("transvection images disagree across positions")
-        _check_laws(entry, (), mult_pairs, image=lambda v: entry.at(1, 3, v))
+        for xy in products:
+            if entry.at(1, 3, xy) != hom_apply(phi, xy):
+                raise NotMultiplicative("entry map is not multiplicative")
 
     zero_mat = zeros(fd, n)
     diagonal = [(i, i) for i in range(n)]
@@ -586,12 +594,13 @@ def _classify_gl(w, fd: FieldDescriptor, n: int):
     if n == 2:
         # conjugation by a dilation scales a transvection entry; with the
         # dilation images pinned above this is the multiplicativity check
-        _check_laws(entry, (), mult_pairs)
+        for xy in products:
+            if entry(xy) != hom_apply(phi, xy):
+                raise NotMultiplicative("entry map is not multiplicative")
 
     lam = _fit_character(fd, lam_values)
-    table = entry.table
-    form = DegenerateForm(fd, n, lam, _resolve_hom(fd, table), normalize_scale(g), eps)
-    return form, tuple(table.items()), tuple(lam_values)
+    form = DegenerateForm(fd, n, lam, phi, normalize_scale(g), eps)
+    return form, tuple(entry.table.items()), tuple(lam_values)
 
 
 class _EntryMap:
@@ -636,25 +645,6 @@ def _pairs(fd: FieldDescriptor, data) -> tuple[tuple[FieldElem, FieldElem], ...]
     xs = scalars(fd, [x for x, _ in plain], [x for x, _ in surd])
     ys = scalars(fd, [y for _, y in plain], [y for _, y in surd])
     return tuple(zip(xs, ys))
-
-
-def _check_laws(entry: _EntryMap, add_pairs, mult_pairs=(), product=None, image=None) -> None:
-    """Check that the entry map fixes 1, that entry(x + y) = entry(x) +
-    entry(y) on add_pairs, and that product(x, y) = image(xy) on mult_pairs.
-    product defaults to entry(x) entry(y) and image to the entry map itself;
-    a recovery passes readers of other probes to push products through them.
-    Each product is read before its image, so the lists fix the probe order."""
-    o = one(entry.fd)
-    if entry(o) != o:
-        raise NotMultiplicative("entry map does not fix 1")
-    for x, y in add_pairs:
-        if entry(x + y) != entry(x) + entry(y):
-            raise NotMultiplicative("entry map is not additive")
-    product = product or (lambda x, y: entry(x) * entry(y))
-    image = image or entry
-    for x, y in mult_pairs:
-        if product(x, y) != image(x * y):
-            raise NotMultiplicative("entry map is not multiplicative")
 
 
 def _resolve_hom(fd: FieldDescriptor, table: dict) -> RingHom:
@@ -712,22 +702,20 @@ def _recover_units(w, fd: FieldDescriptor, n: int):
             "scaled unit image is not a scaled unit",
         )[0]
 
-    phi_pool, lam_pool = scalars(fd, *PHI_POOL), _lam_pool(fd)
+    phi_pool = scalars(fd, *PHI_POOL)
     entry = _EntryMap(fd, n, lambda a: r * w(a) * r_inv, 0)
-    for x in phi_pool + tuple(x for x in lam_pool if x not in phi_pool):
+    for x in phi_pool + tuple(x for x in _lam_pool(fd) if x not in phi_pool):
         if unit_probe(1, 2, x) != entry(x):
             raise NotMultiplicative("unit and transvection probes disagree")
-    # (x E_11)(y E_12) = xy E_12 pushes products through the units
-    _check_laws(
-        entry,
-        _pairs(fd, ADD_PAIRS),
-        _pairs(fd, UNIT_MULT_PAIRS),
-        product=lambda x, y: unit_probe(1, 1, x) * entry(y),
-        image=lambda v: unit_probe(1, 2, v),
-    )
-    table = entry.table
-    phi = _resolve_hom(fd, table)
-    return NonDegenerateForm(fd, n, phi, r, 0), tuple(table.items()), None
+    for x in scalars(fd, *PHI_TAIL):
+        entry(x)
+    phi = _resolve_hom(fd, entry.table)
+    # the scaled units x E_11 and xy E_12 must scale by phi as well
+    for x, y in _pairs(fd, UNIT_MULT_PAIRS):
+        for j, v in ((1, x), (2, x * y)):
+            if unit_probe(1, j, v) != hom_apply(phi, v):
+                raise NotMultiplicative("entry map is not multiplicative")
+    return NonDegenerateForm(fd, n, phi, r, 0), tuple(entry.table.items()), None
 
 
 def _check_cofactor(w, fd: FieldDescriptor, n: int, gl_form: DegenerateForm):

@@ -32,15 +32,23 @@ It is the reference for the differential test of that recovery.
 
 assert_report_matches_its_log checks a classify report against its own probe
 log: the reconstructed map must give back every image the oracle gave.
+
+corruption_cases and sweep_outcome are the soundness sweep: five true maps
+at n = 3 over Q, each with its image at one input of its clean probe log
+replaced, and one coordinated two-probe lie over Q(sqrt 7). classify must
+refuse each with a MultmapError or return a report that matches the
+corrupted oracle at every probe it logged.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from multmap.classify import classify
 from multmap.errors import (
     DimensionMismatch,
     DivisionByZero,
+    MultmapError,
     NotMatrixUnits,
     NotSpecialLinear,
     SingularMatrix,
@@ -48,9 +56,13 @@ from multmap.errors import (
 from multmap.field import (
     CONJUGATION_HOM,
     IDENTITY_HOM,
+    RATIONAL,
     FieldDescriptor,
     FieldElem,
+    as_elem,
     one,
+    quadratic,
+    sqrt_gen,
     zero,
 )
 from multmap.mapexpr import (
@@ -61,6 +73,7 @@ from multmap.mapexpr import (
     Hom,
     MapExpr,
     ScalarCharacter,
+    TrivialDet,
     TrivialForm,
     simplify,
 )
@@ -71,8 +84,10 @@ from multmap.matrix import (
     from_columns,
     from_values,
     gen_matrix,
+    identity,
     normalize_scale,
     rank_idempotent,
+    unit_matrix,
     zeros,
 )
 from multmap.slword import evaluate_word
@@ -458,3 +473,68 @@ def assert_report_matches_its_log(report) -> None:
     reconstructed = report.reconstructed_oracle()
     for a, b in report.probe_log:
         assert reconstructed(a) == b, f"report disagrees with its log at probe {a!r}"
+
+
+# the replacements of one logged image X in the soundness sweep
+CORRUPTIONS = {
+    "plus-e11": lambda x: x + unit_matrix(x.field, x.n_rows, 1, 1),
+    "double": lambda x: x + x,
+    "negate": lambda x: -x,
+    "zero": lambda x: zeros(x.field, x.n_rows),
+    "transpose": lambda x: x.transpose(),
+    "identity": lambda x: identity(x.field, x.n_rows),
+}
+
+
+def _sweep_bases():
+    """identity, C(A), det(A) A, det(A)^2 C(A) and det-cube-to-2x2 at n = 3
+    over Q."""
+    x = [ScalarCharacter((("id", p),)) for p in range(4)]
+    return {
+        "identity": MapExpr(3, RATIONAL, ()),
+        "cofactor": MapExpr(3, RATIONAL, (Cof(),)),
+        "det-scale": MapExpr(3, RATIONAL, (DetScale(x[1]),)),
+        "det-square-cofactor": MapExpr(3, RATIONAL, (DetScale(x[2]), Cof())),
+        "det-cube-to-2x2": MapExpr(3, RATIONAL, (TrivialDet((x[3], x[3]), 0, 0),)),
+    }
+
+
+def scaled_unit_lie(fd: FieldDescriptor):
+    """The identity map at n = 3 with sqrt(d) E_11 -> 2 sqrt(d) E_11 and
+    d E_12 -> 2d E_12: the product of the two images stays right."""
+    s, d = sqrt_gen(fd), as_elem(fd, fd.d)
+    e11, e12 = unit_matrix(fd, 3, 1, 1), unit_matrix(fd, 3, 1, 2)
+    lies = {s * e11: (s + s) * e11, d * e12: (d + d) * e12}
+    return lambda a: lies.get(a, a)
+
+
+def corruption_cases(rng=None):
+    """(label, oracle, field, n) for the soundness sweep. At every input of a
+    base's clean probe log, each replacement of CORRUPTIONS, or with rng one
+    of them drawn by rng; a replacement equal to the clean image is left
+    out."""
+    for name, expr in _sweep_bases().items():
+        for a, x in classify(expr.as_oracle(), RATIONAL, 3).probe_log:
+            kinds = [rng.choice(list(CORRUPTIONS))] if rng else list(CORRUPTIONS)
+            for kind in kinds:
+                bad = CORRUPTIONS[kind](x)
+                if bad != x:
+                    yield f"{name}/{kind}", _replaced(expr, a, bad), RATIONAL, 3
+    q7 = quadratic(7)
+    yield "identity-q7/scaled-units", scaled_unit_lie(q7), q7, 3
+
+
+def _replaced(expr: MapExpr, target: Matrix, image: Matrix):
+    return lambda a: image if a == target else expr.evaluate(a)
+
+
+def sweep_outcome(oracle, fd: FieldDescriptor, n: int) -> str:
+    """The type name of the MultmapError classify raises, or "report" for a
+    report that matches the oracle at every probe it logged; any other end
+    fails the calling test."""
+    try:
+        report = classify(oracle, fd, n)
+    except MultmapError as exc:
+        return type(exc).__name__
+    assert_report_matches_its_log(report)
+    return "report"

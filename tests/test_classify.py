@@ -79,10 +79,13 @@ from multmap.slword import _dilated_word, _transvection_triples, evaluate_word, 
 
 from helpers import (
     assert_report_matches_its_log,
+    corruption_cases,
     int_matrix,
     rand_invertible,
     random_mapexpr,
     rand_singular,
+    scaled_unit_lie,
+    sweep_outcome,
 )
 
 # the module, not the function the package exports under the same name
@@ -514,7 +517,7 @@ _REJECTIONS = [
     (_DET2_N2, {_gen(2, Transvection(1, 2, _Q1)): _plus(1, 1)}, NotMultiplicative,
      "unit transvection image matches neither orientation"),
     (_DET2_N2, {_gen(2, Transvection(1, 2, _Q2)): _plus(1, 2)}, NotMultiplicative,
-     "entry map is not additive"),
+     "entry map is neither the identity nor the conjugation"),
     (_DET2_N2, {_dil(2, 2): _const(zeros(RATIONAL, 2))}, NotMultiplicative,
      "dilation image is singular"),
     (_DET2_N2, {_dil(2, 2): _plus(1, 1)}, NotMultiplicative,
@@ -526,7 +529,7 @@ _REJECTIONS = [
     (_DET_N3, {_gen(3, Transvection(2, 3, _Q1)): _const(identity(RATIONAL, 3))},
      NotMultiplicative, "transvection images disagree across positions"),
     (_DET2_COF_N3, {_gen(3, Transvection(2, 1, _QM1)): _plus(1, 2)}, NotMultiplicative,
-     "entry map does not fix 1"),
+     "entry map is neither the identity nor the conjugation"),
     (_COF_N2, {_Q2 * unit_matrix(RATIONAL, 2, 1, 1): _plus(2, 2)}, NotMultiplicative,
      "entry map is not multiplicative"),
     (_COF_N2, {_gen(2, Transvection(1, 2, _Q1)): _plus(2, 1)}, NotMultiplicative,
@@ -568,6 +571,69 @@ def test_every_reachable_rejection_is_pinned(expr, overrides, error, message):
         classify(oracle, RATIONAL, expr.n, seed=0)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("d", [7, -3])
+def test_unit_recovery_checks_every_scaled_unit_against_phi(d):
+    # sqrt(d) E_11 -> 2 sqrt(d) E_11 and d E_12 -> 2d E_12 keep the product
+    # of the two probes; d lies in no probe pool, so only comparing each
+    # scaled unit with phi at its own scalar sees the lie
+    fd = quadratic(d)
+    with pytest.raises(NotMultiplicative) as info:
+        classify(scaled_unit_lie(fd), fd, 3)
+    assert str(info.value) == "entry map is not multiplicative"
+
+
+def test_gl_recovery_resolves_phi_before_inverting_its_values():
+    # the entry map read here sends sqrt(2) and 2 sqrt(2) to 0 and 1 + sqrt(2)
+    # to 1, so it is additive on the sums of pool scalars; the dilation stage
+    # inverts phi(sqrt(2)), which only a resolved phi keeps nonzero
+    fd = Q2
+    s, o = sqrt_gen(fd), one(fd)
+    expr = MapExpr(2, fd, (DetScale(ScalarCharacter()),))
+    overrides = {
+        gen_matrix(Transvection(1, 2, s), fd, 2): identity(fd, 2),
+        gen_matrix(Transvection(1, 2, s + s), fd, 2): identity(fd, 2),
+        gen_matrix(Transvection(1, 2, o + s), fd, 2): gen_matrix(Transvection(1, 2, o), fd, 2),
+        gen_matrix(DiagUnit(1, s), fd, 2): diag(fd, [zero(fd), o]),
+    }
+    with pytest.raises(NotMultiplicative) as info:
+        classify(lambda a: overrides.get(a, expr.evaluate(a)), fd, 2)
+    assert str(info.value) == "entry map is neither the identity nor the conjugation"
+
+
+_OFF_POOL_MAPS = {
+    "identity": ((), "nondegenerate"),
+    "cofactor": ((Cof(),), "nondegenerate"),
+    "detscale-id": ((DetScale(_x(1)),), "degenerate"),
+    "det-cube-to-2x2": ((TrivialDet((_x(3), _x(3)), 0, 0),), "trivial"),
+}
+
+
+@pytest.mark.parametrize("d", [-7, -3, -2, -1, 2, 3, 5, 6, 7, 10])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", list(_OFF_POOL_MAPS))
+def test_true_maps_classify_over_radicands_off_the_pools(name, n, d):
+    # phi is resolved from the pool reads alone, so a true map must pass for
+    # every radicand, in the pools (d = -1, 2, 3, 5) or not; all 80 cases
+    # take about 2.5 s on a 2-vCPU host
+    atoms, kind = _OFF_POOL_MAPS[name]
+    fd = quadratic(d)
+    rep = classify(MapExpr(n, fd, atoms).as_oracle(), fd, n)
+    assert rep.form.kind == kind
+    assert_report_matches_its_log(rep)
+
+
+def test_corrupted_oracles_get_a_refusal_or_a_report_true_to_their_log():
+    # the soundness sweep, one seeded replacement per logged input: 382
+    # classifications in 2 to 3.5 s on a 2-vCPU host, of 2295 in the full
+    # sweep (corruption_cases() with no rng, about 17 s)
+    outcomes = [
+        (label, sweep_outcome(oracle, fd, n))
+        for label, oracle, fd, n in corruption_cases(random.Random(1912))
+    ]
+    assert len(outcomes) > 300
+    assert outcomes[-1] == ("identity-q7/scaled-units", "NotMultiplicative")
 
 
 def test_unit_recovery_checks_the_corank_one_images():
