@@ -489,7 +489,7 @@ CORRUPTIONS = {
 def _sweep_bases():
     """identity, C(A), det(A) A, det(A)^2 C(A) and det-cube-to-2x2 at n = 3
     over Q."""
-    x = [ScalarCharacter((("id", p),)) for p in range(4)]
+    x = {p: ScalarCharacter((("id", p),)) for p in (1, 2, 3)}
     return {
         "identity": MapExpr(3, RATIONAL, ()),
         "cofactor": MapExpr(3, RATIONAL, (Cof(),)),
