@@ -202,9 +202,8 @@ class _Working:
     def __init__(self, session: Session, s_mat: Matrix, l: int, z_pad: int, s_pad: int):
         fd = session.fd
         self.session = session
-        # not left to the identity shortcut of Matrix.__mul__: it would scan
-        # S and S^-1 on every probe
-        self.basis_change = None if s_mat.is_identity else (s_mat, s_mat.inverse())
+        self.s_mat = s_mat
+        self.s_inv = s_mat.inverse()
         self.l = l
         self.z_pad = z_pad
         self.s_pad = s_pad
@@ -212,10 +211,7 @@ class _Working:
         self.block = [(i, j) for i in range(l) for j in range(l)]
 
     def __call__(self, a: Matrix) -> Matrix:
-        x = self.session.call(a)
-        if self.basis_change:
-            s_mat, s_inv = self.basis_change
-            x = s_inv * x * s_mat
+        x = self.s_inv * self.session.call(a) * self.s_mat
         if self.l == x.n_rows:
             return x
         entries = _read(

@@ -35,9 +35,8 @@ log: the reconstructed map must give back every image the oracle gave.
 
 corruption_cases and sweep_outcome are the soundness sweep: five true maps
 at n = 3 over Q, each with its image at one input of its clean probe log
-replaced, and one coordinated two-probe lie over Q(sqrt 7). classify must
-refuse each with a MultmapError or return a report that matches the
-corrupted oracle at every probe it logged.
+replaced. classify must refuse each with a MultmapError or return a report
+that matches the corrupted oracle at every probe it logged.
 """
 
 from dataclasses import dataclass
@@ -61,7 +60,6 @@ from multmap.field import (
     FieldElem,
     as_elem,
     one,
-    quadratic,
     sqrt_gen,
     zero,
 )
@@ -520,8 +518,6 @@ def corruption_cases(rng=None):
                 bad = CORRUPTIONS[kind](x)
                 if bad != x:
                     yield f"{name}/{kind}", _replaced(expr, a, bad), RATIONAL, 3
-    q7 = quadratic(7)
-    yield "identity-q7/scaled-units", scaled_unit_lie(q7), q7, 3
 
 
 def _replaced(expr: MapExpr, target: Matrix, image: Matrix):
