@@ -323,6 +323,21 @@ def _reduce_integer_vector(ps, qs, den: int) -> tuple[list[int], list[int] | Non
     return ps, qs, den
 
 
+def _scale_integer_vector(f: FieldElem, ps, qs, den: int) -> tuple[list[int], list[int] | None, int]:
+    """f times the vector (ps, qs, den) as _reduce_integer_vector gives it:
+    the integers times the numerators of f, over den times the denominator
+    of f, reduced by one gcd."""
+    fp, fq = f._p, f._q
+    if fq and qs:
+        dq = f._field.d * fq
+        p = [fp * x + dq * y for x, y in zip(ps, qs)]
+        q = [fp * y + fq * x for x, y in zip(ps, qs)]
+    else:
+        p = [fp * x for x in ps]
+        q = [fq * x for x in ps] if fq else qs and [fp * y for y in qs]
+    return _reduce_integer_vector(p, q, den * f._den)
+
+
 def _from_integer_vector(fd: FieldDescriptor, ps, qs, den: int) -> tuple[FieldElem, ...]:
     """The elements (ps[k] + qs[k]*s)/den in normal form, for a vector as
     _reduce_integer_vector gives it: one gcd per entry when den is not one."""

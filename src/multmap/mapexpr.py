@@ -527,7 +527,7 @@ def _apply_hom(h: RingHom, a: Matrix) -> Matrix:
     _check_hom(h, a.field)
     if h.kind == "id":
         return a
-    return Matrix._of(a.field, [[x.conjugate() for x in r] for r in a.rows])
+    return a.conjugate()
 
 
 def _check_core(field: FieldDescriptor, n: int, phi: RingHom, R: Matrix, eps: int) -> None:

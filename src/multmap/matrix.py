@@ -7,20 +7,26 @@ caches, the form it lacks, its columns over the least common denominator
 of the whole matrix, its determinant, its reduced row echelon rows with
 their pivots and its inverse. A product reads the integer rows of its left
 operand and the integer columns of its right one, so every entry is one
-integer sum, and it keeps only its integer rows, each reduced by one gcd:
-its FieldElem entries are built on the first read of rows (directly or
-through indexing, hash, repr, to_doc or elimination). The next product,
-the determinant, is_identity, and equality with a matrix that has no
-entries yet read the integer rows alone. The determinant is one
-fraction-free (Bareiss) sweep over the integer rows, in Z or in
-Z[sqrt d]; rank, kernels, inverses, solves and the cofactor run exact
-Gauss-Jordan elimination. Everything is exact and no pivot is chosen for
-numerical reasons, so results are reproducible bit for bit.
+integer sum. A product, and a scalar multiple of any matrix, keeps only
+its integer rows, each reduced by one gcd: its FieldElem entries are built
+on the first read of rows (directly or through indexing, hash, repr,
+to_doc or elimination). The next product, the determinant, is_identity,
+and equality with a matrix that has no entries yet read the integer rows
+alone. Rank, kernels, inverses, solves and the cofactor run exact
+Gauss-Jordan elimination, one loop, which also gives the signed product of
+its pivots: the inverse and the cofactor keep it on their input as its
+determinant. The inverse, the cofactor, products of matrices with known
+determinants, scalings, entrywise conjugates and generator matrices
+receive their determinants when built, so a matrix sweeps for its
+determinant only when nothing gave it one: one fraction-free (Bareiss)
+sweep over the integer rows, in Z or in Z[sqrt d]. Everything is exact
+and no pivot is chosen for numerical reasons, so results are reproducible
+bit for bit.
 
 Matrix(fd, rows) checks its input: nonempty, rectangular, every entry a
 FieldElem of fd. The private Matrix._of(fd, rows) runs none of these checks.
 It is only for matrices whose every entry the package built itself from
-operands of one already-checked field: products, sums, negations, scalings,
+operands of one already-checked field: sums, negations, conjugates,
 transposes, inverses, cofactors, generator matrices, the entrywise hom
 and word evaluations of mapexpr and slword, and the rows decompose_gl scales
 by the inverse determinant. identity, zeros, unit_matrix and rank_idempotent
@@ -28,11 +34,11 @@ check their field, size and indices and then build through it too, since
 their every entry is zero(fd) or one(fd). Everything read from outside goes
 through the checked constructor.
 
-Row scalings and row updates (elimination, Matrix.scale, the determinant
-factor of the cofactor) run through the row kernels of the field layer.
-A product with an identity operand returns the other operand itself, after
-the field and shape checks, and scaling by one returns self: matrices are
-immutable, so sharing them is safe.
+Row scalings and row updates (elimination and the scale factors of the
+cofactor) run through the row kernels of the field layer. A product with
+an identity operand returns the other operand itself, after the field and
+shape checks, and scaling by one returns self: matrices are immutable, so
+sharing them is safe.
 
 Besides the Matrix class the module holds the elementary generator records
 (transvections, diagonal units, swaps), the small constructors the rest of
@@ -65,6 +71,7 @@ from .field import (
     _norm,
     _power,
     _reduce_integer_vector,
+    _scale_integer_vector,
     _scale_row,
     _sub_mul_row,
     as_elem,
@@ -244,6 +251,8 @@ class Matrix:
             vectors.append(_reduce_integer_vector(p, q, den * cden))
         m = _new(Matrix)
         _fill(m, fd, self.n_rows, other.n_cols, None, vectors)
+        if self._det is not None and other._det is not None:
+            _set(m, "_det", self._det * other._det)
         return m
 
     def _int_rows(self) -> list:
@@ -277,11 +286,19 @@ class Matrix:
         return self.scale(scalar)
 
     def scale(self, scalar: FieldElem) -> "Matrix":
+        """scalar * self from the integer rows, one gcd per row; like a
+        product, the result keeps only its integer rows. A known
+        determinant d gives scalar^n d."""
         if scalar.field != self.field:
             raise FieldMismatch("scalar outside the matrix field")
         if scalar.is_one:
             return self
-        return Matrix._of(self.field, [_scale_row(scalar, r) for r in self.rows])
+        m = _new(Matrix)
+        vectors = [_scale_integer_vector(scalar, *v) for v in self._int_rows()]
+        _fill(m, self.field, self.n_rows, self.n_cols, None, vectors)
+        if self._det is not None:
+            _set(m, "_det", scalar**self.n_rows * self._det)
+        return m
 
     def __pow__(self, exponent: int) -> "Matrix":
         n = self._require_square("power")
@@ -292,12 +309,20 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._of(self.field, zip(*self.rows))
 
+    def conjugate(self) -> "Matrix":
+        """The entrywise conjugate, sqrt d -> -sqrt d; a known determinant
+        gives its conjugate."""
+        m = Matrix._of(self.field, [[x.conjugate() for x in r] for r in self.rows])
+        if self._det is not None:
+            _set(m, "_det", self._det.conjugate())
+        return m
+
     # -- elimination ---------------------------------------------------------
 
     def _reduce(self):
         """Reduced row echelon rows and pivot columns; computed once."""
         if self._reduced is None:
-            rows, pivots = _eliminate(self.field, [list(r) for r in self.rows], self.n_cols)
+            rows, pivots, _ = _eliminate(self.field, [list(r) for r in self.rows], self.n_cols)
             _set(self, "_reduced", (tuple(map(tuple, rows)), pivots))
         return self._reduced
 
@@ -307,10 +332,15 @@ class Matrix:
 
     @property
     def det(self) -> FieldElem:
-        """One fraction-free sweep over the integer rows, normalized once:
-        det A = det(P) / (product of the row denominators), P the integer
-        numerators, in Z or, when some entry has a surd part, in Z[sqrt d].
-        Computed once."""
+        """The determinant, computed at most once. A matrix often has it
+        from the start: the elimination for its inverse or its cofactor
+        stores the signed product of the pivots on it, and the inverse, the
+        cofactor, a product of two matrices with known determinants, a
+        scaling, the entrywise conjugation and the generator matrices
+        receive theirs when built. Otherwise it is one fraction-free sweep
+        over the integer rows, normalized once: det A = det(P) / (product
+        of the row denominators), P the integer numerators, in Z or, when
+        some entry has a surd part, in Z[sqrt d]."""
         if self._det is None:
             self._require_square("determinant")
             rows = self._int_rows()
@@ -331,14 +361,20 @@ class Matrix:
         return self.is_square and not self.det.is_zero
 
     def inverse(self) -> "Matrix":
+        """A^-1 from one elimination of [A | I], computed once. The pivots
+        give det A, which A keeps, and A^-1 gets 1 / det A."""
         if self._inv is not None:
             return self._inv
         n = self._require_square("inverse")
-        rows, pivots = _eliminate(self.field, _augment_identity(self), n)
+        fd = self.field
+        rows, pivots, det = _eliminate(fd, _augment_identity(self), n)
         if len(pivots) < n:
+            _set(self, "_det", zero(fd))
             raise SingularMatrix("matrix is not invertible")
-        inv = Matrix._of(self.field, [row[n:] for row in rows])
-        object.__setattr__(self, "_inv", inv)
+        _set(self, "_det", det)
+        inv = Matrix._of(fd, [row[n:] for row in rows])
+        _set(inv, "_det", det.inv())
+        _set(self, "_inv", inv)
         return inv
 
     def kernel_basis(self) -> list[tuple[FieldElem, ...]]:
@@ -370,43 +406,40 @@ class Matrix:
         row i and column j). Satisfies C(AB) = C(A) C(B) on every square
         matrix and A C(A)^T = det(A) I; defined for size two and up.
 
-        One elimination of [A | I] gives the rank of A:
-          - rank n: C = det(A) (A^-1)^T, with det(A) the cached determinant;
-          - rank n - 1: C = c y x^T, where A x = 0 comes from the reduced
-            left block, y^T A = 0 is the right block of the row whose left
-            part vanished, and c comes from one (n-1)-minor at a position
-            where y and x are both nonzero;
+        One elimination of [A | I] gives the rank of A and the signed
+        product P of its pivots, the reciprocal of det E for the elimination
+        E, the right block, with E A the reduced echelon form:
+          - rank n: P = det(A) and C = det(A) (A^-1)^T;
+          - rank n - 1: C = C(E)^-1 C(E A) = P E^T C(E A), and C(E A) is
+            nonzero only in its last row, whose entry at the free column is
+            (-1)^(n-1+free) and which is proportional to x, A x = 0 from the
+            reduced left block; so C = (-1)^(n-1+free) P y x^T with y^T the
+            last row of E;
           - rank n - 2 or less: every minor vanishes, so C = 0.
-        The elimination runs on a copy, so it leaves no echelon form or
-        inverse cached on self."""
+        A keeps its determinant, P or zero, and C gets det(A)^(n-1). The
+        elimination runs on a copy, so it leaves no echelon form or inverse
+        cached on self."""
         n = self._require_square("cofactor")
         if n < 2:
             raise DimensionMismatch("cofactor needs size at least two")
         fd = self.field
-        rows, pivots = _eliminate(fd, _augment_identity(self), n)
+        rows, pivots, det = _eliminate(fd, _augment_identity(self), n)
         rank = len(pivots)
+        _set(self, "_det", det if rank == n else zero(fd))
         if rank == n:
             # the transpose of det(A) A^-1, the right block of the rows
-            det = self.det
-            return Matrix._of(fd, zip(*(_scale_row(det, row[n:]) for row in rows)))
+            c = Matrix._of(fd, zip(*(_scale_row(det, row[n:]) for row in rows)))
+            _set(c, "_det", det ** (n - 1))
+            return c
         if rank < n - 1:
-            return zeros(fd, n)
-        free = next(c for c in range(n) if c not in pivots)
-        x = _null_vector(fd, rows, pivots, free, n)
-        y = rows[n - 1][n:]
-        i = next(k for k in range(n) if not y[k].is_zero)
-        # C is a nonzero multiple of y x^T and x[free] = 1, so the minor at
-        # (i, free) is nonsingular and alone fixes the scale
-        minor = [
-            [v for col, v in enumerate(row) if col != free]
-            for k, row in enumerate(self.rows)
-            if k != i
-        ]
-        signed = Matrix._of(fd, minor).det
-        if (i + free) % 2:
-            signed = -signed
-        c = signed / y[i]
-        return Matrix._of(fd, [_scale_row(c * yi, x) for yi in y])
+            c = zeros(fd, n)
+        else:
+            free = next(col for col in range(n) if col not in pivots)
+            x = _null_vector(fd, rows, pivots, free, n)
+            scale = -det if (n - 1 + free) % 2 else det
+            c = Matrix._of(fd, [_scale_row(scale * yi, x) for yi in rows[n - 1][n:]])
+        _set(c, "_det", zero(fd))
+        return c
 
     def is_idempotent(self) -> bool:
         return self.is_square and self * self == self
@@ -467,11 +500,17 @@ def _fill(m: Matrix, fd: FieldDescriptor, n_rows: int, n_cols: int, rows, irows)
 def _eliminate(fd: FieldDescriptor, rows: list[list[FieldElem]], n_pivot_cols: int):
     """Gauss-Jordan elimination of rows, in place, choosing pivots in the
     first n_pivot_cols columns only. Every pivot row is scaled to a leading
-    one and its column is cleared in every other row.
+    one and its column is cleared in every other row; this is the one
+    elimination loop of the package.
 
-    Returns (rows, pivots), the pivot columns as a tuple."""
+    Returns (rows, pivots, det): the pivot columns as a tuple and the signed
+    product of the pivots, (-1)^(row swaps) times their product. For n rows
+    whose first n columns are a square matrix that gets n pivots, det is its
+    determinant; below full rank it is the reciprocal of the determinant of
+    the row operations, which cofactor reads."""
     nr = len(rows)
     pivots = []
+    det = one(fd)
     r = 0
     for c in range(n_pivot_cols):
         if r == nr:
@@ -481,14 +520,17 @@ def _eliminate(fd: FieldDescriptor, rows: list[list[FieldElem]], n_pivot_cols: i
             continue
         if p != r:
             rows[p], rows[r] = rows[r], rows[p]
-        pivot_row = rows[r] = _scale_row(rows[r][c].inv(), rows[r])
+            det = -det
+        pivot = rows[r][c]
+        det = det * pivot
+        pivot_row = rows[r] = _scale_row(pivot.inv(), rows[r])
         for i in range(nr):
             f = rows[i][c]
             if i != r and not f.is_zero:
                 rows[i] = _sub_mul_row(rows[i], f, pivot_row)
         pivots.append(c)
         r += 1
-    return rows, tuple(pivots)
+    return rows, tuple(pivots), det
 
 
 def _bareiss(a: list[list[int]]) -> int:
@@ -724,17 +766,23 @@ def _check_generator(gen: Generator, fd: FieldDescriptor, n: int) -> None:
 
 
 def gen_matrix(gen: Generator, fd: FieldDescriptor, n: int) -> Matrix:
-    """Realize an elementary generator as an n x n matrix."""
+    """Realize an elementary generator as an n x n matrix, which knows its
+    determinant: 1, k or -1."""
     _check_generator(gen, fd, n)
     m = [list(r) for r in identity(fd, n).rows]
     if isinstance(gen, Transvection):
         m[gen.i - 1][gen.j - 1] = gen.k
+        det = one(fd)
     elif isinstance(gen, DiagUnit):
         m[gen.i - 1][gen.i - 1] = gen.k
+        det = gen.k
     else:
         a, b = gen.i - 1, gen.j - 1
         m[a], m[b] = m[b], m[a]
-    return Matrix._of(fd, m)
+        det = -one(fd)
+    g = Matrix._of(fd, m)
+    _set(g, "_det", det)
+    return g
 
 
 def solve_exact(a: Matrix, b: Matrix) -> Matrix:
@@ -747,7 +795,7 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch("row counts disagree in linear solve")
     m = a.n_cols
     aug = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
-    rows, pivots = _eliminate(a.field, aug, m + b.n_cols)
+    rows, pivots, _ = _eliminate(a.field, aug, m + b.n_cols)
     if pivots != tuple(range(m)):
         raise SingularMatrix("linear system is rank deficient or inconsistent")
     return Matrix(a.field, [row[m:] for row in rows[:m]])

@@ -534,6 +534,11 @@ _REJECTIONS = [
                  id="entry map does not fix 1"),
     (_COF_N2, {_Q2 * unit_matrix(RATIONAL, 2, 1, 1): _plus(2, 2)}, NotMultiplicative,
      "entry map is not multiplicative"),
+    # at n = 2 GL recovery reads its products xy only from transvections;
+    # 6 = 2 * 3 is in no pool that phi is resolved from
+    pytest.param(_DET2_N2, {_gen(2, Transvection(1, 2, as_elem(RATIONAL, 6))): _plus(1, 2)},
+                 NotMultiplicative, "entry map is not multiplicative",
+                 id="entry map is not multiplicative at a product"),
     (_COF_N2, {_gen(2, Transvection(1, 2, _Q1)): _plus(2, 1)}, NotMultiplicative,
      "unit and transvection probes disagree"),
     (_DET_CUBE, {_dil(3, 2): _plus(1, 1)}, NotMultiplicative,

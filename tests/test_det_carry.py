@@ -1,0 +1,206 @@
+"""Determinants that matrices receive when they are built.
+
+An elimination for the inverse or the cofactor stores the signed product
+of its pivots on its input; the inverse gets 1 / det, the cofactor det^(n-1),
+a product of two matrices with known determinants their product, a scaling
+by f the value f^n det, the entrywise conjugation the conjugate, and the
+generator matrices 1, k or -1. Every carried determinant is compared with
+the fraction-free sweep on a fresh copy of the matrix and, up to size 5,
+with the Laplace expansion, over Q, Q(sqrt 2) and Q(i), at sizes 2 to 6,
+on invertible inputs and singular ones of every rank, along random chains
+of these steps.
+
+The sweep counts pin the point of the carry: one MapExpr.evaluate of any
+ordering of conj, cof, hom and detscale sweeps at most once on a fresh
+input and never on a generator matrix.
+"""
+
+import random
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import multmap.matrix as matrix_module
+from multmap.errors import SingularMatrix
+from multmap.field import CONJUGATION_HOM, RATIONAL, one, quadratic, zero
+from multmap.mapexpr import Cof, Conj, DetScale, Hom, MapExpr, ScalarCharacter, _apply_hom
+from multmap.matrix import DiagUnit, Matrix, Swap, Transvection, gen_matrix
+
+from helpers import laplace_det, rand_elem, rand_invertible, rand_singular, ref_scale
+
+FIELDS = (RATIONAL, quadratic(2), quadratic(-1))
+STEPS = ("mul", "scale", "hom", "cofactor", "inverse", "gen")
+
+
+def _fresh(m: Matrix) -> Matrix:
+    """The same entries with no cache: no determinant, echelon form or inverse."""
+    return Matrix(m.field, m.rows)
+
+
+def _assert_carried(m: Matrix) -> None:
+    """A determinant m holds equals the sweep on a fresh copy and, up to
+    size 5, the Laplace expansion."""
+    if m._det is None:
+        return
+    fresh = _fresh(m)
+    assert m._det == fresh.det
+    if m.n_rows <= 5:
+        assert m._det == laplace_det(fresh)
+
+
+def _unit(rng, fd):
+    """A random nonzero scalar."""
+    while True:
+        k = rand_elem(rng, fd)
+        if not k.is_zero:
+            return k
+
+
+def _generator(rng, fd, n):
+    i, j = rng.sample(range(1, n + 1), 2)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Transvection(i, j, rand_elem(rng, fd))
+    if kind == 1:
+        return DiagUnit(i, _unit(rng, fd))
+    return Swap(i, j)
+
+
+def _step(rng, fd, n, pool: list, step: str) -> None:
+    """Apply one step to matrices of the pool, check the carry rule it
+    obeys, and add what it builds to the pool."""
+    m = rng.choice(pool)
+    if step == "mul":
+        other = rng.choice(pool)
+        out = m * other
+        if m._det is not None and other._det is not None:
+            assert out._det is not None
+    elif step == "scale":
+        f = rng.choice((zero(fd), -one(fd), rand_elem(rng, fd)))
+        out = f * m
+        assert out == ref_scale(m, f)
+        if m._det is not None:
+            assert out._det is not None
+    elif step == "hom":
+        if not fd.is_quadratic:
+            return
+        out = _apply_hom(CONJUGATION_HOM, m)
+        assert (out._det is None) == (m._det is None)
+    elif step == "cofactor":
+        out = m.cofactor()
+        assert m._det is not None and out._det is not None
+    elif step == "inverse":
+        try:
+            out = m.inverse()
+        except SingularMatrix:
+            assert m._det is not None and m._det.is_zero
+            return
+        assert m._det is not None and out._det is not None
+    else:
+        out = gen_matrix(_generator(rng, fd, n), fd, n)
+        assert out._det is not None
+    pool.append(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fd=st.sampled_from(FIELDS),
+    n=st.integers(2, 6),
+    rank=st.integers(0, 6),
+    steps=st.lists(st.sampled_from(STEPS), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32),
+)
+def test_carried_determinants_match_a_fresh_sweep(fd, n, rank, steps, seed):
+    rng = random.Random(seed)
+    rank = min(rank, n)
+    start = rand_invertible(rng, fd, n) if rank == n else rand_singular(rng, fd, n, rank)
+    # a product keeps no entries: start from both forms, neither knowing det
+    pool = [_fresh(start), start * gen_matrix(Swap(1, 2), fd, n) * _fresh(start)]
+    assert pool[0]._det is None and pool[1]._det is None
+    for step in steps:
+        _step(rng, fd, n, pool, step)
+    for m in pool:
+        _assert_carried(m)
+
+
+@pytest.mark.parametrize("fd", FIELDS)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_carry_rule(fd, n):
+    rng = random.Random(n)
+    a = _fresh(rand_invertible(rng, fd, n))
+    b = _fresh(rand_invertible(rng, fd, n))
+    # each generator kind
+    gens = [
+        gen_matrix(Transvection(1, 2, rand_elem(rng, fd)), fd, n),
+        gen_matrix(DiagUnit(2, _unit(rng, fd)), fd, n),
+        gen_matrix(Swap(1, n), fd, n),
+    ]
+    assert [g._det for g in gens] == [one(fd), gens[1][1, 1], -one(fd)]
+    # the inverse: its input keeps det, the inverse gets 1 / det
+    a_inv = a.inverse()
+    assert a._det is not None and a_inv._det == a._det.inv()
+    # a product of two known determinants, and of one known and one unknown
+    assert (a * a_inv * gens[1])._det == gens[1]._det
+    assert (gens[0] * b)._det is None
+    # the cofactor of a matrix that already knows det, and of one that does not
+    c = a.cofactor()
+    assert c._det == a._det ** (n - 1)
+    b_cof = b.cofactor()
+    assert b._det is not None and b_cof._det == b._det ** (n - 1)
+    # scaling a matrix with entries and a product with none
+    f = _unit(rng, fd)
+    lazy = a * gens[2]
+    scalings = [(m, g, g * m) for m in (a, lazy) for g in (f, -one(fd))]
+    for m, g, scaled in scalings:
+        assert scaled._det == g**n * m._det
+        assert scaled == ref_scale(m, g)
+    # the entrywise conjugation
+    if fd.is_quadratic:
+        assert _apply_hom(CONJUGATION_HOM, a)._det == a._det.conjugate()
+    for m in (*gens, a, a_inv, c, b, b_cof, lazy, f * lazy):
+        _assert_carried(m)
+
+
+def _sweep_counter(monkeypatch) -> list:
+    """Count the calls of both fraction-free sweeps."""
+    calls = []
+    for name in ("_bareiss", "_bareiss_surd"):
+        sweep = getattr(matrix_module, name)
+
+        def counted(*args, _sweep=sweep):
+            calls.append(1)
+            return _sweep(*args)
+
+        monkeypatch.setattr(matrix_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fd", [quadratic(2), quadratic(-1)])
+def test_one_evaluation_sweeps_at_most_once(fd, monkeypatch):
+    n = 4
+    rng = random.Random(3)
+    inputs = [rand_invertible(rng, fd, n)] + [rand_singular(rng, fd, n, r) for r in range(n)]
+    gens = [
+        gen_matrix(Transvection(1, 3, rand_elem(rng, fd)), fd, n),
+        gen_matrix(DiagUnit(2, _unit(rng, fd)), fd, n),
+        gen_matrix(Swap(2, 4), fd, n),
+    ]
+    atoms = (
+        Conj(rand_invertible(rng, fd, n)),
+        Cof(),
+        Hom(CONJUGATION_HOM),
+        DetScale(ScalarCharacter((("id", 1), ("conj", -1)))),
+    )
+    calls = _sweep_counter(monkeypatch)
+    for order in permutations(atoms):
+        expr = MapExpr(n, fd, order)
+        for a in inputs:
+            calls.clear()
+            expr.evaluate(_fresh(a))
+            assert len(calls) <= 1, order
+        for g in gens:
+            calls.clear()
+            expr.evaluate(g)
+            assert not calls, order

@@ -146,11 +146,17 @@ def test_cofactor_matches_both_references_at_every_rank(n, rank, fd, seed, prime
     a = Matrix(fd, a.rows)
     if primed:
         a.rank
+    assert a._det is None
     reduced = a._reduced
     c = a.cofactor()
-    # the cofactor leaves no elimination data behind on its argument
+    # the cofactor leaves no elimination data behind on its argument, only
+    # its determinant, and knows its own, det(A)^(n-1)
     assert a._inv is None
     assert a._reduced is reduced
+    det = laplace_det(a)
+    assert a._det == det
+    assert c._det is not None and c.det == det ** (n - 1)
+    assert c.det == Matrix(fd, c.rows).det
     assert c == laplace_cofactor(a)
     assert c == minor_cofactor(a)
 
@@ -565,6 +571,7 @@ def test_doc_round_trip():
         {"field": {"kind": "rational"}, "n": 1, "entries": [["1/0"]]},
         {"field": {"kind": "nope"}, "n": 1, "entries": [["1"]]},
         "not an object",
+        {"field": {"kind": "rational"}, "n": 2, "entries": [["1", "0"], ["1"]]},
     ],
 )
 def test_doc_rejects_malformed(doc):

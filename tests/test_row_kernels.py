@@ -78,10 +78,9 @@ def _elimination_inputs(rng, fd, n: int):
 def test_eliminate_matches_the_per_entry_reference(fd, n):
     rng = random.Random(_seed(fd, n))
     for rows, cols in _elimination_inputs(rng, fd, n):
-        # the reference also returns the signed pivot product, which Matrix.det
-        # no longer reads off an elimination
+        # rows, pivots and the signed pivot product, at every rank and shape
         got = _eliminate(fd, [list(r) for r in rows], cols)
-        assert got == ref_eliminate(fd, rows, cols)[:2]
+        assert got == ref_eliminate(fd, rows, cols)
 
 
 @by_field
