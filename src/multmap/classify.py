@@ -410,7 +410,9 @@ def _classify_trivial(w: _Working, fd: FieldDescriptor, n: int):
 def _joint_diagonalize(mats, cand_vals, fd: FieldDescriptor, l: int):
     """Split the full space into joint eigenspaces of a commuting family,
     trying only the candidate eigenvalues supplied per matrix. Returns a list
-    of (basis matrix, eigenvalue tuple) pairs in deterministic order."""
+    of (basis matrix, eigenvalue tuple) pairs in deterministic order.
+    Eigenspaces of distinct values are independent, so once they cover a
+    block no later candidate has one, and its scan stops."""
     blocks: list[tuple[Matrix, tuple[FieldElem, ...]]] = [(identity(fd, l), ())]
     for m_x, vals in zip(mats, cand_vals):
         refined = []
@@ -419,10 +421,15 @@ def _joint_diagonalize(mats, cand_vals, fd: FieldDescriptor, l: int):
             # their joint eigenspaces and this solve cannot fail
             t = solve_exact(basis, m_x * basis)
             m = basis.n_cols
-            ident = identity(fd, m)
             covered = 0
             for v in vals:
-                kern = (t - v * ident).kernel_basis()
+                if covered == m:
+                    break
+                # t - v I, with v subtracted on the diagonal alone
+                shifted = [
+                    [x - v if i == j else x for j, x in enumerate(r)] for i, r in enumerate(t.rows)
+                ]
+                kern = Matrix._of(fd, shifted).kernel_basis()
                 if kern:
                     sub = basis * from_columns(fd, kern)
                     refined.append((sub, eigs + (v,)))
@@ -741,7 +748,9 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
     oracle. The recovered form must match the oracle on every sample
     exactly, and is evaluated before the oracle is asked: on an invertible
     sample D_1(x) P_1 ... P_8 its value is read off the images of the
-    generators (_word_image), on a singular one it is the form's own."""
+    generators (_word_image), on a singular one it is the form's own. Each
+    sample carries its determinant from the draw, x or zero, so neither
+    the form nor the oracle sweeps for it."""
     rng = random.Random(seed)
     expect = _word_image(form, s_total)
     lam_pool = _lam_pool(fd)
@@ -750,17 +759,19 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
     for i in range(VERIFY_INVERTIBLE):
         x = lam_pool[i % len(lam_pool)]
         word = _transvection_triples(rng, fd, n, 8)
-        _check_sample(session, expect(x, word), _dilated_word(x, word, fd, base))
+        _check_sample(session, expect(x, word), _dilated_word(x, word, fd, base, x))
     reported = _reported_map(form, s_total)
-    zero_row = (zero(fd),) * n
+    z = zero(fd)
+    zero_row = (z,) * n
     for _ in range(VERIFY_SINGULAR):
         r = rng.randrange(0, n)
         # G1 = D_1(d1) W1, drawn as random_gl draws it, and G2 after it;
-        # G1 diag(I_r, 0) G2 is G1 applied to G2 with its rows from r on zero
+        # G1 diag(I_r, 0) G2 is G1 applied to G2 with its rows from r on
+        # zero, singular since r < n
         d1 = rng.choice(pool)
         w1 = _transvection_triples(rng, fd, n, 4 * n)
         g2 = random_gl(rng, fd, n)
-        a = _dilated_word(d1, w1, fd, g2.rows[:r] + (zero_row,) * (n - r))
+        a = _dilated_word(d1, w1, fd, g2.rows[:r] + (zero_row,) * (n - r), z)
         _check_sample(session, reported(a), a)
 
 

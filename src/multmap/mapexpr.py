@@ -32,6 +32,7 @@ from .errors import (
     IndexOutOfRange,
     ParseError,
     SingularConjugator,
+    SingularMatrix,
     UnregisteredHom,
 )
 from .field import (
@@ -195,14 +196,21 @@ def _check_character(char, fd: FieldDescriptor) -> None:
 
 def _check_conjugator(r, fd: FieldDescriptor, n: int) -> None:
     """Refuse an R that is no invertible n x n matrix over fd, with
-    DimensionMismatch, FieldMismatch or SingularConjugator."""
+    DimensionMismatch, FieldMismatch or SingularConjugator. A determinant
+    that R carries answers at once; otherwise R is inverted, so evaluation
+    reuses that one elimination."""
     if not isinstance(r, Matrix):
         raise DimensionMismatch("conjugator must be a matrix")
     if r.field != fd:
         raise FieldMismatch("conjugator over the wrong field")
     if r.n_rows != n or not r.is_square:
         raise DimensionMismatch("conjugator must be n x n")
-    if not r.is_invertible:
+    if r._det is None:
+        try:
+            r.inverse()
+        except SingularMatrix:
+            pass
+    if r._det.is_zero:
         raise SingularConjugator("conjugator must be invertible")
 
 

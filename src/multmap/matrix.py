@@ -336,11 +336,12 @@ class Matrix:
         from the start: the elimination for its inverse or its cofactor
         stores the signed product of the pivots on it, and the inverse, the
         cofactor, a product of two matrices with known determinants, a
-        scaling, the entrywise conjugation and the generator matrices
-        receive theirs when built. Otherwise it is one fraction-free sweep
-        over the integer rows, normalized once: det A = det(P) / (product
-        of the row denominators), P the integer numerators, in Z or, when
-        some entry has a surd part, in Z[sqrt d]."""
+        scaling, the entrywise conjugation, the generator matrices and the
+        final-verification samples of classify receive theirs when built.
+        Otherwise it is one fraction-free sweep over the integer rows,
+        normalized once: det A = det(P) / (product of the row
+        denominators), P the integer numerators, in Z or, when some entry
+        has a surd part, in Z[sqrt d]."""
         if self._det is None:
             self._require_square("determinant")
             rows = self._int_rows()

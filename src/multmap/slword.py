@@ -50,7 +50,7 @@ from .matrix import (
     _check_generator,
     identity,
 )
-from .value import Value
+from .value import Value, _set
 
 
 @cache
@@ -189,13 +189,19 @@ def _transvect(rows, word) -> list:
     return rows
 
 
-def _dilated_word(x: FieldElem, word, fd: FieldDescriptor, rows) -> Matrix:
+def _dilated_word(
+    x: FieldElem, word, fd: FieldDescriptor, rows, det: FieldElem | None = None
+) -> Matrix:
     """D_1(x) P_1 ... P_m M for a word of (i, j, k) triples and the rows of
     M: the transvections act on the rows, and the dilation scales the first
-    row last."""
+    row last. A det given by the caller, x det M, is carried as the
+    determinant of the result."""
     rows = _transvect(rows, word)
     rows[0] = _scale_row(x, rows[0])
-    return Matrix._of(fd, rows)
+    m = Matrix._of(fd, rows)
+    if det is not None:
+        _set(m, "_det", det)
+    return m
 
 
 def random_transvection_word(

@@ -30,6 +30,11 @@ checked the conjugator it returns: every relation F_ij F_kl = delta_jk F_il
 multiplied out in full, O(n^7), then R built from the first column of units.
 It is the reference for the differential test of that recovery.
 
+ref_joint_diagonalize is the eigenspace split of trivial recovery as it was
+before it stopped a block's scan once the block was covered: one
+elimination of t - v I per candidate eigenvalue v, with v I built as a
+matrix. It is the reference for the differential test of that split.
+
 assert_report_matches_its_log checks a classify report against its own probe
 log: the reconstructed map must give back every image the oracle gave.
 
@@ -48,6 +53,7 @@ from multmap.errors import (
     DimensionMismatch,
     DivisionByZero,
     MultmapError,
+    NonDiagonalizableTrivial,
     NotMatrixUnits,
     NotSpecialLinear,
     SingularMatrix,
@@ -85,6 +91,7 @@ from multmap.matrix import (
     identity,
     normalize_scale,
     rank_idempotent,
+    solve_exact,
     unit_matrix,
     zeros,
 )
@@ -464,6 +471,30 @@ def ref_conjugator_from_units(units: list[list[Matrix]]) -> Matrix:
     v_mat = from_columns(fd, [v])
     r_inv = from_columns(fd, [(units[j][0] * v_mat).column(0) for j in range(n)])
     return normalize_scale(r_inv.inverse())
+
+
+def ref_joint_diagonalize(mats, cand_vals, fd: FieldDescriptor, l: int):
+    """Joint eigenspaces of a commuting family, one kernel per candidate."""
+    blocks = [(identity(fd, l), ())]
+    for m_x, vals in zip(mats, cand_vals):
+        refined = []
+        for basis, eigs in blocks:
+            t = solve_exact(basis, m_x * basis)
+            m = basis.n_cols
+            ident = identity(fd, m)
+            covered = 0
+            for v in vals:
+                kern = (t - v * ident).kernel_basis()
+                if kern:
+                    sub = basis * from_columns(fd, kern)
+                    refined.append((sub, eigs + (v,)))
+                    covered += len(kern)
+            if covered < m:
+                raise NonDiagonalizableTrivial(
+                    "block does not split over the bounded eigenvalue set"
+                )
+        blocks = refined
+    return blocks
 
 
 def assert_report_matches_its_log(report) -> None:

@@ -12,9 +12,14 @@ of these steps.
 
 The sweep counts pin the point of the carry: one MapExpr.evaluate of any
 ordering of conj, cof, hom and detscale sweeps at most once on a fresh
-input and never on a generator matrix.
+input and never on a generator matrix. A Conj atom checks its R by
+the determinant R carries or else by inverting it, so building and
+evaluating it eliminates once and never sweeps. Every final-verification sample of classify carries its
+determinant from the draw, so final verification of a detscale or a
+trivialdet oracle never sweeps.
 """
 
+import importlib
 import random
 from itertools import permutations
 
@@ -23,12 +28,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multmap.matrix as matrix_module
-from multmap.errors import SingularMatrix
+from multmap.classify import classify
+from multmap.errors import SingularConjugator, SingularMatrix
 from multmap.field import CONJUGATION_HOM, RATIONAL, one, quadratic, zero
-from multmap.mapexpr import Cof, Conj, DetScale, Hom, MapExpr, ScalarCharacter, _apply_hom
+from multmap.mapexpr import (
+    Cof,
+    Conj,
+    DetScale,
+    Hom,
+    MapExpr,
+    ScalarCharacter,
+    TrivialDet,
+    _apply_hom,
+)
 from multmap.matrix import DiagUnit, Matrix, Swap, Transvection, gen_matrix
+from multmap.slword import random_gl, random_sl
 
 from helpers import laplace_det, rand_elem, rand_invertible, rand_singular, ref_scale
+
+classify_module = importlib.import_module("multmap.classify")
 
 FIELDS = (RATIONAL, quadratic(2), quadratic(-1))
 STEPS = ("mul", "scale", "hom", "cofactor", "inverse", "gen")
@@ -204,3 +222,84 @@ def test_one_evaluation_sweeps_at_most_once(fd, monkeypatch):
             calls.clear()
             expr.evaluate(g)
             assert not calls, order
+
+
+@pytest.mark.parametrize("fd", FIELDS)
+def test_a_conj_atom_eliminates_once_and_never_sweeps(fd, monkeypatch):
+    n = 3
+    rng = random.Random(5)
+    r = _fresh(rand_invertible(rng, fd, n))
+    a = _fresh(rand_invertible(rng, fd, n))
+    singular = _fresh(rand_singular(rng, fd, n, n - 1))
+    sweeps = _sweep_counter(monkeypatch)
+    eliminations = []
+    eliminate = matrix_module._eliminate
+
+    def counted(*args):
+        eliminations.append(1)
+        return eliminate(*args)
+
+    monkeypatch.setattr(matrix_module, "_eliminate", counted)
+    expr = MapExpr(n, fd, (Conj(r),))
+    assert expr.evaluate(a) == r.inverse() * a * r
+    assert len(eliminations) == 1 and not sweeps
+    # a singular R is refused with the message of the determinant check
+    with pytest.raises(SingularConjugator, match="^conjugator must be invertible$"):
+        MapExpr(n, fd, (Conj(singular),))
+    # an R that carries its determinant is checked by it, with no elimination:
+    # a product of generators, and the singular R, which now carries zero
+    carried = gen_matrix(Transvection(1, 2, rand_elem(rng, fd)), fd, n) * gen_matrix(
+        DiagUnit(3, _unit(rng, fd)), fd, n
+    )
+    eliminations.clear()
+    expr = MapExpr(n, fd, (Conj(carried),))
+    with pytest.raises(SingularConjugator, match="^conjugator must be invertible$"):
+        MapExpr(n, fd, (Conj(singular),))
+    assert not eliminations and not sweeps
+    assert expr.evaluate(a) == carried.inverse() * a * carried
+    assert len(eliminations) == 1 and not sweeps
+
+
+def _oracles(fd):
+    """A detscale and a trivialdet oracle at n = 3, with conj exponents over
+    Q(sqrt d)."""
+    b = 1 if fd.is_quadratic else 0
+    lam = ScalarCharacter((("id", 2), ("conj", -b)))
+    chars = (ScalarCharacter((("id", 1),)), ScalarCharacter((("id", -1), ("conj", 2 * b))))
+    return (
+        MapExpr(3, fd, (DetScale(lam),)).as_oracle(),
+        MapExpr(3, fd, (TrivialDet(chars, 0, 1),)).as_oracle(),
+    )
+
+
+@pytest.mark.parametrize("fd", [RATIONAL, quadratic(2)])
+def test_final_verification_samples_carry_their_determinant(fd, monkeypatch):
+    sweeps = _sweep_counter(monkeypatch)
+    samples = []
+    in_verification = []
+    check_sample = classify_module._check_sample
+    final_verification = classify_module._final_verification
+
+    def recorded(session, expected, a):
+        samples.append(a)
+        return check_sample(session, expected, a)
+
+    def counted(*args):
+        before = len(sweeps)
+        final_verification(*args)
+        in_verification.append(len(sweeps) - before)
+
+    monkeypatch.setattr(classify_module, "_check_sample", recorded)
+    monkeypatch.setattr(classify_module, "_final_verification", counted)
+    for oracle in _oracles(fd):
+        samples.clear()
+        in_verification.clear()
+        classify(oracle, fd, 3, seed=4)
+        assert in_verification == [0]
+        assert len(samples) == classify_module.VERIFY_INVERTIBLE + classify_module.VERIFY_SINGULAR
+        for a in samples:
+            assert a._det is not None
+            _assert_carried(a)
+    # the samplers carry none: the fuzz reads no determinant
+    rng = random.Random(1)
+    assert random_gl(rng, fd, 3)._det is None and random_sl(rng, fd, 3)._det is None
