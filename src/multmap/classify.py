@@ -58,6 +58,7 @@ from .errors import (
     NotMultiplicative,
     OracleBudgetExceeded,
     RankLadderViolation,
+    SingularMatrix,
     UnsupportedDimension,
     VerificationFailed,
 )
@@ -517,10 +518,11 @@ def _classify_gl(w, fd: FieldDescriptor, n: int):
     twisted = [sign * v for v in invs]
     # v^2 = I makes each vh diagonalizable, and the twist leaves it a simple -1
     p = from_columns(fd, [(vh + ident).kernel_basis()[0] for vh in twisted])
-    if not p.is_invertible:
-        raise NotMultiplicative("involution eigenvectors are dependent")
     # the vh commute, so each keeps the others' eigenlines: vh_i p = p D_i(-1)
-    g = p.inverse()
+    try:
+        g = p.inverse()
+    except SingularMatrix:
+        raise NotMultiplicative("involution eigenvectors are dependent") from None
 
     def what(a: Matrix) -> Matrix:
         img = w(a)

@@ -282,13 +282,14 @@ def _norm(fd: FieldDescriptor, p: int, q: int, den: int) -> FieldElem:
 
 
 def _power(result, base, e: int):
-    """result * base^e for e >= 0 by repeated squaring; shared by scalars
-    and matrices."""
+    """result * base^e for e >= 0 by repeated squaring, with no square past
+    the top bit of e; shared by scalars and matrices."""
     while e:
         if e & 1:
             result = result * base
-        base = base * base
         e >>= 1
+        if e:
+            base = base * base
     return result
 
 

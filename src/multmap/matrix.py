@@ -12,16 +12,19 @@ its integer rows, each reduced by one gcd: its FieldElem entries are built
 on the first read of rows (directly or through indexing, hash, repr,
 to_doc or elimination). The next product, the determinant, is_identity,
 and equality with a matrix that has no entries yet read the integer rows
-alone. Rank, kernels, inverses, solves and the cofactor run exact
-Gauss-Jordan elimination, one loop, which also gives the signed product of
-its pivots: the inverse and the cofactor keep it on their input as its
-determinant. The inverse, the cofactor, products of matrices with known
-determinants, scalings, entrywise conjugates and generator matrices
-receive their determinants when built, so a matrix sweeps for its
-determinant only when nothing gave it one: one fraction-free (Bareiss)
-sweep over the integer rows, in Z or in Z[sqrt d]. Everything is exact
-and no pivot is chosen for numerical reasons, so results are reproducible
-bit for bit.
+alone. Rank, kernels, inverses, solves and the cofactor at n >= 4 run
+exact Gauss-Jordan elimination, one loop, which also gives the signed
+product of its pivots: the inverse and that cofactor keep it on their
+input as its determinant. At n <= 3 the cofactor runs no elimination: it
+reads the signed minors off the integer rows, exact at every rank, keeps
+only its integer rows like a product, and gives its input the determinant
+of its first row's expansion. The inverse, the cofactor, products of
+matrices with known determinants, scalings, entrywise conjugates,
+generator matrices, identity, zeros and diag receive their determinants
+when built, so a matrix sweeps for its determinant only when nothing gave
+it one: one fraction-free (Bareiss) sweep over the integer rows, in Z or
+in Z[sqrt d]. Everything is exact and no pivot is chosen for numerical
+reasons, so results are reproducible bit for bit.
 
 Matrix(fd, rows) checks its input: nonempty, rectangular, every entry a
 FieldElem of fd. The private Matrix._of(fd, rows) runs none of these checks.
@@ -334,10 +337,12 @@ class Matrix:
     def det(self) -> FieldElem:
         """The determinant, computed at most once. A matrix often has it
         from the start: the elimination for its inverse or its cofactor
-        stores the signed product of the pivots on it, and the inverse, the
-        cofactor, a product of two matrices with known determinants, a
-        scaling, the entrywise conjugation, the generator matrices and the
-        final-verification samples of classify receive theirs when built.
+        stores the signed product of the pivots on it (at n <= 3 the
+        cofactor stores its first row's expansion in minors), and the
+        inverse, the cofactor, a product of two matrices with known
+        determinants, a scaling, the entrywise conjugation, the generator
+        matrices, identity, zeros, diag and the final-verification samples
+        of classify receive theirs when built.
         Otherwise it is one fraction-free sweep over the integer rows,
         normalized once: det A = det(P) / (product of the row
         denominators), P the integer numerators, in Z or, when some entry
@@ -407,9 +412,17 @@ class Matrix:
         row i and column j). Satisfies C(AB) = C(A) C(B) on every square
         matrix and A C(A)^T = det(A) I; defined for size two and up.
 
-        One elimination of [A | I] gives the rank of A and the signed
-        product P of its pivots, the reciprocal of det E for the elimination
-        E, the right block, with E A the reduced echelon form:
+        At n <= 3 C(A) is read off the signed (n - 1)-minors of the integer
+        rows, exact at every rank, with no elimination: for P the integer
+        numerators and den_i the row denominators, row i of C(A) is row i
+        of C(P) over the product of the den_k with k != i, reduced by one
+        gcd. Like a product, C(A) keeps only its integer rows. A that
+        knows no determinant gets det A = (row 0 of P).(row 0 of C(P)) /
+        (product of the den_i).
+
+        At n >= 4 one elimination of [A | I] gives the rank of A and the
+        signed product P of its pivots, the reciprocal of det E for the
+        elimination E, the right block, with E A the reduced echelon form:
           - rank n: P = det(A) and C = det(A) (A^-1)^T;
           - rank n - 1: C = C(E)^-1 C(E A) = P E^T C(E A), and C(E A) is
             nonzero only in its last row, whose entry at the free column is
@@ -424,6 +437,18 @@ class Matrix:
         if n < 2:
             raise DimensionMismatch("cofactor needs size at least two")
         fd = self.field
+        if n <= 3:
+            rows = self._int_rows()
+            minors = _minor_rows(fd.d, rows)
+            den = prod(v[2] for v in rows)
+            if self._det is None:
+                p, q = _bilinear(fd.d, _dot, rows[0], minors[0])
+                _set(self, "_det", _norm(fd, p[0], q[0] if q else 0, den))
+            c = _new(Matrix)
+            vectors = [_reduce_integer_vector(*m, den // v[2]) for m, v in zip(minors, rows)]
+            _fill(c, fd, n, n, None, vectors)
+            _set(c, "_det", self._det ** (n - 1))
+            return c
         rows, pivots, det = _eliminate(fd, _augment_identity(self), n)
         rank = len(pivots)
         _set(self, "_det", det if rank == n else zero(fd))
@@ -578,6 +603,40 @@ def _bareiss_surd(d: int, a: list[list[tuple[int, int]]]) -> tuple[int, int]:
     return sign * u, sign * v
 
 
+def _minor_rows(d: int, rows) -> list:
+    """The rows of C(P), P the numerators in Z[sqrt d] of the integer rows
+    (ps, qs, den) of a 2 x 2 or 3 x 3 matrix, each as (ps, qs): row i is the
+    c with c.x = det(P with row i replaced by x), at n = 2 the other row
+    turned a quarter, at n = 3 the cross product of the next two rows."""
+    if len(rows) == 3:
+        return [_bilinear(d, _cross, rows[i - 2], rows[i - 1]) for i in range(3)]
+    (p0, q0, _), (p1, q1, _) = rows
+    return [([p1[1], -p1[0]], q1 and [q1[1], -q1[0]]), ([-p0[1], p0[0]], q0 and [-q0[1], q0[0]])]
+
+
+def _bilinear(d: int, f, u, v) -> tuple:
+    """f(u, v) in Z[sqrt d] for an f from two integer vectors to a list that
+    is linear in each: u, v and the result start with (ps, qs), qs None
+    where there is no surd part."""
+    up, uq, vp, vq = u[0], u[1], v[0], v[1]
+    p = f(up, vp)
+    if uq is None:
+        return p, vq and f(up, vq)
+    if vq is None:
+        return p, f(uq, vp)
+    return [x + d * y for x, y in zip(p, f(uq, vq))], list(map(add, f(up, vq), f(uq, vp)))
+
+
+def _cross(u, v) -> list:
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return [u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0]
+
+
+def _dot(u, v) -> list:
+    return [sum(map(mul, u, v))]
+
+
 def _null_vector(fd: FieldDescriptor, rows, pivots, free: int, width: int) -> list[FieldElem]:
     """The null vector of the reduced rows with a one at the free column
     and zeros at the other free columns."""
@@ -615,18 +674,28 @@ def _diagonal_rows(fd: FieldDescriptor, entries: list) -> list:
 
 
 def diag(fd: FieldDescriptor, entries) -> Matrix:
-    """The square matrix with the given diagonal and zeros elsewhere."""
-    return Matrix(fd, _diagonal_rows(fd, list(entries)))
+    """The square matrix with the given diagonal and zeros elsewhere; it
+    knows its determinant, the product of the diagonal."""
+    entries = list(entries)
+    m = Matrix(fd, _diagonal_rows(fd, entries))
+    _set(m, "_det", prod(entries, start=one(fd)))
+    return m
 
 
 def identity(fd: FieldDescriptor, n: int) -> Matrix:
+    """I_n, which knows its determinant, one."""
     _check_domain(fd, n, "matrices")
-    return Matrix._of(fd, _diagonal_rows(fd, [one(fd)] * n))
+    m = Matrix._of(fd, _diagonal_rows(fd, [one(fd)] * n))
+    _set(m, "_det", one(fd))
+    return m
 
 
 def zeros(fd: FieldDescriptor, n: int) -> Matrix:
+    """The zero matrix, which knows its determinant, zero."""
     _check_domain(fd, n, "matrices")
-    return Matrix._of(fd, [[zero(fd)] * n] * n)
+    m = Matrix._of(fd, [[zero(fd)] * n] * n)
+    _set(m, "_det", zero(fd))
+    return m
 
 
 def from_values(fd: FieldDescriptor, rows) -> Matrix:

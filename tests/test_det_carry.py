@@ -1,22 +1,27 @@
 """Determinants that matrices receive when they are built.
 
-An elimination for the inverse or the cofactor stores the signed product
-of its pivots on its input; the inverse gets 1 / det, the cofactor det^(n-1),
+An elimination for the inverse, or for the cofactor from size 4 on, stores
+the signed product of its pivots on its input; the cofactor at sizes 2 and 3
+eliminates nothing and stores on an input that has none the expansion of
+its first row in minors. The inverse gets 1 / det, the cofactor det^(n-1),
 a product of two matrices with known determinants their product, a scaling
-by f the value f^n det, the entrywise conjugation the conjugate, and the
-generator matrices 1, k or -1. Every carried determinant is compared with
-the fraction-free sweep on a fresh copy of the matrix and, up to size 5,
-with the Laplace expansion, over Q, Q(sqrt 2) and Q(i), at sizes 2 to 6,
-on invertible inputs and singular ones of every rank, along random chains
-of these steps.
+by f the value f^n det, the entrywise conjugation the conjugate, the
+generator matrices 1, k or -1, identity 1, zeros 0 and diag the product
+of its diagonal. Every carried determinant is compared with the
+fraction-free sweep on a fresh copy of the matrix and, up to size 5, with
+the Laplace expansion, over Q, Q(sqrt 2) and Q(i), at sizes 2 to 6, on
+invertible inputs and singular ones of every rank, along random chains of
+these steps.
 
-The sweep counts pin the point of the carry: one MapExpr.evaluate of any
-ordering of conj, cof, hom and detscale sweeps at most once on a fresh
-input and never on a generator matrix. A Conj atom checks its R by
-the determinant R carries or else by inverting it, so building and
-evaluating it eliminates once and never sweeps. Every final-verification sample of classify carries its
-determinant from the draw, so final verification of a detscale or a
-trivialdet oracle never sweeps.
+The sweep counts pin the point of the carry: the cofactor at sizes 2 and 3
+neither eliminates nor sweeps, and from size 4 on eliminates once; one
+MapExpr.evaluate of any ordering of conj, cof, hom and detscale sweeps at
+most once on a fresh input and never on a generator matrix. A Conj atom
+checks its R by the determinant R carries or else by inverting it, so
+building and evaluating it eliminates once and never sweeps. Every
+final-verification sample of classify carries its determinant from the
+draw, so final verification of a detscale or a trivialdet oracle never
+sweeps.
 """
 
 import importlib
@@ -41,7 +46,16 @@ from multmap.mapexpr import (
     TrivialDet,
     _apply_hom,
 )
-from multmap.matrix import DiagUnit, Matrix, Swap, Transvection, gen_matrix
+from multmap.matrix import (
+    DiagUnit,
+    Matrix,
+    Swap,
+    Transvection,
+    diag,
+    gen_matrix,
+    identity,
+    zeros,
+)
 from multmap.slword import random_gl, random_sl
 
 from helpers import laplace_det, rand_elem, rand_invertible, rand_singular, ref_scale
@@ -177,22 +191,51 @@ def test_every_carry_rule(fd, n):
     # the entrywise conjugation
     if fd.is_quadratic:
         assert _apply_hom(CONJUGATION_HOM, a)._det == a._det.conjugate()
-    for m in (*gens, a, a_inv, c, b, b_cof, lazy, f * lazy):
+    # identity, zeros and diag, invertible or not
+    entries = [rand_elem(rng, fd) for _ in range(n)]
+    built = [identity(fd, n), zeros(fd, n), diag(fd, entries), diag(fd, [zero(fd), *entries[1:]])]
+    assert [m._det for m in built[:2]] == [one(fd), zero(fd)]
+    assert all(m._det is not None for m in built)
+    for m in (*gens, a, a_inv, c, b, b_cof, lazy, f * lazy, *built):
         _assert_carried(m)
+
+
+def _counter(monkeypatch, *names) -> list:
+    """Count the calls of the named functions of the matrix module."""
+    calls = []
+    for name in names:
+        function = getattr(matrix_module, name)
+
+        def counted(*args, _function=function):
+            calls.append(1)
+            return _function(*args)
+
+        monkeypatch.setattr(matrix_module, name, counted)
+    return calls
 
 
 def _sweep_counter(monkeypatch) -> list:
     """Count the calls of both fraction-free sweeps."""
-    calls = []
-    for name in ("_bareiss", "_bareiss_surd"):
-        sweep = getattr(matrix_module, name)
+    return _counter(monkeypatch, "_bareiss", "_bareiss_surd")
 
-        def counted(*args, _sweep=sweep):
-            calls.append(1)
-            return _sweep(*args)
 
-        monkeypatch.setattr(matrix_module, name, counted)
-    return calls
+@pytest.mark.parametrize("fd", FIELDS)
+def test_cofactor_eliminates_only_from_size_four(fd, monkeypatch):
+    rng = random.Random(9)
+    sweeps = _sweep_counter(monkeypatch)
+    eliminations = _counter(monkeypatch, "_eliminate")
+    for n in (2, 3, 4):
+        for rank in range(n + 1):
+            start = rand_invertible(rng, fd, n) if rank == n else rand_singular(rng, fd, n, rank)
+            # one input with entries and one, a product, with integer rows only
+            for a in (_fresh(start), _fresh(start) * _fresh(start)):
+                assert a._det is None
+                sweeps.clear()
+                eliminations.clear()
+                a.cofactor()
+                assert len(eliminations) == (n == 4) and not sweeps
+                assert a._det is not None
+                _assert_carried(a)
 
 
 @pytest.mark.parametrize("fd", [quadratic(2), quadratic(-1)])
@@ -232,14 +275,7 @@ def test_a_conj_atom_eliminates_once_and_never_sweeps(fd, monkeypatch):
     a = _fresh(rand_invertible(rng, fd, n))
     singular = _fresh(rand_singular(rng, fd, n, n - 1))
     sweeps = _sweep_counter(monkeypatch)
-    eliminations = []
-    eliminate = matrix_module._eliminate
-
-    def counted(*args):
-        eliminations.append(1)
-        return eliminate(*args)
-
-    monkeypatch.setattr(matrix_module, "_eliminate", counted)
+    eliminations = _counter(monkeypatch, "_eliminate")
     expr = MapExpr(n, fd, (Conj(r),))
     assert expr.evaluate(a) == r.inverse() * a * r
     assert len(eliminations) == 1 and not sweeps
