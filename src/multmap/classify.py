@@ -483,46 +483,57 @@ def _fit_character(fd: FieldDescriptor, pairs) -> ScalarCharacter:
 # -- invertible-side recovery -------------------------------------------------------
 
 
+def _involution_frame(invs: list[Matrix], fd: FieldDescriptor, n: int):
+    """The determinant twist and the eigenbasis p read off the images
+    v_i = w(D_i(-1)), returned as (twist, p) once they pass one law:
+    vh_i p = p D_i(-1) for every i, with vh_i = (-1)^twist v_i. The law
+    makes each vh_i = p D_i(-1) p^-1, so the v_i are involutions, commute
+    and share the -1 multiplicity of v_1; every commuting family of
+    involutions with one such multiplicity, 1 or n - 1, satisfies it.
+
+    The twist is read off v_1 alone: a simple -1 eigenvalue gives twist 0,
+    and for n > 2 a simple +1 eigenvalue gives twist 1. Column i of p is the
+    first vector of ker(vh_i + I); for twist 0, v_1's kernel is that line."""
+    ident = identity(fd, n)
+    kern = (invs[0] + ident).kernel_basis()
+    if len(kern) not in (1, n - 1):
+        raise NotMultiplicative(
+            "involution eigenvalue multiplicities match no canonical form"
+        )
+    # at n = 2 a simple -1 eigenvalue is also of multiplicity n - 1: twist 0
+    twist = int(len(kern) != 1)
+    twisted = [-v for v in invs] if twist else invs
+    lines = [] if twist else [kern]
+    lines += [(vh + ident).kernel_basis() for vh in twisted[len(lines):]]
+    if not all(lines):
+        raise NotMultiplicative("twisted involution image has no -1 eigenvector")
+    p = from_columns(fd, [line[0] for line in lines])
+    try:
+        p.inverse()
+    except SingularMatrix:
+        raise NotMultiplicative("involution eigenvectors are dependent") from None
+    for i, vh in enumerate(twisted):
+        # p D_i(-1) is p with column i negated
+        flipped = [[-x if j == i else x for j, x in enumerate(r)] for r in p.rows]
+        if vh * p != Matrix._of(fd, flipped):
+            raise NotMultiplicative("involution images are not D_i(-1) in one eigenbasis")
+    return twist, p
+
+
 def _classify_gl(w, fd: FieldDescriptor, n: int):
     """Recover lam, phi, eps, R from probes at invertible matrices only;
     returns (DegenerateForm, entry-map table, determinant-scale table).
 
     Stages: the involutions w(D_i(-1)) fix a determinant twist and a common
-    eigenbasis P; swap images fix the diagonal scale T; the corrected
+    eigenbasis P, checked by the one law vh_i P = P D_i(-1) of
+    _involution_frame; swap images fix the diagonal scale T; the corrected
     conjugator turns the oracle into a pure lam(det) C^eps(phi) form, read
     off transvection and dilation images. Each stage checks exact equalities
     that hold for every multiplicative map and fails loudly otherwise."""
     o = one(fd)
-    ident = identity(fd, n)
-
     invs = [w(gen_matrix(DiagUnit(i, -o), fd, n)) for i in range(1, n + 1)]
-    for v in invs:
-        if v * v != ident:
-            raise NotMultiplicative("image of a determinant involution must square to I")
-    if any(a * b != b * a for a, b in combinations(invs, 2)):
-        raise NotMultiplicative("determinant involution images do not commute")
-    mults = [n - (v + ident).rank for v in invs]
-    m = mults[0]
-    if any(mm != m for mm in mults):
-        raise NotMultiplicative("involution eigenspace sizes are unbalanced")
-    if m == 1:
-        twist = 0
-    elif n > 2 and m == n - 1:
-        twist = 1
-    else:
-        raise NotMultiplicative(
-            "involution eigenvalue multiplicities match no canonical form"
-        )
-
-    sign = -o if twist else o
-    twisted = [sign * v for v in invs]
-    # v^2 = I makes each vh diagonalizable, and the twist leaves it a simple -1
-    p = from_columns(fd, [(vh + ident).kernel_basis()[0] for vh in twisted])
-    # the vh commute, so each keeps the others' eigenlines: vh_i p = p D_i(-1)
-    try:
-        g = p.inverse()
-    except SingularMatrix:
-        raise NotMultiplicative("involution eigenvectors are dependent") from None
+    twist, p = _involution_frame(invs, fd, n)
+    g = p.inverse()
 
     def what(a: Matrix) -> Matrix:
         img = w(a)

@@ -35,6 +35,12 @@ before it stopped a block's scan once the block was covered: one
 elimination of t - v I per candidate eigenvalue v, with v I built as a
 matrix. It is the reference for the differential test of that split.
 
+ref_involution_frame is the first step of GL recovery as it was before it
+checked one law, vh_i p = p D_i(-1): every image v_i = w(D_i(-1)) squared,
+every pair multiplied both ways, every multiplicity read as a rank, p built
+from the first vector of each ker(vh_i + I), then inverted. It is the
+reference for the differential test of that step.
+
 assert_report_matches_its_log checks a classify report against its own probe
 log: the reconstructed map must give back every image the oracle gave.
 
@@ -46,7 +52,7 @@ that matches the corrupted oracle at every probe it logged.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from multmap.classify import classify
 from multmap.errors import (
@@ -55,6 +61,7 @@ from multmap.errors import (
     MultmapError,
     NonDiagonalizableTrivial,
     NotMatrixUnits,
+    NotMultiplicative,
     NotSpecialLinear,
     SingularMatrix,
 )
@@ -495,6 +502,37 @@ def ref_joint_diagonalize(mats, cand_vals, fd: FieldDescriptor, l: int):
                 )
         blocks = refined
     return blocks
+
+
+def ref_involution_frame(invs: list[Matrix], fd: FieldDescriptor, n: int):
+    """(twist, p) after the square, commutation and balance checks."""
+    o = one(fd)
+    ident = identity(fd, n)
+    for v in invs:
+        if v * v != ident:
+            raise NotMultiplicative("image of a determinant involution must square to I")
+    if any(a * b != b * a for a, b in combinations(invs, 2)):
+        raise NotMultiplicative("determinant involution images do not commute")
+    mults = [n - (v + ident).rank for v in invs]
+    m = mults[0]
+    if any(mm != m for mm in mults):
+        raise NotMultiplicative("involution eigenspace sizes are unbalanced")
+    if m == 1:
+        twist = 0
+    elif n > 2 and m == n - 1:
+        twist = 1
+    else:
+        raise NotMultiplicative(
+            "involution eigenvalue multiplicities match no canonical form"
+        )
+    sign = -o if twist else o
+    twisted = [sign * v for v in invs]
+    p = from_columns(fd, [(vh + ident).kernel_basis()[0] for vh in twisted])
+    try:
+        p.inverse()
+    except SingularMatrix:
+        raise NotMultiplicative("involution eigenvectors are dependent") from None
+    return twist, p
 
 
 def assert_report_matches_its_log(report) -> None:

@@ -495,12 +495,20 @@ _FLIP = from_values(RATIONAL, [[1, 0], [0, -1]])
 
 # (valid oracle, {probe input: how its image changes}, error, message)
 _REJECTIONS = [
-    (_DET2_N2, {_dil(2, -1): _plus(1, 1)}, NotMultiplicative,
-     "image of a determinant involution must square to I"),
-    (_DET2_N2, {_dil(2, -1): _plus(1, 2)}, NotMultiplicative,
-     "determinant involution images do not commute"),
-    (_DET2_N2, {_dil(2, -1): _const(identity(RATIONAL, 2))}, NotMultiplicative,
-     "involution eigenspace sizes are unbalanced"),
+    # GL recovery checks one law on the involution images, so a broken
+    # square, commutation or balance is caught by the twist read off v_1 or
+    # by the law itself; these ids name the property the change breaks
+    pytest.param(_DET2_N2, {_dil(2, -1): _plus(1, 1)}, NotMultiplicative,
+                 "involution eigenvalue multiplicities match no canonical form",
+                 id="image of a determinant involution must square to I"),
+    pytest.param(_DET2_N2, {_dil(2, -1): _plus(1, 2)}, NotMultiplicative,
+                 "involution images are not D_i(-1) in one eigenbasis",
+                 id="determinant involution images do not commute"),
+    pytest.param(_DET2_N2, {_dil(2, -1): _const(identity(RATIONAL, 2))}, NotMultiplicative,
+                 "involution eigenvalue multiplicities match no canonical form",
+                 id="involution eigenspace sizes are unbalanced"),
+    (_DET_N3, {_gen(3, DiagUnit(2, _QM1)): _const(-identity(RATIONAL, 3))}, NotMultiplicative,
+     "twisted involution image has no -1 eigenvector"),
     (_DET2_N2, {_dil(2, -1): lambda y: -y}, NotMultiplicative,
      "involution eigenvectors are dependent"),
     (
