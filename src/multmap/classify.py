@@ -68,7 +68,6 @@ from .field import (
     FieldDescriptor,
     FieldElem,
     RingHom,
-    _scale_row,
     format_scalar,
     hom_apply,
     one,
@@ -80,6 +79,11 @@ from .matrix import (
     Matrix,
     Swap,
     Transvection,
+    _dilate_rows,
+    _dilated_word,
+    _transvect,
+    _word_cofactor,
+    _word_matrix,
     coidempotent,
     conjugator_from_units,
     diag,
@@ -102,8 +106,6 @@ from .mapexpr import (
     TrivialForm,
 )
 from .slword import (
-    _dilated_word,
-    _transvect,
     _transvection_triples,
     default_pool,
     random_gl,
@@ -763,16 +765,18 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
     sample D_1(x) P_1 ... P_8 its value is read off the images of the
     generators (_word_image), on a singular one it is the form's own. Each
     sample carries its determinant from the draw, x or zero, so neither
-    the form nor the oracle sweeps for it."""
+    the form nor the oracle sweeps for it. An invertible sample also
+    carries its word (_word_matrix), so an oracle that takes its cofactor,
+    at once or after an entrywise hom, reads it off the word with no
+    elimination; the singular samples carry none and still eliminate."""
     rng = random.Random(seed)
     expect = _word_image(form, s_total)
     lam_pool = _lam_pool(fd)
     pool = default_pool(fd)
-    base = identity(fd, n).rows
     for i in range(VERIFY_INVERTIBLE):
         x = lam_pool[i % len(lam_pool)]
         word = _transvection_triples(rng, fd, n, 8)
-        _check_sample(session, expect(x, word), _dilated_word(x, word, fd, base, x))
+        _check_sample(session, expect(x, word), _word_matrix(fd, n, x, word))
     reported = _reported_map(form, s_total)
     z = zero(fd)
     zero_row = (z,) * n
@@ -802,12 +806,12 @@ def _word_image(form: CanonicalForm, s: Matrix):
 
     A trivial form depends on det = x alone. The other forms are
     A -> lam(det A) R^-1 C^eps(phi(A)) R, lam = 1 when nondegenerate, and
-    phi(D_1(x)) = D_1(phi x), phi(P_ij(c)) = P_ij(phi c),
-    C(D_1(y)) = diag(1, y, ..., y), C(P_ij(c)) = P_ji(-c).
-    So the value is lam(x) (S R^-1) W (R S^-1), with S R^-1 and R S^-1 built
-    once and W the image word, applied as row operations to the rows of
-    R S^-1: one product per sample. What depends on x alone is cached per
-    x, which cycles through the lambda pool."""
+    phi(D_1(x)) = D_1(phi x), phi(P_ij(c)) = P_ij(phi c), and with eps = 1
+    the cofactor of that word is read off it as Matrix.cofactor reads it
+    (_word_cofactor). So the value is lam(x) (S R^-1) W (R S^-1), with
+    S R^-1 and R S^-1 built once and W the image word, applied as row
+    operations to the rows of R S^-1: one product per sample. What depends
+    on x alone is cached per x, which cycles through the lambda pool."""
     fd, n = form.field, form.n
     s_inv = s.inverse()
     if isinstance(form, TrivialForm):
@@ -824,22 +828,20 @@ def _word_image(form: CanonicalForm, s: Matrix):
     conj = form.phi.kind == "conj"
 
     @cache
-    def dilation(x: FieldElem) -> tuple[FieldElem, ...]:
-        # lam(x) times the image of D_1(x), as its diagonal
+    def dilation(x: FieldElem) -> tuple[FieldElem, FieldElem]:
+        # lam(x) and lam(x) phi(x)
         lx = lam.evaluate(x)
-        y = lx * (x.conjugate() if conj else x)
-        return (lx,) + (y,) * (n - 1) if form.eps else (y,) + (lx,) * (n - 1)
+        return lx, lx * (x.conjugate() if conj else x)
 
     def expect(x: FieldElem, word) -> Matrix:
+        lx, y = dilation(x)
         if conj:
             word = [(i, j, k.conjugate()) for i, j, k in word]
         if form.eps:
-            word = [(j, i, -k) for i, j, k in word]
-        rows = _transvect(right_rows, word)
-        m = Matrix._of(
-            fd, [r if d.is_one else _scale_row(d, r) for d, r in zip(dilation(x), rows)]
-        )
-        return left * m
+            rows = _word_cofactor(word, right_rows, lx, y)
+        else:
+            rows = _dilate_rows(y, lx, _transvect(right_rows, word))
+        return left * Matrix._of(fd, rows)
 
     return expect
 

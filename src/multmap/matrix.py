@@ -12,19 +12,25 @@ its integer rows, each reduced by one gcd: its FieldElem entries are built
 on the first read of rows (directly or through indexing, hash, repr,
 to_doc or elimination). The next product, the determinant, is_identity,
 and equality with a matrix that has no entries yet read the integer rows
-alone. Rank, kernels, inverses, solves and the cofactor at n >= 4 run
-exact Gauss-Jordan elimination, one loop, which also gives the signed
-product of its pivots: the inverse and that cofactor keep it on their
-input as its determinant. At n <= 3 the cofactor runs no elimination: it
-reads the signed minors off the integer rows, exact at every rank, keeps
-only its integer rows like a product, and gives its input the determinant
-of its first row's expansion. The inverse, the cofactor, products of
-matrices with known determinants, scalings, entrywise conjugates,
-generator matrices, identity, zeros and diag receive their determinants
-when built, so a matrix sweeps for its determinant only when nothing gave
-it one: one fraction-free (Bareiss) sweep over the integer rows, in Z or
-in Z[sqrt d]. Everything is exact and no pivot is chosen for numerical
-reasons, so results are reproducible bit for bit.
+alone. Rank, kernels, inverses, solves and the cofactor at n >= 4 of a
+matrix with no word run exact Gauss-Jordan elimination, one loop, which
+also gives the signed product of its pivots: the inverse and that cofactor
+keep it on their input as its determinant. The cofactor takes one of three
+routes. At n <= 3 it runs no elimination: it reads the signed minors off
+the integer rows, exact at every rank, keeps only its integer rows like a
+product, and gives its input the determinant of its first row's expansion.
+At n >= 4 on a matrix that carries a generator word D_1(x) P_1 ... P_m
+(_word_matrix, transvection and D_1 generator matrices, identity, and
+their entrywise conjugates) it runs none either: C(A) is read off the
+word, m row updates and one row scaling. Otherwise it eliminates once.
+The word takes no part in equality, hashing, repr or pickling. The
+inverse, the cofactor, products of matrices with known determinants,
+scalings, entrywise conjugates, generator matrices, identity, zeros and
+diag receive their determinants when built, so a matrix sweeps for its
+determinant only when nothing gave it one: one fraction-free (Bareiss)
+sweep over the integer rows, in Z or in Z[sqrt d]. Everything is exact
+and no pivot is chosen for numerical reasons, so results are reproducible
+bit for bit.
 
 Matrix(fd, rows) checks its input: nonempty, rectangular, every entry a
 FieldElem of fd. The private Matrix._of(fd, rows) runs none of these checks.
@@ -37,8 +43,8 @@ check their field, size and indices and then build through it too, since
 their every entry is zero(fd) or one(fd). Everything read from outside goes
 through the checked constructor.
 
-Row scalings and row updates (elimination and the scale factors of the
-cofactor) run through the row kernels of the field layer. A product with
+Row scalings and row updates (elimination, words and the scale factors of
+the cofactor) run through the row kernels of the field layer. A product with
 an identity operand returns the other operand itself, after the field and
 shape checks, and scaling by one returns self: matrices are immutable, so
 sharing them is safe.
@@ -53,6 +59,7 @@ matrix unit images.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import repeat
 from math import lcm, prod
 from operator import add, mul
@@ -98,6 +105,7 @@ class Matrix:
 
     __slots__ = (
         "field", "n_rows", "n_cols", "_rows", "_reduced", "_inv", "_det", "_irows", "_icols",
+        "_word",
     )
 
     def __init__(self, fd: FieldDescriptor, rows) -> None:
@@ -314,10 +322,14 @@ class Matrix:
 
     def conjugate(self) -> "Matrix":
         """The entrywise conjugate, sqrt d -> -sqrt d; a known determinant
-        gives its conjugate."""
+        gives its conjugate, and a carried word (x, triples) the word
+        (conj x, triples with every k conjugated)."""
         m = Matrix._of(self.field, [[x.conjugate() for x in r] for r in self.rows])
         if self._det is not None:
             _set(m, "_det", self._det.conjugate())
+        if self._word is not None:
+            x, word = self._word
+            _set(m, "_word", (x.conjugate(), tuple((i, j, k.conjugate()) for i, j, k in word)))
         return m
 
     # -- elimination ---------------------------------------------------------
@@ -420,9 +432,19 @@ class Matrix:
         knows no determinant gets det A = (row 0 of P).(row 0 of C(P)) /
         (product of the den_i).
 
-        At n >= 4 one elimination of [A | I] gives the rank of A and the
-        signed product P of its pivots, the reciprocal of det E for the
-        elimination E, the right block, with E A the reduced echelon form:
+        At n >= 4 a matrix the package built from a generator word carries
+        it, as _word = (x, triples) with A = D_1(x) P_i1j1(k1) ... P_imjm(km)
+        (_word_matrix, gen_matrix, identity and conjugate set it). Then C(A)
+        is read off the word with no elimination and no sweep: C is
+        multiplicative, C(D_1(x)) = diag(1, x, ..., x) and C(P_ij(k)) =
+        P_ji(-k), so C(A) = diag(1, x, ..., x) P_j1i1(-k1) ... P_jmim(-km),
+        m row updates on the rows of the identity and one scaling of rows 2
+        to n by x (_word_cofactor). A has det x and C gets x^(n-1).
+
+        At n >= 4 without a word one elimination of [A | I] gives the rank
+        of A and the signed product P of its pivots, the reciprocal of det E
+        for the elimination E, the right block, with E A the reduced echelon
+        form:
           - rank n: P = det(A) and C = det(A) (A^-1)^T;
           - rank n - 1: C = C(E)^-1 C(E A) = P E^T C(E A), and C(E A) is
             nonzero only in its last row, whose entry at the free column is
@@ -448,6 +470,12 @@ class Matrix:
             vectors = [_reduce_integer_vector(*m, den // v[2]) for m, v in zip(minors, rows)]
             _fill(c, fd, n, n, None, vectors)
             _set(c, "_det", self._det ** (n - 1))
+            return c
+        if self._word is not None:
+            x, word = self._word
+            _set(self, "_det", x)
+            c = Matrix._of(fd, _word_cofactor(word, _identity_rows(fd, n), one(fd), x))
+            _set(c, "_det", x ** (n - 1))
             return c
         rows, pivots, det = _eliminate(fd, _augment_identity(self), n)
         rank = len(pivots)
@@ -518,6 +546,7 @@ def _fill(m: Matrix, fd: FieldDescriptor, n_rows: int, n_cols: int, rows, irows)
     _set(m, "_det", None)
     _set(m, "_irows", irows)
     _set(m, "_icols", None)
+    _set(m, "_word", None)
 
 
 # -- elimination ------------------------------------------------------------------
@@ -637,6 +666,34 @@ def _dot(u, v) -> list:
     return [sum(map(mul, u, v))]
 
 
+def _transvect(rows, word) -> list:
+    """The rows of P_1 ... P_m M, for the rows of M and a word of one-based
+    (i, j, k) triples standing for P_ij(k): the transvections, last first,
+    add k times row j to row i, one fused update per nonzero entry of row j."""
+    rows = list(rows)
+    for i, j, k in reversed(word):
+        rows[i - 1] = _sub_mul_row(rows[i - 1], -k, rows[j - 1])
+    return rows
+
+
+def _word_cofactor(word, rows, s: FieldElem, sx: FieldElem) -> list:
+    """The rows of s C(D_1(x) P_1 ... P_m) M, given s and sx = s x, for the
+    rows of M and a word of one-based (i, j, k) triples standing for P_ij(k).
+    C is multiplicative, C(D_1(x)) = diag(1, x, ..., x) and C(P_ij(k)) =
+    P_ji(-k), so this is diag(s, sx, ..., sx) W' M for the word
+    W' = [(j, i, -k)]: W' acts on the rows, then they are dilated."""
+    return _dilate_rows(s, sx, _transvect(rows, [(j, i, -k) for i, j, k in word]))
+
+
+def _dilate_rows(first: FieldElem, rest: FieldElem, rows) -> list:
+    """The rows of diag(first, rest, ..., rest) M for the rows of M; a factor
+    of one keeps its rows as they are."""
+    head, *tail = rows
+    if not first.is_one:
+        head = _scale_row(first, head)
+    return [head, *tail] if rest.is_one else [head, *(_scale_row(rest, r) for r in tail)]
+
+
 def _null_vector(fd: FieldDescriptor, rows, pivots, free: int, width: int) -> list[FieldElem]:
     """The null vector of the reduced rows with a one at the free column
     and zeros at the other free columns."""
@@ -649,9 +706,7 @@ def _null_vector(fd: FieldDescriptor, rows, pivots, free: int, width: int) -> li
 
 def _augment_identity(m: Matrix) -> list[list[FieldElem]]:
     """The rows of [m | I] for square m."""
-    n = m.n_rows
-    o, z = one(m.field), zero(m.field)
-    return [list(r) + [o if i == j else z for j in range(n)] for i, r in enumerate(m.rows)]
+    return [[*r, *e] for r, e in zip(m.rows, _identity_rows(m.field, m.n_rows))]
 
 
 # -- constructors --------------------------------------------------------------
@@ -673,6 +728,13 @@ def _diagonal_rows(fd: FieldDescriptor, entries: list) -> list:
     return [[x if i == j else z for j in range(len(entries))] for i, x in enumerate(entries)]
 
 
+@cache
+def _identity_rows(fd: FieldDescriptor, n: int) -> tuple:
+    """The rows of I_n, as tuples, built once per field and size; the
+    callers only read them."""
+    return tuple(map(tuple, _diagonal_rows(fd, [one(fd)] * n)))
+
+
 def diag(fd: FieldDescriptor, entries) -> Matrix:
     """The square matrix with the given diagonal and zeros elsewhere; it
     knows its determinant, the product of the diagonal."""
@@ -683,10 +745,36 @@ def diag(fd: FieldDescriptor, entries) -> Matrix:
 
 
 def identity(fd: FieldDescriptor, n: int) -> Matrix:
-    """I_n, which knows its determinant, one."""
+    """I_n, which knows its determinant, one, and carries the empty word."""
     _check_domain(fd, n, "matrices")
-    m = Matrix._of(fd, _diagonal_rows(fd, [one(fd)] * n))
-    _set(m, "_det", one(fd))
+    return _word_matrix(fd, n, one(fd), ())
+
+
+def _word_matrix(fd: FieldDescriptor, n: int, x: FieldElem, word) -> Matrix:
+    """D_1(x) P_1 ... P_m, n x n, for a nonzero x of fd and a word of one-based
+    (i, j, k) triples standing for P_ij(k), as _transvection_triples draws
+    them: the transvections act on the rows of I_n, last first, and x
+    scales the first row. The matrix carries det x and the word, from which
+    its cofactor is read with no elimination."""
+    m = _dilated_word(x, word, fd, _identity_rows(fd, n), x)
+    _set(m, "_word", (x, tuple(word)))
+    return m
+
+
+def _dilated_word(
+    x: FieldElem, word, fd: FieldDescriptor, rows, det: FieldElem | None = None
+) -> Matrix:
+    """D_1(x) P_1 ... P_m M for a word of (i, j, k) triples and the rows of
+    M: the transvections act on the rows, and the dilation scales the first
+    row last. A det given by the caller, x det M, is carried as the
+    determinant of the result. The result carries no word, even on the rows
+    of the identity: _word_matrix sets it on the matrices it builds."""
+    rows = _transvect(rows, word)
+    if not x.is_one:
+        rows[0] = _scale_row(x, rows[0])
+    m = Matrix._of(fd, rows)
+    if det is not None:
+        _set(m, "_det", det)
     return m
 
 
@@ -837,21 +925,27 @@ def _check_generator(gen: Generator, fd: FieldDescriptor, n: int) -> None:
 
 def gen_matrix(gen: Generator, fd: FieldDescriptor, n: int) -> Matrix:
     """Realize an elementary generator as an n x n matrix, which knows its
-    determinant: 1, k or -1."""
+    determinant: 1, k or -1. A transvection P_ij(k) carries the word
+    (1, [(i, j, k)]) and a dilation D_1(k) the word (k, [])."""
     _check_generator(gen, fd, n)
-    m = [list(r) for r in identity(fd, n).rows]
+    m = [list(r) for r in _identity_rows(fd, n)]
+    word = None
     if isinstance(gen, Transvection):
         m[gen.i - 1][gen.j - 1] = gen.k
-        det = one(fd)
+        det, word = one(fd), ((gen.i, gen.j, gen.k),)
     elif isinstance(gen, DiagUnit):
         m[gen.i - 1][gen.i - 1] = gen.k
         det = gen.k
+        if gen.i == 1:
+            word = ()
     else:
         a, b = gen.i - 1, gen.j - 1
         m[a], m[b] = m[b], m[a]
         det = -one(fd)
     g = Matrix._of(fd, m)
     _set(g, "_det", det)
+    if word is not None:
+        _set(g, "_word", (det, word))
     return g
 
 

@@ -48,9 +48,11 @@ from .matrix import (
     Swap,
     Transvection,
     _check_generator,
+    _dilated_word,
+    _transvect,
     identity,
 )
-from .value import Value, _set
+from .value import Value
 
 
 @cache
@@ -177,31 +179,6 @@ def _transvection_triples(
             j += 1
         word.append((i, j, rng.choice(pool)))
     return word
-
-
-def _transvect(rows, word) -> list:
-    """The rows of P_1 ... P_m M, for the rows of M and a word of (i, j, k)
-    triples: the transvections, last first, add k times row j to row i, one
-    fused update per nonzero entry of row j."""
-    rows = list(rows)
-    for i, j, k in reversed(word):
-        rows[i - 1] = _sub_mul_row(rows[i - 1], -k, rows[j - 1])
-    return rows
-
-
-def _dilated_word(
-    x: FieldElem, word, fd: FieldDescriptor, rows, det: FieldElem | None = None
-) -> Matrix:
-    """D_1(x) P_1 ... P_m M for a word of (i, j, k) triples and the rows of
-    M: the transvections act on the rows, and the dilation scales the first
-    row last. A det given by the caller, x det M, is carried as the
-    determinant of the result."""
-    rows = _transvect(rows, word)
-    rows[0] = _scale_row(x, rows[0])
-    m = Matrix._of(fd, rows)
-    if det is not None:
-        _set(m, "_det", det)
-    return m
 
 
 def random_transvection_word(

@@ -22,9 +22,18 @@ building and evaluating it eliminates once and never sweeps. Every
 final-verification sample of classify carries its determinant from the
 draw, so final verification of a detscale or a trivialdet oracle never
 sweeps.
+
+Matrices built from a generator word (the invertible final-verification
+samples, transvection and D_1 generator matrices, identity, and their
+entrywise conjugates) carry it, and from size 4 on their cofactor is read
+off the word: it neither eliminates nor sweeps, so the cofactor oracle runs
+no elimination on an invertible final-verification sample. Every carried
+word evaluates back to its matrix; the samplers carry no word, and
+pickling drops it.
 """
 
 import importlib
+import pickle
 import random
 from itertools import permutations
 
@@ -51,12 +60,13 @@ from multmap.matrix import (
     Matrix,
     Swap,
     Transvection,
+    _word_matrix,
     diag,
     gen_matrix,
     identity,
     zeros,
 )
-from multmap.slword import random_gl, random_sl
+from multmap.slword import _transvection_triples, evaluate_word, random_gl, random_sl
 
 from helpers import laplace_det, rand_elem, rand_invertible, rand_singular, ref_scale
 
@@ -336,6 +346,115 @@ def test_final_verification_samples_carry_their_determinant(fd, monkeypatch):
         for a in samples:
             assert a._det is not None
             _assert_carried(a)
-    # the samplers carry none: the fuzz reads no determinant
+    # the samplers carry none: the fuzz reads no determinant, and no word
     rng = random.Random(1)
-    assert random_gl(rng, fd, 3)._det is None and random_sl(rng, fd, 3)._det is None
+    for sampled in (random_gl(rng, fd, n) for n in (3, 5)), (random_sl(rng, fd, n) for n in (3, 5)):
+        for a in sampled:
+            assert a._det is None and a._word is None
+
+
+def _word_carriers(rng, fd, n):
+    """Every kind of matrix that carries a word, conjugates included."""
+    pool = classify_module._lam_pool(fd)
+    built = [
+        _word_matrix(fd, n, pool[1], _transvection_triples(rng, fd, n, 8)),
+        gen_matrix(Transvection(2, 1, _unit(rng, fd)), fd, n),
+        gen_matrix(DiagUnit(1, _unit(rng, fd)), fd, n),
+        identity(fd, n),
+    ]
+    return built + [a.conjugate() for a in built] if fd.is_quadratic else built
+
+
+@pytest.mark.parametrize("fd", FIELDS)
+def test_the_word_cofactor_neither_eliminates_nor_sweeps(fd, monkeypatch):
+    rng = random.Random(11)
+    sweeps = _sweep_counter(monkeypatch)
+    eliminations = _counter(monkeypatch, "_eliminate")
+    for n in (4, 5, 6):
+        for a in _word_carriers(rng, fd, n):
+            assert a._word is not None
+            c = a.cofactor()
+            assert not eliminations and not sweeps
+            assert c._det == a._det ** (n - 1) and c._word is None
+            _assert_carried(a)
+            _assert_carried(c)
+            sweeps.clear()
+
+
+def _eliminations_per_sample(monkeypatch, oracle, fd, n) -> list:
+    """(eliminations, probed before) for each final-verification sample of
+    classify(oracle), in sample order: the eliminations its oracle call
+    and comparison run, and whether the session already held its image."""
+    eliminations = _counter(monkeypatch, "_eliminate")
+    per_sample = []
+    check_sample = classify_module._check_sample
+
+    def counted(session, expected, a):
+        before = len(eliminations)
+        seen = a.rows in session._memo
+        check_sample(session, expected, a)
+        per_sample.append((len(eliminations) - before, seen))
+
+    monkeypatch.setattr(classify_module, "_check_sample", counted)
+    classify(oracle, fd, n)
+    return per_sample
+
+
+def test_the_cofactor_oracle_eliminates_on_no_invertible_sample(monkeypatch):
+    n = 5
+    oracle = MapExpr(n, RATIONAL, (Cof(),)).as_oracle()
+    per_sample = _eliminations_per_sample(monkeypatch, oracle, RATIONAL, n)
+    invertible = classify_module.VERIFY_INVERTIBLE
+    assert len(per_sample) == invertible + classify_module.VERIFY_SINGULAR
+    assert [count for count, _ in per_sample[:invertible]] == [0] * invertible
+    # the singular samples carry no word, so the cofactor of each one the
+    # session has not probed yet eliminates once
+    singular = per_sample[invertible:]
+    assert all(count == (not seen) for count, seen in singular)
+    assert sum(count for count, _ in singular) >= classify_module.VERIFY_SINGULAR // 2
+
+
+@pytest.mark.parametrize(
+    "fd, kind",
+    [(RATIONAL, "cof"), (quadratic(2), "conj-cof-hom"), (RATIONAL, "detscale-cof-conj")],
+)
+def test_every_carried_word_evaluates_back_to_its_matrix(fd, kind, monkeypatch):
+    n = 4
+    r = _fresh(rand_invertible(random.Random(2), fd, n))
+    atoms = {
+        "cof": (Cof(),),
+        "conj-cof-hom": (Conj(r), Cof(), Hom(CONJUGATION_HOM)),
+        "detscale-cof-conj": (DetScale(ScalarCharacter((("id", 1),))), Cof(), Conj(r)),
+    }[kind]
+    carriers = []
+    cofactor = Matrix.cofactor
+
+    def recorded(self):
+        if self._word is not None:
+            carriers.append(self)
+        return cofactor(self)
+
+    monkeypatch.setattr(Matrix, "cofactor", recorded)
+    evaluate = MapExpr(n, fd, atoms).evaluate
+
+    def oracle(a):
+        if a._word is not None:
+            carriers.append(a)
+        return evaluate(a)
+
+    classify(oracle, fd, n)
+    assert carriers
+    for a in carriers:
+        x, word = a._word
+        gens = [DiagUnit(1, x), *(Transvection(i, j, k) for i, j, k in word)]
+        assert evaluate_word(gens, fd, n) == a
+        assert a._det == x
+
+
+@pytest.mark.parametrize("fd", FIELDS)
+def test_a_pickled_word_carrier_comes_back_equal_with_no_word(fd):
+    rng = random.Random(4)
+    for a in _word_carriers(rng, fd, 4):
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and hash(back) == hash(a) and repr(back) == repr(a)
+        assert back._word is None
