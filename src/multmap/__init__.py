@@ -62,7 +62,6 @@ from .mapexpr import (
     TrivialForm,
     canonical_eq,
     char_of_hom,
-    compose,
     identity_expr,
     simplify,
 )
@@ -74,7 +73,6 @@ from .matrix import (
     conjugator_from_units,
     coidempotent,
     from_columns,
-    from_values,
     gen_matrix,
     identity,
     rank_idempotent,
@@ -92,7 +90,6 @@ from .slword import (
     random_sl,
     random_transvection_word,
     random_unitriangular,
-    word_from_doc,
     word_to_doc,
 )
 from .verify import (

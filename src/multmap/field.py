@@ -117,13 +117,20 @@ class FieldElem:
     """One scalar a + b*sqrt(d) = (p + q*sqrt(d))/den; immutable, hashable,
     equal exactly when the values are equal.
 
-    FieldElem(field, a, b=0) takes ints or Fractions for a and b. The
-    triple is held in private slots and read through the properties p, q
-    and den; a and b are Fractions computed on demand."""
+    FieldElem(field, a, b=0) takes ints or Fractions for a and b; a field
+    that is no FieldDescriptor, or a coordinate of any other type (bools
+    included), raises FieldMismatch. The triple is held in private slots
+    and read through the properties p, q and den; a and b are Fractions
+    computed on demand."""
 
     __slots__ = ("_field", "_p", "_q", "_den")
 
     def __init__(self, field: FieldDescriptor, a: int | Fraction, b: int | Fraction = 0) -> None:
+        if not isinstance(field, FieldDescriptor):
+            raise FieldMismatch(f"not a field descriptor: {field!r}")
+        for x in (a, b):
+            if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+                raise FieldMismatch(f"a coordinate must be an int or a Fraction, got {x!r}")
         an, ad = a.numerator, a.denominator
         bn, bd = b.numerator, b.denominator
         if bn and not field.is_quadratic:
@@ -282,8 +289,8 @@ def _norm(fd: FieldDescriptor, p: int, q: int, den: int) -> FieldElem:
 
 
 def _power(result, base, e: int):
-    """result * base^e for e >= 0 by repeated squaring, with no square past
-    the top bit of e; shared by scalars and matrices."""
+    """result * base^e for scalars and e >= 0 by repeated squaring, with no
+    square past the top bit of e."""
     while e:
         if e & 1:
             result = result * base
@@ -441,7 +448,8 @@ def scalars(fd: FieldDescriptor, values, surd_values=()) -> tuple[FieldElem, ...
 
 
 def as_elem(fd: FieldDescriptor, value: "FieldElem | Fraction | int") -> FieldElem:
-    """Coerce an int, Fraction, or FieldElem into the field fd."""
+    """Coerce an int, Fraction, or FieldElem into the field fd; an element
+    of another field or a value of any other type raises FieldMismatch."""
     if isinstance(value, FieldElem):
         if value.field != fd:
             raise FieldMismatch(f"element of {value.field} used in {fd}")

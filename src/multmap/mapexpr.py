@@ -270,14 +270,6 @@ class MapExpr(Value):
         _set(self, "field", field)
         _set(self, "atoms", atoms)
 
-    @property
-    def k(self) -> int:
-        """Output size; differs from n only for padded determinant maps."""
-        if self.atoms and isinstance(self.atoms[0], TrivialDet):
-            t = self.atoms[0]
-            return len(t.chars) + t.zero_pad + t.one_pad
-        return self.n
-
     def evaluate(self, a: Matrix) -> Matrix:
         if a.field != self.field:
             raise FieldMismatch("input over the wrong field")
@@ -317,17 +309,6 @@ class MapExpr(Value):
             raise ParseError("'atoms' must be a list")
         atoms = tuple(_atom_from_doc(a, fd, n) for a in atoms_doc)
         return cls(n, fd, atoms)
-
-
-def compose(outer: MapExpr, inner: MapExpr) -> MapExpr:
-    """outer o inner; inner's output feeds outer."""
-    if outer.field != inner.field:
-        raise FieldMismatch("composition across fields")
-    if inner.k != outer.n:
-        raise DimensionMismatch(
-            f"inner map lands in size {inner.k} but outer expects {outer.n}"
-        )
-    return MapExpr(inner.n, inner.field, outer.atoms + inner.atoms)
 
 
 def identity_expr(fd: FieldDescriptor, n: int) -> MapExpr:
@@ -433,10 +414,6 @@ class TrivialForm(Value):
         _set(self, "zero_pad", zero_pad)
         _set(self, "one_pad", one_pad)
 
-    @property
-    def k(self) -> int:
-        return len(self.chars) + self.zero_pad + self.one_pad
-
     def evaluate(self, a: Matrix) -> Matrix:
         return _apply_atom(
             TrivialDet(self.chars, self.zero_pad, self.one_pad), a, self.field
@@ -481,10 +458,6 @@ class DegenerateForm(Value):
         _set(self, "R", R)
         _set(self, "eps", eps)
 
-    @property
-    def k(self) -> int:
-        return self.n
-
     def evaluate(self, a: Matrix) -> Matrix:
         d = a.det
         if d.is_zero:
@@ -514,10 +487,6 @@ class NonDegenerateForm(Value):
         _set(self, "phi", phi)
         _set(self, "R", R)
         _set(self, "eps", eps)
-
-    @property
-    def k(self) -> int:
-        return self.n
 
     def evaluate(self, a: Matrix) -> Matrix:
         return _core_evaluate(self, a)

@@ -79,12 +79,10 @@ from .field import (
     _from_integer_vector,
     _integer_vector,
     _norm,
-    _power,
     _reduce_integer_vector,
     _scale_integer_vector,
     _scale_row,
     _sub_mul_row,
-    as_elem,
     format_scalar,
     one,
     parse_scalar,
@@ -311,12 +309,6 @@ class Matrix:
             _set(m, "_det", scalar**self.n_rows * self._det)
         return m
 
-    def __pow__(self, exponent: int) -> "Matrix":
-        n = self._require_square("power")
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return _power(identity(self.field, n), self, exponent)
-
     def transpose(self) -> "Matrix":
         return Matrix._of(self.field, zip(*self.rows))
 
@@ -372,12 +364,6 @@ class Matrix:
             _set(self, "_det", _norm(self.field, p, q, den))
         return self._det
 
-    @property
-    def is_invertible(self) -> bool:
-        """Square with a nonzero determinant: the cached fraction-free sweep,
-        no elimination."""
-        return self.is_square and not self.det.is_zero
-
     def inverse(self) -> "Matrix":
         """A^-1 from one elimination of [A | I], computed once. The pivots
         give det A, which A keeps, and A^-1 gets 1 / det A."""
@@ -411,11 +397,6 @@ class Matrix:
 
     def column(self, j: int) -> tuple[FieldElem, ...]:
         return tuple(r[j] for r in self.rows)
-
-    def submatrix(self, row_range, col_range) -> "Matrix":
-        return Matrix(
-            self.field, [[self.rows[i][j] for j in col_range] for i in row_range]
-        )
 
     # -- multiplicative structure ---------------------------------------------
 
@@ -497,10 +478,6 @@ class Matrix:
 
     def is_idempotent(self) -> bool:
         return self.is_square and self * self == self
-
-    def is_unipotent(self) -> bool:
-        n = self._require_square("unipotence")
-        return ((self - identity(self.field, n)) ** n).is_zero
 
     # -- serialization ---------------------------------------------------------
 
@@ -784,11 +761,6 @@ def zeros(fd: FieldDescriptor, n: int) -> Matrix:
     m = Matrix._of(fd, [[zero(fd)] * n] * n)
     _set(m, "_det", zero(fd))
     return m
-
-
-def from_values(fd: FieldDescriptor, rows) -> Matrix:
-    """Build a matrix from ints or Fractions, coercing into the field."""
-    return Matrix(fd, [[as_elem(fd, x) for x in r] for r in rows])
 
 
 def from_columns(fd: FieldDescriptor, columns) -> Matrix:

@@ -38,12 +38,10 @@ from .field import (
     _sub_mul_row,
     format_scalar,
     one,
-    parse_scalar,
     scalars,
 )
 from .matrix import (
     DiagUnit,
-    Generator,
     Matrix,
     Swap,
     Transvection,
@@ -226,37 +224,3 @@ def word_to_doc(word) -> dict:
         else:
             raise ParseError(f"not a word generator: {g!r}")
     return {"gens": gens}
-
-
-def _doc_index(entry: dict, key: str) -> int:
-    v = entry.get(key)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ParseError(f"generator needs a positive integer {key!r}")
-    return v
-
-
-def word_from_doc(doc: object, fd: FieldDescriptor) -> list[Generator]:
-    if not isinstance(doc, dict) or not isinstance(doc.get("gens"), list):
-        raise ParseError("word document must be an object with a 'gens' list")
-    word: list[Generator] = []
-    for entry in doc["gens"]:
-        if not isinstance(entry, dict):
-            raise ParseError("each generator must be an object")
-        t = entry.get("type")
-        if t == "P":
-            word.append(
-                Transvection(
-                    _doc_index(entry, "i"),
-                    _doc_index(entry, "j"),
-                    parse_scalar(entry.get("k"), fd),
-                )
-            )
-        elif t == "D":
-            word.append(
-                DiagUnit(_doc_index(entry, "i"), parse_scalar(entry.get("k"), fd))
-            )
-        elif t == "S":
-            word.append(Swap(_doc_index(entry, "i"), _doc_index(entry, "j")))
-        else:
-            raise ParseError(f"unknown generator type {t!r}")
-    return word

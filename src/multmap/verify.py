@@ -25,9 +25,15 @@ from .value import Value, _set
 
 
 class FuzzConfig(Value):
+    """The seed and the number of samples of one fuzz run. A pair_count that
+    is no int of at least 1 (bools included) raises DimensionMismatch, so no
+    verdict rests on zero samples."""
+
     __slots__ = ("seed", "pair_count")
 
     def __init__(self, seed: int = 0, pair_count: int = 50) -> None:
+        if not isinstance(pair_count, int) or isinstance(pair_count, bool) or pair_count < 1:
+            raise DimensionMismatch(f"pair_count must be an int of at least 1, got {pair_count!r}")
         _set(self, "seed", seed)
         _set(self, "pair_count", pair_count)
 

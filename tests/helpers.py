@@ -93,7 +93,6 @@ from multmap.matrix import (
     Matrix,
     Transvection,
     from_columns,
-    from_values,
     gen_matrix,
     identity,
     normalize_scale,
@@ -126,16 +125,18 @@ def laplace_det(m: Matrix) -> FieldElem:
     return det(idx, idx)
 
 
+def _minor(m: Matrix, i: int, j: int) -> Matrix:
+    """m without row i and column j."""
+    return Matrix(m.field, [r[:j] + r[j + 1 :] for k, r in enumerate(m.rows) if k != i])
+
+
 def laplace_cofactor(m: Matrix) -> Matrix:
     n = m.n_rows
     out = []
     for i in range(n):
         row = []
         for j in range(n):
-            minor = m.submatrix(
-                [r for r in range(n) if r != i], [c for c in range(n) if c != j]
-            )
-            d = laplace_det(minor)
+            d = laplace_det(_minor(m, i, j))
             row.append(d if (i + j) % 2 == 0 else -d)
         out.append(row)
     return Matrix(m.field, out)
@@ -146,9 +147,8 @@ def minor_cofactor(m: Matrix) -> Matrix:
     out = []
     for i in range(n):
         row = []
-        rest_rows = [r for r in range(n) if r != i]
         for j in range(n):
-            d = m.submatrix(rest_rows, [c for c in range(n) if c != j]).det
+            d = _minor(m, i, j).det
             row.append(d if (i + j) % 2 == 0 else -d)
         out.append(row)
     return Matrix(m.field, out)
@@ -170,7 +170,7 @@ def rand_matrix(rng, fd: FieldDescriptor, n: int, span: int = 4) -> Matrix:
 def rand_invertible(rng, fd: FieldDescriptor, n: int, span: int = 4) -> Matrix:
     while True:
         m = rand_matrix(rng, fd, n, span)
-        if m.is_invertible:
+        if not m.det.is_zero:
             return m
 
 
@@ -184,7 +184,7 @@ def rand_singular(rng, fd: FieldDescriptor, n: int, rank: int | None = None) -> 
 
 
 def int_matrix(fd: FieldDescriptor, rows) -> Matrix:
-    return from_values(fd, rows)
+    return Matrix(fd, [[as_elem(fd, x) for x in r] for r in rows])
 
 
 def char_powers_bounded(form, bound: int) -> bool:

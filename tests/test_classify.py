@@ -55,7 +55,6 @@ from multmap.matrix import (
     Transvection,
     coidempotent,
     diag,
-    from_values,
     gen_matrix,
     identity,
     unit_matrix,
@@ -152,7 +151,7 @@ def test_cofactor_map_n2_is_a_conjugation():
 
 
 def test_conjugation_map():
-    r = from_values(Q2, [[1, 2, 0], [0, 1, 1], [1, 0, 3]])
+    r = int_matrix(Q2, [[1, 2, 0], [0, 1, 1], [1, 0, 3]])
     expr = MapExpr(3, Q2, (Conj(r),))
     rep = classify(expr.as_oracle(), Q2, 3)
     assert rep.form.kind == "nondegenerate"
@@ -160,7 +159,7 @@ def test_conjugation_map():
 
 
 def test_quadratic_composite_recovery():
-    r = from_values(Q2, [[1, 2, 0], [0, 1, 0], [1, 0, 1]])
+    r = int_matrix(Q2, [[1, 2, 0], [0, 1, 0], [1, 0, 1]])
     expr = MapExpr(
         3,
         Q2,
@@ -183,7 +182,7 @@ def test_quadratic_composite_recovery():
 
 
 def test_a_report_pickles_and_deep_copies():
-    r = from_values(Q2, [[1, 2, 0], [0, 1, 0], [1, 0, 1]])
+    r = int_matrix(Q2, [[1, 2, 0], [0, 1, 0], [1, 0, 1]])
     expr = MapExpr(3, Q2, (Conj(r), Cof(), Hom(CONJUGATION_HOM)))
     rep = classify(expr.as_oracle(), Q2, 3)
     for twin in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
@@ -489,8 +488,8 @@ _DET2_COF_N3 = MapExpr(3, RATIONAL, (DetScale(_x(1)), Cof()))
 _COF_N2 = MapExpr(2, RATIONAL, (Cof(),))
 _DET_CUBE = MapExpr(3, RATIONAL, (TrivialDet((_x(3), _x(3)), 0, 0),))
 _ONE_ON_INVERTIBLES = MapExpr(2, RATIONAL, (TrivialDet((_x(0), _x(0)), 0, 0),))
-_UP = from_values(RATIONAL, [[1, 1], [0, 1]])
-_FLIP = from_values(RATIONAL, [[1, 0], [0, -1]])
+_UP = int_matrix(RATIONAL, [[1, 1], [0, 1]])
+_FLIP = int_matrix(RATIONAL, [[1, 0], [0, -1]])
 
 
 # (valid oracle, {probe input: how its image changes}, error, message)
@@ -564,7 +563,7 @@ _REJECTIONS = [
         NotMultiplicative,
         "determinant block images do not commute",
     ),
-    (_DET_N3, {Z3: _const(from_values(RATIONAL, [[0, 0, 0], [0, 0, 0]]))},
+    (_DET_N3, {Z3: _const(int_matrix(RATIONAL, [[0, 0, 0], [0, 0, 0]]))},
      NotMultiplicative, "oracle output is not a square matrix"),
     (_DET_N3, {Z3: _const(zeros(Q2, 3))}, FieldMismatch,
      "oracle output lies outside the declared field"),
@@ -802,7 +801,7 @@ def _word_image_forms(rng, fd, n):
     ident = identity(fd, n)
     chars = (_x(1), _x(-2)) + ((ScalarCharacter((("conj", 1),)),) if fd.is_quadratic else ())
     trivial = TrivialForm(fd, n, chars, 1, 1)
-    k = trivial.k
+    k = len(chars) + 2
     out = [(trivial, identity(fd, k)), (trivial, _dense(rng, fd, k))]
     homs = (IDENTITY_HOM, CONJUGATION_HOM) if fd.is_quadratic else (IDENTITY_HOM,)
     lam = ScalarCharacter((("id", 2),) + ((("conj", -1),) if fd.is_quadratic else ()))

@@ -134,6 +134,21 @@ def test_field_mismatch_guard():
         as_elem(RATIONAL, x)
 
 
+def test_elements_refuse_a_field_or_coordinate_of_the_wrong_type():
+    # a string field, a float, a string or a bool coordinate is no scalar:
+    # each ends in FieldMismatch, not an AttributeError or a silent element
+    with pytest.raises(FieldMismatch, match="^not a field descriptor: 'rational'$"):
+        FieldElem("rational", 1)
+    for bad in (1.5, "1", True):
+        with pytest.raises(FieldMismatch, match="^a coordinate must be an int or a Fraction"):
+            FieldElem(Q2, bad)
+        with pytest.raises(FieldMismatch, match="^a coordinate must be an int or a Fraction"):
+            FieldElem(Q2, 1, bad)
+        with pytest.raises(FieldMismatch, match="^a coordinate must be an int or a Fraction"):
+            as_elem(RATIONAL, bad)
+    assert FieldElem(Q2, Fraction(1, 2), -3) == q2(Fraction(1, 2), -3)
+
+
 def test_arithmetic_with_an_operand_that_is_no_element_is_a_type_error():
     x = one(RATIONAL)
     for op in (lambda: x + 1, lambda: x - 1, lambda: x * 1, lambda: x / 1):

@@ -27,7 +27,6 @@ from multmap.matrix import (
     conjugator_from_units,
     diag,
     from_columns,
-    from_values,
     gen_matrix,
     identity,
     normalize_scale,
@@ -224,19 +223,10 @@ def test_cofactor_size_guard():
         int_matrix(RATIONAL, [[5]]).cofactor()
 
 
-def test_pow_and_unipotence():
-    u = int_matrix(RATIONAL, [[1, 2, 5], [0, 1, -3], [0, 0, 1]])
-    assert u.is_unipotent()
-    assert u**0 == identity(RATIONAL, 3)
-    assert u**3 == u * u * u
-    assert u**-1 == u.inverse()
-    assert not int_matrix(RATIONAL, [[2, 0], [0, 1]]).is_unipotent()
-
-
 def test_scalar_multiplication_dispatch():
     a = int_matrix(RATIONAL, [[1, 2], [3, 4]])
     c = as_elem(RATIONAL, Fraction(1, 2))
-    assert c * a == from_values(RATIONAL, [[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
+    assert c * a == int_matrix(RATIONAL, [[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
 
 
 def test_elementary_generators():
@@ -407,10 +397,10 @@ def test_split_conjugated_pair():
     for _ in range(6):
         t = rand_invertible(rng, fd, k)
         l, s = 2, 1
-        p1_model = from_values(
+        p1_model = int_matrix(
             fd, [[1 if i == j and (i < l or i >= k - s) else 0 for j in range(k)] for i in range(k)]
         )
-        p0_model = from_values(
+        p0_model = int_matrix(
             fd, [[1 if i == j and i >= k - s else 0 for j in range(k)] for i in range(k)]
         )
         p0 = t * p0_model * t.inverse()
@@ -480,7 +470,7 @@ def _dense_invertible(rng, fd, n):
                 while row[c].is_zero:
                     row[c] = rand_elem(rng, fd)
         m = Matrix(fd, rows)
-        if m.is_invertible:
+        if not m.det.is_zero:
             return m
 
 
@@ -563,7 +553,7 @@ def test_normalize_scale():
 
 
 def test_doc_round_trip():
-    a = from_values(Q2, [[Fraction(1, 2), 2], [0, 1]])
+    a = int_matrix(Q2, [[Fraction(1, 2), 2], [0, 1]])
     doc = a.to_doc()
     assert doc["n"] == 2
     assert doc["entries"][0][0] == "1/2"

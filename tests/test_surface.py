@@ -1,0 +1,79 @@
+"""The package surface: every exported name has a caller, and no module of
+the package imports a name it never uses.
+
+A name that only unit tests call is a cost with no user: the first check
+reads the names that multmap/__init__.py imports and looks for each, as a
+whole word, in the other modules of the package (the line that defines it
+does not count), the benchmark harness, README.md and the acceptance tests.
+The second parses each module other than __init__.py and reports the names
+it imports but never reads, such as a leftover import of a deleted helper.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "multmap"
+
+
+def _modules():
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree):
+    """Every name an import binds, __future__ left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def test_every_export_has_a_caller_outside_the_unit_tests():
+    exports = list(_imported(ast.parse((PACKAGE / "__init__.py").read_text())))
+    assert exports
+    callers = [(p, p.read_text()) for p in _modules()]
+    callers += [(p, p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    callers += [(ROOT / "README.md", (ROOT / "README.md").read_text())]
+    acceptance = ROOT / "tests" / "test_acceptance.py"
+    callers += [(acceptance, acceptance.read_text())]
+    unused = []
+    for name in exports:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
+        if not any(
+            word.search(line) and not (path.parent == PACKAGE and definition.match(line))
+            for path, text in callers
+            for line in text.splitlines()
+        ):
+            unused.append(name)
+    assert unused == []
+
+
+def _read_names(tree):
+    """Every identifier the module reads: names, which include the roots of
+    attribute chains, and the identifiers inside quoted annotations."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in _modules():
+        tree = ast.parse(path.read_text())
+        read = _read_names(tree)
+        unused += [f"{path.name}: {name}" for name in _imported(tree) if name not in read]
+    assert unused == []

@@ -89,6 +89,18 @@ def test_lcs_depth_validation():
         lcs_depth_check(RATIONAL, 3, -1)
 
 
+def test_fuzz_config_refuses_a_sample_count_below_one_or_of_the_wrong_type():
+    # zero samples would pass A -> A + I, which is not multiplicative
+    for bad in (0, -3, 2.5, "3", True, None):
+        with pytest.raises(DimensionMismatch, match="^pair_count must be an int of at least 1"):
+            FuzzConfig(pair_count=bad)
+    def plus_identity(a):
+        return a + identity(RATIONAL, 3)
+
+    verdict = check_multiplicative(plus_identity, RATIONAL, 3, FuzzConfig(pair_count=1))
+    assert not verdict.passed and verdict.samples == 1
+
+
 def test_lcs_depth_check_fails_a_nest_that_does_not_collapse(monkeypatch):
     # a bracket that returns its first operand leaves a fresh random
     # unitriangular matrix where the nest should have collapsed
