@@ -316,13 +316,18 @@ def classify(oracle: MapOracle, fd: FieldDescriptor, n: int, seed: int = 0) -> C
             # a shrunken live block leaves no room for any nontrivial image
             # of the special linear group
             raise NotMultiplicative("a live block smaller than n must kill every transvection")
-        elif (pattern := _singular_pattern(w, fd, n)) == "units":
-            form, hom_table, lam_table = _recover_units(w, fd, n)
-            _check_corank_one(w, fd, n, form)
         else:
-            form, hom_table, lam_table = _classify_gl(w, fd, n)
-            if pattern == "cofactor":
-                form = _check_cofactor(w, fd, n, form)
+            # the corank one idempotents I - E_jj, built once: the oracle
+            # and the form evaluate the same objects, so a cofactor either
+            # takes of one is kept for the other
+            cos = [coidempotent(fd, n, j) for j in range(1, n + 1)]
+            if (pattern := _singular_pattern(w, fd, n, cos)) == "units":
+                form, hom_table, lam_table = _recover_units(w, fd, n)
+                _check_corank_one(w, cos, form)
+            else:
+                form, hom_table, lam_table = _classify_gl(w, fd, n)
+                if pattern == "cofactor":
+                    form = _check_cofactor(w, fd, n, form, cos)
 
     _final_verification(session, s_total, form, fd, n, seed)
     return ClassifyReport(
@@ -676,12 +681,13 @@ def _resolve_hom(fd: FieldDescriptor, table: dict) -> RingHom:
     raise NotMultiplicative("entry map is neither the identity nor the conjugation")
 
 
-def _singular_pattern(w, fd: FieldDescriptor, n: int) -> str:
+def _singular_pattern(w, fd: FieldDescriptor, n: int, cos: list[Matrix]) -> str:
     """Which recovery the singular probes select: "degenerate" when every
     corank one idempotent dies, "units" when E_11 survives, and "cofactor"
-    when E_11, ranks 2 to n - 2 and E_12 die but no corank one idempotent."""
+    when E_11, ranks 2 to n - 2 and E_12 die but no corank one idempotent.
+    cos holds the corank one idempotents I - E_jj, j = 1 to n."""
     zero_mat = zeros(fd, n)
-    f_cos = [w(coidempotent(fd, n, j)) for j in range(1, n + 1)]
+    f_cos = [w(co) for co in cos]
     if all(f == zero_mat for f in f_cos):
         return "degenerate"
     if w(unit_matrix(fd, n, 1, 1)) != zero_mat:
@@ -736,20 +742,21 @@ def _recover_units(w, fd: FieldDescriptor, n: int):
     return NonDegenerateForm(fd, n, phi, r, 0), tuple(entry.table.items()), None
 
 
-def _check_cofactor(w, fd: FieldDescriptor, n: int, gl_form: DegenerateForm):
+def _check_cofactor(w, fd: FieldDescriptor, n: int, gl_form: DegenerateForm, cos: list[Matrix]):
     """The GL recovery of a map that kills E_11 but no corank one idempotent
     must have eps = 1 and lam = id, and match every corank one image."""
     if gl_form.eps != 1 or gl_form.lam != IDENTITY_CHAR:
         raise NotMultiplicative("vanishing pattern does not match a cofactor form")
     form = NonDegenerateForm(fd, n, gl_form.phi, gl_form.R, 1)
-    _check_corank_one(w, fd, n, form)
+    _check_corank_one(w, cos, form)
     return form
 
 
-def _check_corank_one(w, fd: FieldDescriptor, n: int, form: NonDegenerateForm) -> None:
-    """Match the form to every corank one image the singular-pattern test probed."""
-    for j in range(1, n + 1):
-        co = coidempotent(fd, n, j)
+def _check_corank_one(w, cos: list[Matrix], form: NonDegenerateForm) -> None:
+    """Match the form to every corank one image the singular-pattern test
+    probed, on the idempotents it probed: the form reads the cofactor the
+    oracle took of each."""
+    for co in cos:
         if w(co) != form.evaluate(co):
             kind = "cofactor" if form.eps else "plain"
             raise VerificationFailed(f"corank one image disagrees with the recovered {kind} form")
@@ -766,9 +773,11 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
     generators (_word_image), on a singular one it is the form's own. Each
     sample carries its determinant from the draw, x or zero, so neither
     the form nor the oracle sweeps for it. An invertible sample also
-    carries its word (_word_matrix), so an oracle that takes its cofactor,
-    at once or after an entrywise hom, reads it off the word with no
-    elimination; the singular samples carry none and still eliminate."""
+    carries its word (_word_matrix), so an oracle that takes its cofactor
+    (an expression applies its Cof atoms to the input first) reads it off
+    the word with no elimination. The singular samples carry none: the
+    form takes the cofactor of each, and the oracle, handed the same
+    object, reads the one it keeps."""
     rng = random.Random(seed)
     expect = _word_image(form, s_total)
     lam_pool = _lam_pool(fd)

@@ -22,6 +22,18 @@ simplify folds one exactly into a canonical form
 tracking whether a determinant factor makes the map vanish on singular
 matrices. The fold is pointwise exact on all of M_n, including singular
 inputs, not just a formal rewrite on invertibles.
+
+MapExpr.evaluate applies the m Cof atoms of an expression to its input
+first, and the other atoms after them in their order. C commutes with
+every Hom and every DetScale (lam(det C(X)) = lam(det X)^(n-1), since
+det C(X) = det(X)^(n-1)), and C(R^-1 X R) = C(R)^-1 C(X) C(R), so a Conj(R)
+atom with k Cof atoms applied after it conjugates by C^k(R), read off R's
+kept cofactors. The value is that of applying the atoms one by one, on
+singular inputs too, but every cofactor is taken of the matrix the caller
+passed in: one that carries a generator word has it read off the word, and
+one whose cofactor was already taken returns it (Matrix.cofactor). The
+forms likewise compute phi(C(A)) in place of C(phi(A)), so a form and an
+expression evaluated on one sample share its cofactor.
 """
 
 from __future__ import annotations
@@ -236,9 +248,10 @@ class MapExpr(Value):
     applied first, so the list reads like function composition. A field
     that is no FieldDescriptor raises FieldMismatch, and an n that is no int
     of at least 1 DimensionMismatch, here and in the three forms; atoms that
-    are no tuple or list raise ParseError."""
+    are no tuple or list raise ParseError. _cofs, the number of Cof atoms,
+    is counted once here for evaluate."""
 
-    __slots__ = ("n", "field", "atoms")
+    __slots__ = ("n", "field", "atoms", "_cofs")
 
     def __init__(self, n: int, field: FieldDescriptor, atoms: tuple[Atom, ...]) -> None:
         if not isinstance(atoms, (tuple, list)):
@@ -269,15 +282,25 @@ class MapExpr(Value):
         _set(self, "n", n)
         _set(self, "field", field)
         _set(self, "atoms", atoms)
+        _set(self, "_cofs", sum(isinstance(atom, Cof) for atom in atoms))
 
     def evaluate(self, a: Matrix) -> Matrix:
+        """The value at a, with the Cof atoms applied to a first (see the
+        module docstring); cofs counts those not yet passed, so every atom
+        after the last of them runs as it is."""
         if a.field != self.field:
             raise FieldMismatch("input over the wrong field")
         if not a.is_square or a.n_rows != self.n:
             raise DimensionMismatch(f"input must be {self.n} x {self.n}")
         out = a
+        cofs = self._cofs
+        for _ in range(cofs):
+            out = out.cofactor()
         for atom in reversed(self.atoms):
-            out = _apply_atom(atom, out, self.field)
+            if cofs and atom.__class__ is Cof:
+                cofs -= 1
+            else:
+                out = _apply_atom(atom, out, self.field, cofs)
         return out
 
     def as_oracle(self):
@@ -315,11 +338,14 @@ def identity_expr(fd: FieldDescriptor, n: int) -> MapExpr:
     return MapExpr(n, fd, ())
 
 
-def _apply_atom(atom: Atom, a: Matrix, fd: FieldDescriptor) -> Matrix:
+def _apply_atom(atom: Atom, a: Matrix, fd: FieldDescriptor, cofs: int = 0) -> Matrix:
+    """One atom other than Cof applied to a; a Conj(R) atom conjugates by
+    C^cofs(R), for the cofs Cof atoms moved ahead of it."""
     if isinstance(atom, Conj):
-        return atom.R.inverse() * a * atom.R
-    if isinstance(atom, Cof):
-        return a.cofactor()
+        r = atom.R
+        for _ in range(cofs):
+            r = r.cofactor()
+        return r.inverse() * a * r
     if isinstance(atom, Hom):
         return _apply_hom(atom.phi, a)
     if isinstance(atom, DetScale):
@@ -516,10 +542,11 @@ def _check_core(field: FieldDescriptor, n: int, phi: RingHom, R: Matrix, eps: in
 
 
 def _core_evaluate(form, a: Matrix) -> Matrix:
-    out = _apply_hom(form.phi, a)
-    if form.eps:
-        out = out.cofactor()
-    return form.R.inverse() * out * form.R
+    """R^-1 phi(C^eps(A)) R, which is R^-1 C^eps(phi(A)) R: the cofactor is
+    taken of a itself, so it is computed once per input however many maps
+    evaluate it."""
+    out = a.cofactor() if form.eps else a
+    return form.R.inverse() * _apply_hom(form.phi, out) * form.R
 
 
 def _core_doc(form) -> dict:

@@ -5,7 +5,7 @@ rows, tuples of FieldElem, and integer rows, every row as integers over
 the row's least common denominator. Each matrix computes at most once, and
 caches, the form it lacks, its columns over the least common denominator
 of the whole matrix, its determinant, its reduced row echelon rows with
-their pivots and its inverse. A product reads the integer rows of its left
+their pivots, its inverse and its cofactor. A product reads the integer rows of its left
 operand and the integer columns of its right one, so every entry is one
 integer sum. A product, and a scalar multiple of any matrix, keeps only
 its integer rows, each reduced by one gcd: its FieldElem entries are built
@@ -23,7 +23,10 @@ At n >= 4 on a matrix that carries a generator word D_1(x) P_1 ... P_m
 (_word_matrix, transvection and D_1 generator matrices, identity, and
 their entrywise conjugates) it runs none either: C(A) is read off the
 word, m row updates and one row scaling. Otherwise it eliminates once.
-The word takes no part in equality, hashing, repr or pickling. The
+Whatever the route, a matrix keeps its cofactor, so a second call, from
+another caller, reads it. Neither the word nor the kept cofactor takes part
+in equality, hashing, repr or pickling, and no product, conjugate,
+transpose or scaling inherits the cofactor. The
 inverse, the cofactor, products of matrices with known determinants,
 scalings, entrywise conjugates, generator matrices, identity, zeros and
 diag receive their determinants when built, so a matrix sweeps for its
@@ -103,7 +106,7 @@ class Matrix:
 
     __slots__ = (
         "field", "n_rows", "n_cols", "_rows", "_reduced", "_inv", "_det", "_irows", "_icols",
-        "_word",
+        "_word", "_cof",
     )
 
     def __init__(self, fd: FieldDescriptor, rows) -> None:
@@ -405,6 +408,13 @@ class Matrix:
         row i and column j). Satisfies C(AB) = C(A) C(B) on every square
         matrix and A C(A)^T = det(A) I; defined for size two and up.
 
+        Computed once and kept on A, as the inverse is: every later call
+        returns the same object, so map evaluations that take the cofactor
+        of one input (an expression's Cof atoms and a form with eps = 1)
+        share it. The kept cofactor takes no part in equality, hashing,
+        repr or pickling, and no product, conjugate, transpose or scaling of
+        A inherits it.
+
         At n <= 3 C(A) is read off the signed (n - 1)-minors of the integer
         rows, exact at every rank, with no elimination: for P the integer
         numerators and den_i the row denominators, row i of C(A) is row i
@@ -436,44 +446,10 @@ class Matrix:
         A keeps its determinant, P or zero, and C gets det(A)^(n-1). The
         elimination runs on a copy, so it leaves no echelon form or inverse
         cached on self."""
-        n = self._require_square("cofactor")
-        if n < 2:
-            raise DimensionMismatch("cofactor needs size at least two")
-        fd = self.field
-        if n <= 3:
-            rows = self._int_rows()
-            minors = _minor_rows(fd.d, rows)
-            den = prod(v[2] for v in rows)
-            if self._det is None:
-                p, q = _bilinear(fd.d, _dot, rows[0], minors[0])
-                _set(self, "_det", _norm(fd, p[0], q[0] if q else 0, den))
-            c = _new(Matrix)
-            vectors = [_reduce_integer_vector(*m, den // v[2]) for m, v in zip(minors, rows)]
-            _fill(c, fd, n, n, None, vectors)
-            _set(c, "_det", self._det ** (n - 1))
-            return c
-        if self._word is not None:
-            x, word = self._word
-            _set(self, "_det", x)
-            c = Matrix._of(fd, _word_cofactor(word, _identity_rows(fd, n), one(fd), x))
-            _set(c, "_det", x ** (n - 1))
-            return c
-        rows, pivots, det = _eliminate(fd, _augment_identity(self), n)
-        rank = len(pivots)
-        _set(self, "_det", det if rank == n else zero(fd))
-        if rank == n:
-            # the transpose of det(A) A^-1, the right block of the rows
-            c = Matrix._of(fd, zip(*(_scale_row(det, row[n:]) for row in rows)))
-            _set(c, "_det", det ** (n - 1))
-            return c
-        if rank < n - 1:
-            c = zeros(fd, n)
-        else:
-            free = next(col for col in range(n) if col not in pivots)
-            x = _null_vector(fd, rows, pivots, free, n)
-            scale = -det if (n - 1 + free) % 2 else det
-            c = Matrix._of(fd, [_scale_row(scale * yi, x) for yi in rows[n - 1][n:]])
-        _set(c, "_det", zero(fd))
+        c = self._cof
+        if c is None:
+            c = _cofactor(self)
+            _set(self, "_cof", c)
         return c
 
     def is_idempotent(self) -> bool:
@@ -524,6 +500,50 @@ def _fill(m: Matrix, fd: FieldDescriptor, n_rows: int, n_cols: int, rows, irows)
     _set(m, "_irows", irows)
     _set(m, "_icols", None)
     _set(m, "_word", None)
+    _set(m, "_cof", None)
+
+
+def _cofactor(a: Matrix) -> Matrix:
+    """C(a) by the route Matrix.cofactor describes, computed afresh."""
+    n = a._require_square("cofactor")
+    if n < 2:
+        raise DimensionMismatch("cofactor needs size at least two")
+    fd = a.field
+    if n <= 3:
+        rows = a._int_rows()
+        minors = _minor_rows(fd.d, rows)
+        den = prod(v[2] for v in rows)
+        if a._det is None:
+            p, q = _bilinear(fd.d, _dot, rows[0], minors[0])
+            _set(a, "_det", _norm(fd, p[0], q[0] if q else 0, den))
+        c = _new(Matrix)
+        vectors = [_reduce_integer_vector(*m, den // v[2]) for m, v in zip(minors, rows)]
+        _fill(c, fd, n, n, None, vectors)
+        _set(c, "_det", a._det ** (n - 1))
+        return c
+    if a._word is not None:
+        x, word = a._word
+        _set(a, "_det", x)
+        c = Matrix._of(fd, _word_cofactor(word, _identity_rows(fd, n), one(fd), x))
+        _set(c, "_det", x ** (n - 1))
+        return c
+    rows, pivots, det = _eliminate(fd, _augment_identity(a), n)
+    rank = len(pivots)
+    _set(a, "_det", det if rank == n else zero(fd))
+    if rank == n:
+        # the transpose of det(A) A^-1, the right block of the rows
+        c = Matrix._of(fd, zip(*(_scale_row(det, row[n:]) for row in rows)))
+        _set(c, "_det", det ** (n - 1))
+        return c
+    if rank < n - 1:
+        c = zeros(fd, n)
+    else:
+        free = next(col for col in range(n) if col not in pivots)
+        x = _null_vector(fd, rows, pivots, free, n)
+        scale = -det if (n - 1 + free) % 2 else det
+        c = Matrix._of(fd, [_scale_row(scale * yi, x) for yi in rows[n - 1][n:]])
+    _set(c, "_det", zero(fd))
+    return c
 
 
 # -- elimination ------------------------------------------------------------------

@@ -17,21 +17,24 @@ from __future__ import annotations
 
 import random
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ParseError
 from .field import FieldDescriptor, zero
-from .matrix import Matrix
+from .matrix import Matrix, _check_domain
 from .slword import default_pool, random_gl, random_unitriangular
 from .value import Value, _set
 
 
 class FuzzConfig(Value):
-    """The seed and the number of samples of one fuzz run. A pair_count that
-    is no int of at least 1 (bools included) raises DimensionMismatch, so no
-    verdict rests on zero samples."""
+    """The seed and the number of samples of one fuzz run. A seed that is no
+    int (bools included) raises ParseError, so every run is reproducible
+    from its seed, and a pair_count that is no int of at least 1 (bools
+    included) DimensionMismatch, so no verdict rests on zero samples."""
 
     __slots__ = ("seed", "pair_count")
 
     def __init__(self, seed: int = 0, pair_count: int = 50) -> None:
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ParseError(f"fuzz seed must be an int, got {seed!r}")
         if not isinstance(pair_count, int) or isinstance(pair_count, bool) or pair_count < 1:
             raise DimensionMismatch(f"pair_count must be an int of at least 1, got {pair_count!r}")
         _set(self, "seed", seed)
@@ -95,7 +98,10 @@ def _shrink(still_fails, a: Matrix, b: Matrix | None):
 
 def _fuzz(fails, pairs: bool, fd: FieldDescriptor, n: int, config: FuzzConfig) -> Verdict:
     """Sample config.pair_count inputs, pairs (A, B) or single matrices A
-    with B = None, and return the first on which fails(A, B) holds, shrunk."""
+    with B = None, and return the first on which fails(A, B) holds, shrunk.
+    An fd that is no FieldDescriptor raises FieldMismatch, and an n that is
+    no int of at least 1 DimensionMismatch."""
+    _check_domain(fd, n, "fuzz runs")
     rng = random.Random(config.seed)
     for done in range(1, config.pair_count + 1):
         a = _sample_matrix(rng, fd, n)
@@ -128,9 +134,12 @@ def lcs_depth_check(
     fd: FieldDescriptor, n: int, depth: int, config: FuzzConfig = FuzzConfig()
 ) -> Verdict:
     """Nest commutators of random unitriangular matrices depth times and
-    check the vanishing pattern of the superdiagonals."""
-    if depth < 0:
-        raise DimensionMismatch("nesting depth must be nonnegative")
+    check the vanishing pattern of the superdiagonals. An fd or an n that
+    _fuzz would refuse is refused alike, and a depth that is no int of at
+    least 0 (bools included) raises DimensionMismatch."""
+    _check_domain(fd, n, "fuzz runs")
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+        raise DimensionMismatch(f"nesting depth must be an int of at least 0, got {depth!r}")
     rng = random.Random(config.seed)
     bound = min(depth, n - 1)
     for done in range(1, config.pair_count + 1):

@@ -25,6 +25,12 @@ before the row kernels: one FieldElem operation per entry, with the
 identity and the scalar one multiplied out like any other operand. They are
 the references for the differential tests of the row kernels.
 
+ref_evaluate is MapExpr.evaluate as it was before it applied the Cof
+atoms to the input first: the atoms one by one, the last first, each on
+the value of the one before, with every cofactor and determinant computed
+afresh (ref_cofactor, and a sweep on a fresh copy). It is the reference for
+the differential test of that evaluation.
+
 ref_conjugator_from_units is matrix unit recovery as it was before it
 checked the conjugator it returns: every relation F_ij F_kl = delta_jk F_il
 multiplied out in full, O(n^7), then R built from the first column of units.
@@ -439,6 +445,32 @@ def ref_cofactor(m: Matrix) -> Matrix:
         signed = -signed
     c = signed / y[i]
     return Matrix(fd, [[c * yi * xj for xj in x] for yi in y])
+
+
+def ref_evaluate(expr: MapExpr, a: Matrix) -> Matrix:
+    """The value of expr at a, atom by atom in the order of application."""
+    fd, out = expr.field, a
+    for atom in reversed(expr.atoms):
+        if isinstance(atom, Conj):
+            out = atom.R.inverse() * out * atom.R
+        elif isinstance(atom, Cof):
+            out = ref_cofactor(out)
+        elif isinstance(atom, Hom):
+            out = out.conjugate() if atom.phi.kind == "conj" else out
+        else:
+            d = Matrix(fd, out.rows).det
+            if isinstance(atom, DetScale):
+                out = zeros(fd, out.n_rows) if d.is_zero else atom.character.evaluate(d) * out
+            else:
+                z = zero(fd)
+                chars = [z if d.is_zero else c.evaluate(d) for c in atom.chars]
+                out = Matrix(fd, _diag_rows(chars + [z] * atom.zero_pad + [one(fd)] * atom.one_pad))
+    return out
+
+
+def _diag_rows(entries: list) -> list:
+    z = zero(entries[0].field)
+    return [[x if i == j else z for j in range(len(entries))] for i, x in enumerate(entries)]
 
 
 def ref_apply_word(word, fd: FieldDescriptor, n: int) -> Matrix:

@@ -26,10 +26,13 @@ sweeps.
 Matrices built from a generator word (the invertible final-verification
 samples, transvection and D_1 generator matrices, identity, and their
 entrywise conjugates) carry it, and from size 4 on their cofactor is read
-off the word: it neither eliminates nor sweeps, so the cofactor oracle runs
-no elimination on an invertible final-verification sample. Every carried
-word evaluates back to its matrix; the samplers carry no word, and
-pickling drops it.
+off the word: it neither eliminates nor sweeps, so the cofactor oracle, and
+the detscale o cof o conj oracle, whose Cof atom acts on the input first,
+run no elimination on an invertible final-verification sample. On a
+singular sample the reported form and the oracle share the cofactor the
+sample keeps: one elimination for the two calls. Every carried word
+evaluates back to its matrix; the samplers carry no word, and pickling
+drops it.
 """
 
 import importlib
@@ -382,19 +385,35 @@ def test_the_word_cofactor_neither_eliminates_nor_sweeps(fd, monkeypatch):
 
 
 def _eliminations_per_sample(monkeypatch, oracle, fd, n) -> list:
-    """(eliminations, probed before) for each final-verification sample of
-    classify(oracle), in sample order: the eliminations its oracle call
-    and comparison run, and whether the session already held its image."""
+    """(reported, checked, probed before) for each final-verification
+    sample of classify(oracle), in sample order: the eliminations the
+    reported form runs on it (singular samples only; the invertible ones
+    are read off the generator images), those its oracle call and
+    comparison run, and whether the session already held its image."""
     eliminations = _counter(monkeypatch, "_eliminate")
     per_sample = []
+    reported = {}
     check_sample = classify_module._check_sample
+    reported_map = classify_module._reported_map
+
+    def counted_map(form, s):
+        f = reported_map(form, s)
+
+        def counted(a):
+            before = len(eliminations)
+            out = f(a)
+            reported[id(a)] = len(eliminations) - before
+            return out
+
+        return counted
 
     def counted(session, expected, a):
         before = len(eliminations)
         seen = a.rows in session._memo
         check_sample(session, expected, a)
-        per_sample.append((len(eliminations) - before, seen))
+        per_sample.append((reported.pop(id(a), 0), len(eliminations) - before, seen))
 
+    monkeypatch.setattr(classify_module, "_reported_map", counted_map)
     monkeypatch.setattr(classify_module, "_check_sample", counted)
     classify(oracle, fd, n)
     return per_sample
@@ -406,12 +425,26 @@ def test_the_cofactor_oracle_eliminates_on_no_invertible_sample(monkeypatch):
     per_sample = _eliminations_per_sample(monkeypatch, oracle, RATIONAL, n)
     invertible = classify_module.VERIFY_INVERTIBLE
     assert len(per_sample) == invertible + classify_module.VERIFY_SINGULAR
-    assert [count for count, _ in per_sample[:invertible]] == [0] * invertible
-    # the singular samples carry no word, so the cofactor of each one the
-    # session has not probed yet eliminates once
+    assert [(r, c) for r, c, _ in per_sample[:invertible]] == [(0, 0)] * invertible
+    # the singular samples carry no word, so the reported form eliminates
+    # once for the cofactor of each, and the oracle reads the cofactor the
+    # sample keeps: one elimination per sample across both calls, where
+    # each used to take its own
     singular = per_sample[invertible:]
-    assert all(count == (not seen) for count, seen in singular)
-    assert sum(count for count, _ in singular) >= classify_module.VERIFY_SINGULAR // 2
+    assert [(r, c) for r, c, _ in singular] == [(1, 0)] * classify_module.VERIFY_SINGULAR
+    assert not all(seen for _, _, seen in singular)
+
+
+def test_the_detscale_cof_conj_oracle_eliminates_on_no_invertible_sample(monkeypatch):
+    # the Cof atom acts on the sample first, so it reads the sample's word,
+    # and the Conj atom conjugates by the cofactor that R keeps
+    n = 5
+    r = _fresh(rand_invertible(random.Random(8), RATIONAL, n))
+    atoms = (DetScale(ScalarCharacter((("id", 1),))), Cof(), Conj(r))
+    oracle = MapExpr(n, RATIONAL, atoms).as_oracle()
+    per_sample = _eliminations_per_sample(monkeypatch, oracle, RATIONAL, n)
+    invertible = classify_module.VERIFY_INVERTIBLE
+    assert [(r, c) for r, c, _ in per_sample[:invertible]] == [(0, 0)] * invertible
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multmap.errors import (
     DimensionMismatch,
@@ -42,14 +44,18 @@ from multmap.mapexpr import (
     identity_expr,
     simplify,
 )
-from multmap.matrix import MAX_SIZE, identity, unit_matrix, zeros
+from multmap.matrix import MAX_SIZE, Matrix, _word_matrix, identity, unit_matrix, zeros
+from multmap.slword import _transvection_triples
 
 from helpers import (
     int_matrix,
+    rand_elem,
     rand_invertible,
     rand_matrix,
     rand_singular,
     random_mapexpr,
+    ref_cofactor,
+    ref_evaluate,
 )
 
 Q2 = quadratic(2)
@@ -223,6 +229,74 @@ def test_simplify_preserves_evaluation(fd, n):
         for _ in range(2):
             a = rand_singular(rng, fd, n)
             assert form.evaluate(a) == expr.evaluate(a)
+
+
+def _drawn_atom(rng, fd, n, kind):
+    if kind == "conj":
+        return Conj(rand_invertible(rng, fd, n, span=2))
+    if kind == "cof":
+        return Cof()
+    if kind == "hom":
+        return Hom(CONJUGATION_HOM if fd.is_quadratic and rng.random() < 0.5 else IDENTITY_HOM)
+    factors = [("id", rng.randint(-1, 1))]
+    if fd.is_quadratic:
+        factors.append(("conj", rng.randint(-1, 1)))
+    if kind == "detscale":
+        return DetScale(ScalarCharacter(tuple(factors)))
+    return TrivialDet((ScalarCharacter(tuple(factors)),), rng.randint(0, 1), rng.randint(0, 1))
+
+
+def _drawn_input(rng, fd, n, rank, word):
+    """A fresh input of this rank; at full rank, optionally one that
+    carries a generator word, as the final-verification samples do."""
+    if rank < n:
+        return Matrix(fd, rand_singular(rng, fd, n, rank).rows)
+    if not word:
+        return Matrix(fd, rand_invertible(rng, fd, n, span=2).rows)
+    x = rand_elem(rng, fd, 2)
+    while x.is_zero:
+        x = rand_elem(rng, fd, 2)
+    return _word_matrix(fd, n, x, _transvection_triples(rng, fd, n, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fd=st.sampled_from((RATIONAL, Q2, quadratic(-1))),
+    n=st.integers(2, 6),
+    kinds=st.one_of(
+        st.lists(st.sampled_from(("conj", "cof", "hom", "detscale")), min_size=1, max_size=5),
+        st.just(["trivialdet"]),
+    ),
+    rank=st.integers(0, 6),
+    word=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_evaluate_and_forms_match_the_atom_by_atom_fold(fd, n, kinds, rank, word, seed):
+    # evaluate applies the Cof atoms to the input first and conjugates by
+    # C^k(R); the fold applies every atom in its order to the value before
+    rng = random.Random(seed)
+    expr = MapExpr(n, fd, tuple(_drawn_atom(rng, fd, n, kind) for kind in kinds))
+    a = _drawn_input(rng, fd, n, min(rank, n), word)
+    expected = ref_evaluate(expr, Matrix(fd, a.rows))
+    assert expr.evaluate(a) == expected
+    # a second evaluation reads the cofactor the input kept
+    assert expr.evaluate(a) == expected
+    form = simplify(expr)
+    assert form.evaluate(a) == expected
+    if isinstance(form, TrivialForm):
+        return
+    # the form takes phi(C^eps(A)), of the input itself; its definition is
+    # R^-1 C^eps(phi(A)) R, scaled by lam(det A) and zero on singulars when
+    # degenerate
+    b = Matrix(fd, a.rows)
+    core = b.conjugate() if form.phi.kind == "conj" else b
+    if form.eps:
+        core = ref_cofactor(core)
+    core = form.R.inverse() * core * form.R
+    if isinstance(form, DegenerateForm):
+        d = b.det
+        core = zeros(fd, n) if d.is_zero else form.lam.evaluate(d) * core
+    assert form.evaluate(a) == core == expected
 
 
 def test_compose_matches_pointwise():

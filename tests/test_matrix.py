@@ -1,5 +1,6 @@
 """Exact matrix layer: elimination, cofactor identities, structural splits."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from multmap.matrix import (
     Matrix,
     Swap,
     Transvection,
+    _word_matrix,
     coidempotent,
     conjugator_from_units,
     diag,
@@ -221,6 +223,47 @@ def test_matrix_kernels_match_fraction_reference(fd, shape, seed):
 def test_cofactor_size_guard():
     with pytest.raises(DimensionMismatch):
         int_matrix(RATIONAL, [[5]]).cofactor()
+
+
+def _cofactor_inputs(fd, n):
+    """One matrix of each cofactor route at size n: invertible and singular
+    inputs with entries, a product with integer rows only, and a word
+    carrier, whose cofactor is read off its word from n = 4 on."""
+    rng = random.Random(n)
+    built = [
+        Matrix(fd, rand_invertible(rng, fd, n).rows),
+        Matrix(fd, rand_singular(rng, fd, n, n - 1).rows),
+        Matrix(fd, rand_singular(rng, fd, n, 0).rows),
+        rand_invertible(rng, fd, n) * rand_singular(rng, fd, n, n - 1),
+    ]
+    word = ((1, 2, one(fd)), (n, 1, as_elem(fd, -1)))
+    return built + [_word_matrix(fd, n, as_elem(fd, 2), word)]
+
+
+@pytest.mark.parametrize("fd", [RATIONAL, Q2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_matrix_keeps_its_cofactor_and_nothing_else_sees_it(fd, n):
+    for a in _cofactor_inputs(fd, n):
+        plain = Matrix(fd, a.rows)
+        before = (hash(a), repr(a), pickle.dumps(a))
+        c = a.cofactor()
+        # a second call, from any caller, returns the same object
+        assert a.cofactor() is c
+        assert c == laplace_cofactor(plain)
+        # the kept cofactor takes no part in equality, hashing, repr or pickling
+        assert a == plain and plain == a
+        assert (hash(a), repr(a), pickle.dumps(a)) == before
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and back._cof is None
+        # nothing built from a inherits it
+        derived = [a * a, a * gen_matrix(Swap(1, 2), fd, n), a.transpose(), -a]
+        derived.append(as_elem(fd, 3) * a)
+        derived.append(rand_invertible(random.Random(0), fd, n).inverse() * a)
+        if fd.is_quadratic:
+            derived.append(a.conjugate())
+        assert all(m._cof is None for m in derived)
+        # and a fresh copy computes its own, equal one
+        assert plain.cofactor() == c and plain.cofactor() is not c
 
 
 def test_scalar_multiplication_dispatch():

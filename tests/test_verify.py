@@ -3,7 +3,7 @@
 import pytest
 
 from multmap import verify
-from multmap.errors import DimensionMismatch
+from multmap.errors import DimensionMismatch, FieldMismatch, ParseError
 from multmap.field import RATIONAL, quadratic
 from multmap.mapexpr import Cof, MapExpr
 from multmap.matrix import identity
@@ -87,6 +87,45 @@ def test_lcs_depths(n):
 def test_lcs_depth_validation():
     with pytest.raises(DimensionMismatch):
         lcs_depth_check(RATIONAL, 3, -1)
+
+
+@pytest.mark.parametrize("depth", [1.5, True, "2", None])
+def test_lcs_depth_check_refuses_a_depth_that_is_no_int(depth):
+    # 1.5 ended in a TypeError from range, and True ran as depth 1
+    with pytest.raises(DimensionMismatch, match="^nesting depth must be an int of at least 0"):
+        lcs_depth_check(RATIONAL, 3, depth)
+
+
+@pytest.mark.parametrize("seed", [[1], 1.5, True, None, "1"])
+def test_fuzz_config_refuses_a_seed_that_is_no_int(seed):
+    # [1] ended in a bare TypeError from random.Random inside the fuzz run,
+    # and None would seed it from the clock
+    with pytest.raises(ParseError, match="^fuzz seed must be an int"):
+        FuzzConfig(seed=seed)
+
+
+@pytest.mark.parametrize("n", [2.5, 0, True, "2"])
+def test_every_fuzz_run_refuses_a_bad_size(n):
+    # 2.5 ended in a ValueError from randrange
+    ident = lambda a: a
+    for run in (
+        lambda: check_multiplicative(ident, RATIONAL, n, FuzzConfig(seed=1)),
+        lambda: check_equal(ident, ident, RATIONAL, n, FuzzConfig(seed=1)),
+        lambda: lcs_depth_check(RATIONAL, n, 1),
+    ):
+        with pytest.raises(DimensionMismatch, match="^fuzz runs need n >= 1$"):
+            run()
+
+
+def test_every_fuzz_run_refuses_a_field_that_is_no_descriptor():
+    ident = lambda a: a
+    for run in (
+        lambda: check_multiplicative(ident, "Q", 2),
+        lambda: check_equal(ident, ident, None, 2),
+        lambda: lcs_depth_check(2, 3, 1),
+    ):
+        with pytest.raises(FieldMismatch, match="^fuzz runs need a FieldDescriptor field$"):
+            run()
 
 
 def test_fuzz_config_refuses_a_sample_count_below_one_or_of_the_wrong_type():
