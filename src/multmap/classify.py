@@ -24,11 +24,11 @@ stage runs next, and calls each stage from one place, in this order:
                          or E_11 dies but none of them do (cofactor)
   cofactor check         in the cofactor case: eps = 1, lam = id, and the
                          corank one images match the form
-  final verification     fresh samples against A -> S form(A) S^-1; on an
-                         invertible sample, a word D_1(x) P_1 ... P_8, the
-                         form's value is computed from the images of the
-                         generators with no elimination, on a singular one
-                         by the form itself
+  final verification     fresh samples, invertible and singular, against
+                         A -> S form(A) S^-1, the map the report returns
+                         (_reported_map); on an invertible sample, a word
+                         D_1(x) P_1 ... P_8, a form with eps = 1 reads the
+                         cofactor off the word with no elimination
 
 Every probe goes through a Session that memoizes, logs and enforces a budget
 of 10 n^2 + 200 oracle calls. Each probe image must match an exact pattern.
@@ -79,10 +79,7 @@ from .matrix import (
     Matrix,
     Swap,
     Transvection,
-    _dilate_rows,
     _dilated_word,
-    _transvect,
-    _word_cofactor,
     _word_matrix,
     coidempotent,
     conjugator_from_units,
@@ -767,26 +764,25 @@ def _check_corank_one(w, cos: list[Matrix], form: NonDegenerateForm) -> None:
 
 def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: int, seed: int):
     """Fresh random samples, invertible and singular, against the rebuilt
-    oracle. The recovered form must match the oracle on every sample
-    exactly, and is evaluated before the oracle is asked: on an invertible
-    sample D_1(x) P_1 ... P_8 its value is read off the images of the
-    generators (_word_image), on a singular one it is the form's own. Each
+    oracle. Every sample's expected value comes from _reported_map, the map
+    ClassifyReport.reconstructed_oracle() returns, so the map verified is
+    the map reported; it is computed before the oracle is asked. Each
     sample carries its determinant from the draw, x or zero, so neither
-    the form nor the oracle sweeps for it. An invertible sample also
-    carries its word (_word_matrix), so an oracle that takes its cofactor
-    (an expression applies its Cof atoms to the input first) reads it off
-    the word with no elimination. The singular samples carry none: the
-    form takes the cofactor of each, and the oracle, handed the same
-    object, reads the one it keeps."""
+    the form nor the oracle sweeps for it. An invertible sample, a word
+    D_1(x) P_1 ... P_8, also carries its word (_word_matrix), so the form
+    and an oracle that take its cofactor read it off the word with no
+    elimination. The singular samples carry none: a nondegenerate form
+    with eps = 1 takes the cofactor of each, and the oracle, handed the
+    same object, reads the one it keeps, while a degenerate form and an
+    expression with a DetScale atom send them to zero with no cofactor."""
     rng = random.Random(seed)
-    expect = _word_image(form, s_total)
+    reported = _reported_map(form, s_total)
     lam_pool = _lam_pool(fd)
     pool = default_pool(fd)
     for i in range(VERIFY_INVERTIBLE):
         x = lam_pool[i % len(lam_pool)]
-        word = _transvection_triples(rng, fd, n, 8)
-        _check_sample(session, expect(x, word), _word_matrix(fd, n, x, word))
-    reported = _reported_map(form, s_total)
+        a = _word_matrix(fd, n, x, _transvection_triples(rng, fd, n, 8))
+        _check_sample(session, reported(a), a)
     z = zero(fd)
     zero_row = (z,) * n
     for _ in range(VERIFY_SINGULAR):
@@ -806,53 +802,6 @@ def _check_sample(session, expected: Matrix, a: Matrix) -> None:
         raise VerificationFailed(
             "oracle and recovered form disagree on a fresh sample"
         )
-
-
-def _word_image(form: CanonicalForm, s: Matrix):
-    """expect(x, word) = S form(D_1(x) P_1 ... P_m) S^-1 for a word of
-    one-based (i, j, k) triples standing for transvections P_ij(k), computed
-    from the images of the generators with no elimination.
-
-    A trivial form depends on det = x alone. The other forms are
-    A -> lam(det A) R^-1 C^eps(phi(A)) R, lam = 1 when nondegenerate, and
-    phi(D_1(x)) = D_1(phi x), phi(P_ij(c)) = P_ij(phi c), and with eps = 1
-    the cofactor of that word is read off it as Matrix.cofactor reads it
-    (_word_cofactor). So the value is lam(x) (S R^-1) W (R S^-1), with
-    S R^-1 and R S^-1 built once and W the image word, applied as row
-    operations to the rows of R S^-1: one product per sample. What depends
-    on x alone is cached per x, which cycles through the lambda pool."""
-    fd, n = form.field, form.n
-    s_inv = s.inverse()
-    if isinstance(form, TrivialForm):
-
-        @cache
-        def block(x: FieldElem) -> Matrix:
-            return s * form.evaluate(gen_matrix(DiagUnit(1, x), fd, n)) * s_inv
-
-        return lambda x, word: block(x)
-
-    left = s * form.R.inverse()
-    right_rows = (form.R * s_inv).rows
-    lam = form.lam if isinstance(form, DegenerateForm) else IDENTITY_CHAR
-    conj = form.phi.kind == "conj"
-
-    @cache
-    def dilation(x: FieldElem) -> tuple[FieldElem, FieldElem]:
-        # lam(x) and lam(x) phi(x)
-        lx = lam.evaluate(x)
-        return lx, lx * (x.conjugate() if conj else x)
-
-    def expect(x: FieldElem, word) -> Matrix:
-        lx, y = dilation(x)
-        if conj:
-            word = [(i, j, k.conjugate()) for i, j, k in word]
-        if form.eps:
-            rows = _word_cofactor(word, right_rows, lx, y)
-        else:
-            rows = _dilate_rows(y, lx, _transvect(right_rows, word))
-        return left * Matrix._of(fd, rows)
-
-    return expect
 
 
 # -- small helpers -------------------------------------------------------

@@ -31,9 +31,11 @@ atom with k Cof atoms applied after it conjugates by C^k(R), read off R's
 kept cofactors. The value is that of applying the atoms one by one, on
 singular inputs too, but every cofactor is taken of the matrix the caller
 passed in: one that carries a generator word has it read off the word, and
-one whose cofactor was already taken returns it (Matrix.cofactor). The
-forms likewise compute phi(C(A)) in place of C(phi(A)), so a form and an
-expression evaluated on one sample share its cofactor.
+one whose cofactor was already taken returns it (Matrix.cofactor). An
+expression with a DetScale atom sends an input that carries a zero
+determinant to zero before it takes any cofactor. The forms likewise
+compute phi(C(A)) in place of C(phi(A)), so a form and an expression
+evaluated on one sample share its cofactor.
 """
 
 from __future__ import annotations
@@ -287,11 +289,18 @@ class MapExpr(Value):
     def evaluate(self, a: Matrix) -> Matrix:
         """The value at a, with the Cof atoms applied to a first (see the
         module docstring); cofs counts those not yet passed, so every atom
-        after the last of them runs as it is."""
+        after the last of them runs as it is. An a that carries a zero
+        determinant, read only when carried, goes to zero at once under an
+        expression with a DetScale atom, before any cofactor is taken."""
         if a.field != self.field:
             raise FieldMismatch("input over the wrong field")
         if not a.is_square or a.n_rows != self.n:
             raise DimensionMismatch(f"input must be {self.n} x {self.n}")
+        d = a._det
+        if d is not None and d.is_zero and any(atom.__class__ is DetScale for atom in self.atoms):
+            # every atom keeps a singular matrix singular and sends zero to
+            # zero, and the DetScale atom sends a singular matrix to zero
+            return zeros(self.field, self.n)
         out = a
         cofs = self._cofs
         for _ in range(cofs):

@@ -22,7 +22,8 @@ product, and gives its input the determinant of its first row's expansion.
 At n >= 4 on a matrix that carries a generator word D_1(x) P_1 ... P_m
 (_word_matrix, transvection and D_1 generator matrices, identity, and
 their entrywise conjugates) it runs none either: C(A) is read off the
-word, m row updates and one row scaling. Otherwise it eliminates once.
+word: m row updates on the rows of I_n, then rows 2 to n scaled by x.
+Otherwise it eliminates once.
 Whatever the route, a matrix keeps its cofactor, so a second call, from
 another caller, reads it. Neither the word nor the kept cofactor takes part
 in equality, hashing, repr or pickling, and no product, conjugate,
@@ -428,9 +429,9 @@ class Matrix:
         (_word_matrix, gen_matrix, identity and conjugate set it). Then C(A)
         is read off the word with no elimination and no sweep: C is
         multiplicative, C(D_1(x)) = diag(1, x, ..., x) and C(P_ij(k)) =
-        P_ji(-k), so C(A) = diag(1, x, ..., x) P_j1i1(-k1) ... P_jmim(-km),
-        m row updates on the rows of the identity and one scaling of rows 2
-        to n by x (_word_cofactor). A has det x and C gets x^(n-1).
+        P_ji(-k), so C(A) = diag(1, x, ..., x) P_j1i1(-k1) ... P_jmim(-km):
+        m row updates on the rows of the identity, then rows 2 to n scaled
+        by x. A has det x and C gets x^(n-1).
 
         At n >= 4 without a word one elimination of [A | I] gives the rank
         of A and the signed product P of its pivots, the reciprocal of det E
@@ -524,7 +525,10 @@ def _cofactor(a: Matrix) -> Matrix:
     if a._word is not None:
         x, word = a._word
         _set(a, "_det", x)
-        c = Matrix._of(fd, _word_cofactor(word, _identity_rows(fd, n), one(fd), x))
+        rows = _transvect(_identity_rows(fd, n), [(j, i, -k) for i, j, k in word])
+        if not x.is_one:
+            rows[1:] = [_scale_row(x, r) for r in rows[1:]]
+        c = Matrix._of(fd, rows)
         _set(c, "_det", x ** (n - 1))
         return c
     rows, pivots, det = _eliminate(fd, _augment_identity(a), n)
@@ -671,24 +675,6 @@ def _transvect(rows, word) -> list:
     for i, j, k in reversed(word):
         rows[i - 1] = _sub_mul_row(rows[i - 1], -k, rows[j - 1])
     return rows
-
-
-def _word_cofactor(word, rows, s: FieldElem, sx: FieldElem) -> list:
-    """The rows of s C(D_1(x) P_1 ... P_m) M, given s and sx = s x, for the
-    rows of M and a word of one-based (i, j, k) triples standing for P_ij(k).
-    C is multiplicative, C(D_1(x)) = diag(1, x, ..., x) and C(P_ij(k)) =
-    P_ji(-k), so this is diag(s, sx, ..., sx) W' M for the word
-    W' = [(j, i, -k)]: W' acts on the rows, then they are dilated."""
-    return _dilate_rows(s, sx, _transvect(rows, [(j, i, -k) for i, j, k in word]))
-
-
-def _dilate_rows(first: FieldElem, rest: FieldElem, rows) -> list:
-    """The rows of diag(first, rest, ..., rest) M for the rows of M; a factor
-    of one keeps its rows as they are."""
-    head, *tail = rows
-    if not first.is_one:
-        head = _scale_row(first, head)
-    return [head, *tail] if rest.is_one else [head, *(_scale_row(rest, r) for r in tail)]
 
 
 def _null_vector(fd: FieldDescriptor, rows, pivots, free: int, width: int) -> list[FieldElem]:

@@ -30,7 +30,9 @@ off the word: it neither eliminates nor sweeps, so the cofactor oracle, and
 the detscale o cof o conj oracle, whose Cof atom acts on the input first,
 run no elimination on an invertible final-verification sample. On a
 singular sample the reported form and the oracle share the cofactor the
-sample keeps: one elimination for the two calls. Every carried word
+sample keeps: one elimination for the two calls. The detscale o cof o
+conj oracle takes no cofactor of a singular sample at all: the sample
+carries its zero determinant, which sends the value to zero at once. Every carried word
 evaluates back to its matrix; the samplers carry no word, and pickling
 drops it.
 """
@@ -387,9 +389,8 @@ def test_the_word_cofactor_neither_eliminates_nor_sweeps(fd, monkeypatch):
 def _eliminations_per_sample(monkeypatch, oracle, fd, n) -> list:
     """(reported, checked, probed before) for each final-verification
     sample of classify(oracle), in sample order: the eliminations the
-    reported form runs on it (singular samples only; the invertible ones
-    are read off the generator images), those its oracle call and
-    comparison run, and whether the session already held its image."""
+    reported map runs on it, those its oracle call and comparison run, and
+    whether the session already held its image."""
     eliminations = _counter(monkeypatch, "_eliminate")
     per_sample = []
     reported = {}
@@ -411,7 +412,7 @@ def _eliminations_per_sample(monkeypatch, oracle, fd, n) -> list:
         before = len(eliminations)
         seen = a.rows in session._memo
         check_sample(session, expected, a)
-        per_sample.append((reported.pop(id(a), 0), len(eliminations) - before, seen))
+        per_sample.append((reported.pop(id(a)), len(eliminations) - before, seen))
 
     monkeypatch.setattr(classify_module, "_reported_map", counted_map)
     monkeypatch.setattr(classify_module, "_check_sample", counted)
@@ -444,7 +445,33 @@ def test_the_detscale_cof_conj_oracle_eliminates_on_no_invertible_sample(monkeyp
     oracle = MapExpr(n, RATIONAL, atoms).as_oracle()
     per_sample = _eliminations_per_sample(monkeypatch, oracle, RATIONAL, n)
     invertible = classify_module.VERIFY_INVERTIBLE
-    assert [(r, c) for r, c, _ in per_sample[:invertible]] == [(0, 0)] * invertible
+    # the reported form inverts R once, at the first sample it evaluates
+    expected = [(1, 0)] + [(0, 0)] * (invertible - 1)
+    assert [(r, c) for r, c, _ in per_sample[:invertible]] == expected
+    # each singular sample carries its zero determinant, so the DetScale
+    # atom sends it to zero before any cofactor is taken, and the form
+    # gives zero with no elimination either
+    singular = per_sample[invertible:]
+    assert [(r, c) for r, c, _ in singular] == [(0, 0)] * classify_module.VERIFY_SINGULAR
+
+
+@pytest.mark.parametrize("fd", FIELDS)
+def test_a_carried_zero_determinant_meets_a_detscale_atom_before_any_cofactor(fd, monkeypatch):
+    # DetScale sends a singular matrix to zero, and every other atom keeps
+    # it singular, so an input that carries a zero determinant takes no
+    # cofactor; one that carries none is evaluated atom by atom as before
+    n = 5
+    rng = random.Random(3)
+    atoms = (DetScale(ScalarCharacter((("id", 1),))), Cof(), Conj(rand_invertible(rng, fd, n)))
+    expr = MapExpr(n, fd, atoms)
+    a = _fresh(rand_singular(rng, fd, n, n - 1))
+    b = _fresh(a)
+    assert a.det.is_zero
+    eliminations = _counter(monkeypatch, "_eliminate")
+    assert expr.evaluate(a) == zeros(fd, n)
+    assert not eliminations and a._cof is None
+    assert expr.evaluate(b) == zeros(fd, n)
+    assert eliminations and b._cof is not None
 
 
 @pytest.mark.parametrize(
