@@ -45,7 +45,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, product
 
 from .errors import (
@@ -57,6 +56,7 @@ from .errors import (
     NotMatrixUnits,
     NotMultiplicative,
     OracleBudgetExceeded,
+    ParseError,
     RankLadderViolation,
     SingularMatrix,
     UnsupportedDimension,
@@ -293,9 +293,13 @@ def classify(oracle: MapOracle, fd: FieldDescriptor, n: int, seed: int = 0) -> C
     Raises NotMultiplicative when a probe contradicts multiplicativity,
     VerificationFailed when the recovered form disagrees with the oracle on a
     fresh sample, UnsupportedDimension for n < 2 or image size above n,
-    OracleBudgetExceeded when the probe allowance runs out, and FieldMismatch
-    or DimensionMismatch for an fd or an n of the wrong type.
+    OracleBudgetExceeded when the probe allowance runs out, FieldMismatch
+    or DimensionMismatch for an fd or an n of the wrong type, and
+    ParseError, before any probe, for a seed that is no int (bools
+    included), so that every report's samples can be drawn again.
     """
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ParseError(f"classify seed must be an int, got {seed!r}")
     session = Session(oracle, fd, n)
     s_total, s_pad, l = _normalize_idempotents(session)
     k = session.k
@@ -383,14 +387,13 @@ def _classify_trivial(w: _Working, fd: FieldDescriptor, n: int):
     if swap_img != w(gen_matrix(DiagUnit(1, -o), fd, n)):
         raise NotMultiplicative("swap image leaves its determinant coset")
 
-    @cache
     def img(x: FieldElem) -> Matrix:
         return w(gen_matrix(DiagUnit(1, x), fd, n))
 
     base = list(_lam_pool(fd))
     mats = [img(x) for x in base]
-    for x, y in zip(base, base[1:]):
-        if img(x) * img(y) != img(x * y):
+    for x, y, a, b in zip(base, base[1:], mats, mats[1:]):
+        if a * b != img(x * y):
             raise NotMultiplicative("determinant block fails multiplicativity")
     if any(a * b != b * a for a, b in combinations(mats, 2)):
         raise NotMultiplicative("determinant block images do not commute")

@@ -250,10 +250,12 @@ class MapExpr(Value):
     applied first, so the list reads like function composition. A field
     that is no FieldDescriptor raises FieldMismatch, and an n that is no int
     of at least 1 DimensionMismatch, here and in the three forms; atoms that
-    are no tuple or list raise ParseError. _cofs, the number of Cof atoms,
-    is counted once here for evaluate."""
+    are no tuple or list raise ParseError. evaluate takes every cofactor of
+    its input, before any Hom atom conjugates it: only a matrix built by
+    matrix._word_matrix carries a word to read its cofactor off, and a
+    conjugate carries none."""
 
-    __slots__ = ("n", "field", "atoms", "_cofs")
+    __slots__ = ("n", "field", "atoms")
 
     def __init__(self, n: int, field: FieldDescriptor, atoms: tuple[Atom, ...]) -> None:
         if not isinstance(atoms, (tuple, list)):
@@ -284,14 +286,14 @@ class MapExpr(Value):
         _set(self, "n", n)
         _set(self, "field", field)
         _set(self, "atoms", atoms)
-        _set(self, "_cofs", sum(isinstance(atom, Cof) for atom in atoms))
 
     def evaluate(self, a: Matrix) -> Matrix:
-        """The value at a, with the Cof atoms applied to a first (see the
-        module docstring); cofs counts those not yet passed, so every atom
-        after the last of them runs as it is. An a that carries a zero
-        determinant, read only when carried, goes to zero at once under an
-        expression with a DetScale atom, before any cofactor is taken."""
+        """The value at a, with the Cof atoms applied to a first and counted
+        as they are (see the module docstring); then each other atom runs
+        with cofs, the number of Cof atoms applied after it. An a that
+        carries a zero determinant, read only when carried, goes to zero at
+        once under an expression with a DetScale atom, before any cofactor
+        is taken."""
         if a.field != self.field:
             raise FieldMismatch("input over the wrong field")
         if not a.is_square or a.n_rows != self.n:
@@ -302,11 +304,13 @@ class MapExpr(Value):
             # zero, and the DetScale atom sends a singular matrix to zero
             return zeros(self.field, self.n)
         out = a
-        cofs = self._cofs
-        for _ in range(cofs):
-            out = out.cofactor()
+        cofs = 0
+        for atom in self.atoms:
+            if atom.__class__ is Cof:
+                out = out.cofactor()
+                cofs += 1
         for atom in reversed(self.atoms):
-            if cofs and atom.__class__ is Cof:
+            if atom.__class__ is Cof:
                 cofs -= 1
             else:
                 out = _apply_atom(atom, out, self.field, cofs)

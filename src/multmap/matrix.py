@@ -20,9 +20,10 @@ routes. At n <= 3 it runs no elimination: it reads the signed minors off
 the integer rows, exact at every rank, keeps only its integer rows like a
 product, and gives its input the determinant of its first row's expansion.
 At n >= 4 on a matrix that carries a generator word D_1(x) P_1 ... P_m
-(_word_matrix, transvection and D_1 generator matrices, identity, and
-their entrywise conjugates) it runs none either: C(A) is read off the
-word: m row updates on the rows of I_n, then rows 2 to n scaled by x.
+it runs none either: C(A) is read off the word: m row updates on the rows
+of I_n, then rows 2 to n scaled by x. _word_matrix is the one builder of
+word carriers (transvection and D_1 generator matrices, identity and the
+word samples of classify); an entrywise conjugate carries no word.
 Otherwise it eliminates once.
 Whatever the route, a matrix keeps its cofactor, so a second call, from
 another caller, reads it. Neither the word nor the kept cofactor takes part
@@ -318,14 +319,12 @@ class Matrix:
 
     def conjugate(self) -> "Matrix":
         """The entrywise conjugate, sqrt d -> -sqrt d; a known determinant
-        gives its conjugate, and a carried word (x, triples) the word
-        (conj x, triples with every k conjugated)."""
+        gives its conjugate. The conjugate carries no word, even when self
+        does: every cofactor is taken of a map's input (see cofactor), never
+        of a conjugate."""
         m = Matrix._of(self.field, [[x.conjugate() for x in r] for r in self.rows])
         if self._det is not None:
             _set(m, "_det", self._det.conjugate())
-        if self._word is not None:
-            x, word = self._word
-            _set(m, "_word", (x.conjugate(), tuple((i, j, k.conjugate()) for i, j, k in word)))
         return m
 
     # -- elimination ---------------------------------------------------------
@@ -425,8 +424,9 @@ class Matrix:
         (product of the den_i).
 
         At n >= 4 a matrix the package built from a generator word carries
-        it, as _word = (x, triples) with A = D_1(x) P_i1j1(k1) ... P_imjm(km)
-        (_word_matrix, gen_matrix, identity and conjugate set it). Then C(A)
+        it, as _word = (x, triples) with A = D_1(x) P_i1j1(k1) ... P_imjm(km);
+        _word_matrix, through which gen_matrix and identity build, is its
+        one setter, and a conjugate carries no word. Then C(A)
         is read off the word with no elimination and no sweep: C is
         multiplicative, C(D_1(x)) = diag(1, x, ..., x) and C(P_ij(k)) =
         P_ji(-k), so C(A) = diag(1, x, ..., x) P_j1i1(-k1) ... P_jmim(-km):
@@ -903,27 +903,24 @@ def _check_generator(gen: Generator, fd: FieldDescriptor, n: int) -> None:
 
 def gen_matrix(gen: Generator, fd: FieldDescriptor, n: int) -> Matrix:
     """Realize an elementary generator as an n x n matrix, which knows its
-    determinant: 1, k or -1. A transvection P_ij(k) carries the word
-    (1, [(i, j, k)]) and a dilation D_1(k) the word (k, [])."""
+    determinant: 1, k or -1. A transvection P_ij(k) and a dilation D_1(k)
+    are built by _word_matrix, so they carry the words (1, [(i, j, k)]) and
+    (k, []); D_i(k) for i >= 2 and a swap carry none."""
     _check_generator(gen, fd, n)
-    m = [list(r) for r in _identity_rows(fd, n)]
-    word = None
     if isinstance(gen, Transvection):
-        m[gen.i - 1][gen.j - 1] = gen.k
-        det, word = one(fd), ((gen.i, gen.j, gen.k),)
-    elif isinstance(gen, DiagUnit):
+        return _word_matrix(fd, n, one(fd), ((gen.i, gen.j, gen.k),))
+    if isinstance(gen, DiagUnit) and gen.i == 1:
+        return _word_matrix(fd, n, gen.k, ())
+    m = [list(r) for r in _identity_rows(fd, n)]
+    if isinstance(gen, DiagUnit):
         m[gen.i - 1][gen.i - 1] = gen.k
         det = gen.k
-        if gen.i == 1:
-            word = ()
     else:
         a, b = gen.i - 1, gen.j - 1
         m[a], m[b] = m[b], m[a]
         det = -one(fd)
     g = Matrix._of(fd, m)
     _set(g, "_det", det)
-    if word is not None:
-        _set(g, "_word", (det, word))
     return g
 
 

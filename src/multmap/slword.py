@@ -45,6 +45,7 @@ from .matrix import (
     Matrix,
     Swap,
     Transvection,
+    _check_domain,
     _check_generator,
     _dilated_word,
     _transvect,
@@ -151,11 +152,15 @@ def decompose_gl(m: Matrix) -> GlFactorization:
 # -- seeded sampling -------------------------------------------------------------
 
 
-def _word_length(n: int, length: int | None) -> int:
-    """length, or 4n when it is None. A nonempty word draws two distinct
-    indices per generator, so it needs n >= 2; this is checked before any
-    draw."""
+def _word_length(fd: FieldDescriptor, n: int, length: int | None) -> int:
+    """length, or 4n when it is None, checked before any draw: an fd or n
+    that identity refuses raises as there, and a length that is no int of
+    at least 0 (bools included) DimensionMismatch. A nonempty word draws
+    two distinct indices per generator, so it needs n >= 2."""
+    _check_domain(fd, n, "transvection words")
     length = 4 * n if length is None else length
+    if not isinstance(length, int) or isinstance(length, bool) or length < 0:
+        raise DimensionMismatch(f"word length must be an int of at least 0, got {length!r}")
     if length > 0 and n < 2:
         raise DimensionMismatch("transvection words need n >= 2")
     return length
@@ -167,7 +172,7 @@ def _transvection_triples(
     """The one draw of a random transvection word, as one-based (i, j, k)
     triples standing for P_ij(k): per generator a row i, a distinct column j
     and a scalar of the default pool, in that order."""
-    _word_length(n, length)
+    _word_length(fd, n, length)
     pool = default_pool(fd)
     word = []
     for _ in range(length):
@@ -187,13 +192,13 @@ def random_transvection_word(
 
 
 def random_sl(rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None) -> Matrix:
-    word = _transvection_triples(rng, fd, n, _word_length(n, length))
+    word = _transvection_triples(rng, fd, n, _word_length(fd, n, length))
     return Matrix._of(fd, _transvect(identity(fd, n).rows, word))
 
 
 def random_gl(rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None) -> Matrix:
     """D_1(d) times random_sl's product, d drawn from the pool first."""
-    length = _word_length(n, length)
+    length = _word_length(fd, n, length)
     d = rng.choice(default_pool(fd))
     return _dilated_word(d, _transvection_triples(rng, fd, n, length), fd, identity(fd, n).rows)
 

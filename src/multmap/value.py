@@ -21,10 +21,7 @@ class Value:
     """Base of an immutable record whose fields are its __slots__.
 
     A subclass names its fields, in constructor order, as its __slots__ (a
-    tuple; a subclass of a record adds its own after its parent's). A slot
-    whose name starts with an underscore is no field: it holds what the
-    record derives from its fields once, set by its own __init__, and takes
-    no part in the constructor, equality, hashing, repr or pickling. The
+    tuple; a subclass of a record adds its own after its parent's). The
     derived constructor takes exactly those fields, by position or by
     keyword, and raises TypeError for a missing field, an extra argument, an
     unknown name or a field given twice. A record that checks, normalises or
@@ -48,7 +45,6 @@ class Value:
             name
             for c in reversed(cls.__mro__)
             for name in c.__dict__.get("__slots__", ())
-            if not name.startswith("_")
         )
         cls._names = cls.__match_args__ = names
         if len(names) > 1:

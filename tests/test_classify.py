@@ -4,6 +4,7 @@ import importlib
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from multmap.errors import (
     NonDiagonalizableTrivial,
     NotMultiplicative,
     OracleBudgetExceeded,
+    ParseError,
     RankLadderViolation,
     UnregisteredHom,
     UnsupportedDimension,
@@ -830,6 +832,19 @@ def test_dimension_guards():
             classify(lambda a: a, RATIONAL, n)
     with pytest.raises(FieldMismatch, match="^classification needs a FieldDescriptor field$"):
         normalize_idempotents(lambda a: a, "rational", 2)
+
+
+@pytest.mark.parametrize("seed", [None, "x", 1.5, True, [1]])
+def test_a_seed_that_is_no_int_is_refused_before_any_probe(seed):
+    probes = []
+
+    def oracle(a):
+        probes.append(a)
+        return a
+
+    with pytest.raises(ParseError, match=f"^classify seed must be an int, got {re.escape(repr(seed))}$"):
+        classify(oracle, RATIONAL, 2, seed=seed)
+    assert probes == []
 
 
 def test_session_budget_and_memo():

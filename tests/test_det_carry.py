@@ -23,9 +23,10 @@ final-verification sample of classify carries its determinant from the
 draw, so final verification of a detscale or a trivialdet oracle never
 sweeps.
 
-Matrices built from a generator word (the invertible final-verification
-samples, transvection and D_1 generator matrices, identity, and their
-entrywise conjugates) carry it, and from size 4 on their cofactor is read
+Matrices built from a generator word by _word_matrix, the one builder of
+word carriers (the invertible final-verification samples, transvection and
+D_1 generator matrices, identity), carry it; an entrywise conjugate carries
+none. From size 4 on the cofactor of a word carrier is read
 off the word: it neither eliminates nor sweeps, so the cofactor oracle, and
 the detscale o cof o conj oracle, whose Cof atom acts on the input first,
 run no elimination on an invertible final-verification sample. On a
@@ -359,15 +360,14 @@ def test_final_verification_samples_carry_their_determinant(fd, monkeypatch):
 
 
 def _word_carriers(rng, fd, n):
-    """Every kind of matrix that carries a word, conjugates included."""
+    """Every kind of matrix that carries a word."""
     pool = classify_module._lam_pool(fd)
-    built = [
+    return [
         _word_matrix(fd, n, pool[1], _transvection_triples(rng, fd, n, 8)),
         gen_matrix(Transvection(2, 1, _unit(rng, fd)), fd, n),
         gen_matrix(DiagUnit(1, _unit(rng, fd)), fd, n),
         identity(fd, n),
     ]
-    return built + [a.conjugate() for a in built] if fd.is_quadratic else built
 
 
 @pytest.mark.parametrize("fd", FIELDS)

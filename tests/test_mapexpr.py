@@ -531,6 +531,39 @@ def test_canonical_eq_up_to_presentation():
     assert canonical_eq(d1, DegenerateForm(RATIONAL, 2, X, IDENTITY_HOM, r1, 0))
 
 
+def _differing_forms():
+    """Pairs of canonical forms that differ in exactly one datum, by name."""
+    i2, i3, j2 = identity(RATIONAL, 2), identity(RATIONAL, 3), identity(Q2, 2)
+    # a multiple of a shear, which no scale normalizes to the identity
+    shear = int_matrix(RATIONAL, [[3, 3], [0, 3]])
+    nd = NonDegenerateForm(RATIONAL, 2, IDENTITY_HOM, i2, 0)
+    deg = DegenerateForm(RATIONAL, 2, X, IDENTITY_HOM, i2, 0)
+    triv = TrivialForm(RATIONAL, 2, (X, X.power(2)), 1, 1)
+    return {
+        "class": (nd, DegenerateForm(RATIONAL, 2, ScalarCharacter(), IDENTITY_HOM, i2, 0)),
+        "field": (nd, NonDegenerateForm(Q2, 2, IDENTITY_HOM, j2, 0)),
+        "n": (nd, NonDegenerateForm(RATIONAL, 3, IDENTITY_HOM, i3, 0)),
+        "trivial n": (triv, TrivialForm(RATIONAL, 3, triv.chars, 1, 1)),
+        "phi": (
+            NonDegenerateForm(Q2, 2, IDENTITY_HOM, j2, 0),
+            NonDegenerateForm(Q2, 2, CONJUGATION_HOM, j2, 0),
+        ),
+        "eps": (deg, DegenerateForm(RATIONAL, 2, X, IDENTITY_HOM, i2, 1)),
+        "R up to scale": (deg, DegenerateForm(RATIONAL, 2, X, IDENTITY_HOM, shear, 0)),
+        "lam": (deg, DegenerateForm(RATIONAL, 2, X.power(-1), IDENTITY_HOM, i2, 0)),
+        "chars": (triv, TrivialForm(RATIONAL, 2, (X.power(2), X.power(2)), 1, 1)),
+        "zero pad": (triv, TrivialForm(RATIONAL, 2, triv.chars, 2, 1)),
+        "one pad": (triv, TrivialForm(RATIONAL, 2, triv.chars, 1, 0)),
+    }
+
+
+@pytest.mark.parametrize("datum", list(_differing_forms()))
+def test_canonical_eq_refuses_forms_that_differ_in_one_datum(datum):
+    a, b = _differing_forms()[datum]
+    assert canonical_eq(a, a) and canonical_eq(b, b)
+    assert not canonical_eq(a, b) and not canonical_eq(b, a)
+
+
 def test_expr_doc_round_trip():
     rng = random.Random(31)
     expr = MapExpr(

@@ -1,6 +1,7 @@
 """Transvection word decomposition and generator word plumbing."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,37 @@ def test_random_words_need_two_indices():
     assert random_sl(random.Random(5), RATIONAL, 1, length=0) == identity(RATIONAL, 1)
     g = random_gl(random.Random(5), RATIONAL, 1, length=0)
     assert g == Matrix(RATIONAL, [[random.Random(5).choice(default_pool(RATIONAL))]])
+
+
+_SAMPLERS = (
+    lambda rng, fd, n, length: random_transvection_word(rng, fd, n, length),
+    lambda rng, fd, n, length: random_sl(rng, fd, n, length=length),
+    lambda rng, fd, n, length: random_gl(rng, fd, n, length=length),
+)
+
+
+@pytest.mark.parametrize(
+    "fd, n, length, error, message",
+    [
+        (None, 3, 2, FieldMismatch, "transvection words need a FieldDescriptor field"),
+        ("rational", 3, 2, FieldMismatch, "transvection words need a FieldDescriptor field"),
+        (RATIONAL, "3", 2, DimensionMismatch, "transvection words need n >= 1"),
+        (RATIONAL, 3.0, 2, DimensionMismatch, "transvection words need n >= 1"),
+        (RATIONAL, True, 2, DimensionMismatch, "transvection words need n >= 1"),
+        (RATIONAL, 0, 0, DimensionMismatch, "transvection words need n >= 1"),
+        (RATIONAL, 3, -1, DimensionMismatch, "word length must be an int of at least 0, got -1"),
+        (RATIONAL, 3, 1.5, DimensionMismatch, "word length must be an int of at least 0, got 1.5"),
+        (RATIONAL, 3, True, DimensionMismatch, "word length must be an int of at least 0, got True"),
+        (RATIONAL, 3, "3", DimensionMismatch, "word length must be an int of at least 0, got '3'"),
+    ],
+)
+def test_samplers_refuse_a_bad_field_size_or_length_before_any_draw(fd, n, length, error, message):
+    for sample in _SAMPLERS:
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sample(rng, fd, n, length)
+        assert rng.getstate() == state
 
 
 # -- differential tests of the factorization path ------------------------------

@@ -264,14 +264,3 @@ def test_a_record_without_fields_takes_no_arguments():
     assert Cof() == Cof(*[]) == Cof(**{})
     assert refuses(Cof, 1) == "Cof takes (), each once; got 1 positional and keywords []"
     assert refuses(Cof, R=R) == "Cof takes (), each once; got 0 positional and keywords ['R']"
-
-
-def test_a_slot_named_with_an_underscore_is_no_field():
-    # MapExpr counts its Cof atoms once, in _cofs, which is derived from
-    # the atoms and so takes no part in construction, equality or repr
-    expr = MapExpr(2, Q2, (Cof(), Conj(R), Cof()))
-    assert MapExpr.__match_args__ == ("n", "field", "atoms")
-    assert expr._cofs == 2 and "_cofs" not in repr(expr)
-    assert MapExpr(n=2, field=Q2, atoms=(Cof(),))._cofs == 1
-    back = pickle.loads(pickle.dumps(expr))
-    assert back == expr and hash(back) == hash(expr) and back._cofs == 2

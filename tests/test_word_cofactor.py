@@ -7,8 +7,11 @@ P_jmim(-km) off it. At sizes 4 to 6, over Q, Q(sqrt 2) and Q(i), with x
 from the lambda and default pools and words of length 0 to 12, the cofactor
 of a word-carrying matrix must equal that of a copy with no word, which
 eliminates, and the determinant it carries must equal a fresh sweep. Both
-hold after the entrywise conjugation, which hands the word on conjugated,
-and for the generator matrices and the identity, which carry words too.
+hold for the generator matrices and the identity, which _word_matrix, the
+one builder of word carriers, builds too. The entrywise conjugate carries
+no word: its cofactor, eliminated, must equal the conjugate of the
+cofactor read off the word (C commutes with the entrywise map) and that of
+a plain copy.
 """
 
 import pytest
@@ -54,7 +57,10 @@ def _assert_word_cofactor(a: Matrix) -> None:
 def _assert_with_conjugate(a: Matrix) -> None:
     _assert_word_cofactor(a)
     if a.field.is_quadratic:
-        _assert_word_cofactor(a.conjugate())
+        b = a.conjugate()
+        assert b._word is None
+        assert b.cofactor() == a.cofactor().conjugate()
+        assert b.cofactor() == Matrix._of(a.field, b.rows).cofactor()
 
 
 @st.composite
