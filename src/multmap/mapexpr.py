@@ -576,6 +576,8 @@ def canonical_eq(a: CanonicalForm, b: CanonicalForm) -> bool:
     """Syntactic equality of canonical data: class, characters as multisets
     where order is arbitrary, homs by kind, conjugators up to the
     scale normalization."""
+    if not isinstance(a, CanonicalForm) or not isinstance(b, CanonicalForm):
+        raise ParseError("canonical_eq compares two canonical forms")
     if a.kind != b.kind or a.field != b.field or a.n != b.n:
         return False
     if isinstance(a, TrivialForm):
@@ -609,6 +611,8 @@ def simplify(expr: MapExpr) -> CanonicalForm:
     all of which hold on singular matrices too, which is what makes the
     resulting form pointwise equal to the expression everywhere.
     """
+    if not isinstance(expr, MapExpr):
+        raise ParseError("simplify needs a MapExpr")
     if expr.atoms and isinstance(expr.atoms[0], TrivialDet):
         t = expr.atoms[0]
         return TrivialForm(expr.field, expr.n, t.chars, t.zero_pad, t.one_pad)

@@ -33,7 +33,7 @@ inverse, the cofactor, products of matrices with known determinants,
 scalings, entrywise conjugates, generator matrices, identity, zeros and
 diag receive their determinants when built, so a matrix sweeps for its
 determinant only when nothing gave it one: one fraction-free (Bareiss)
-sweep over the integer rows, in Z or in Z[sqrt d]. Everything is exact
+sweep over the integer rows in Z[sqrt d], d = 0 over Q. Everything is exact
 and no pivot is chosen for numerical reasons, so results are reproducible
 bit for bit.
 
@@ -303,7 +303,7 @@ class Matrix:
         """scalar * self from the integer rows, one gcd per row; like a
         product, the result keeps only its integer rows. A known
         determinant d gives scalar^n d."""
-        if scalar.field != self.field:
+        if not isinstance(scalar, FieldElem) or scalar.field != self.field:
             raise FieldMismatch("scalar outside the matrix field")
         if scalar.is_one:
             return self
@@ -350,20 +350,16 @@ class Matrix:
         determinants, a scaling, the entrywise conjugation, the generator
         matrices, identity, zeros, diag and the final-verification samples
         of classify receive theirs when built.
-        Otherwise it is one fraction-free sweep over the integer rows,
-        normalized once: det A = det(P) / (product of the row
-        denominators), P the integer numerators, in Z or, when some entry
-        has a surd part, in Z[sqrt d]."""
+        Otherwise it is one fraction-free sweep over the integer rows in
+        Z[sqrt d], d = 0 over Q, normalized once: det A = det(P) / (product
+        of the row denominators), P the integer numerators."""
         if self._det is None:
             self._require_square("determinant")
             rows = self._int_rows()
             den = prod(v[2] for v in rows)
-            if all(v[1] is None for v in rows):
-                p, q = _bareiss([ps for ps, _, _ in rows]), 0
-            else:
-                p, q = _bareiss_surd(
-                    self.field.d, [list(zip(ps, qs or repeat(0))) for ps, qs, _ in rows]
-                )
+            p, q = _bareiss(
+                self.field.d or 0, [list(zip(ps, qs or repeat(0))) for ps, qs, _ in rows]
+            )
             _set(self, "_det", _norm(self.field, p, q, den))
         return self._det
 
@@ -375,10 +371,9 @@ class Matrix:
         n = self._require_square("inverse")
         fd = self.field
         rows, pivots, det = _eliminate(fd, _augment_identity(self), n)
+        _set(self, "_det", det if len(pivots) == n else zero(fd))
         if len(pivots) < n:
-            _set(self, "_det", zero(fd))
             raise SingularMatrix("matrix is not invertible")
-        _set(self, "_det", det)
         inv = Matrix._of(fd, [row[n:] for row in rows])
         _set(inv, "_det", det.inv())
         _set(self, "_inv", inv)
@@ -408,6 +403,9 @@ class Matrix:
         row i and column j). Satisfies C(AB) = C(A) C(B) on every square
         matrix and A C(A)^T = det(A) I; defined for size two and up.
 
+        Every route below leaves A with its determinant, and C(A) gets
+        det(A)^(n-1) here, the one place that stores it.
+
         Computed once and kept on A, as the inverse is: every later call
         returns the same object, so map evaluations that take the cofactor
         of one input (an expression's Cof atoms and a form with eps = 1)
@@ -431,7 +429,7 @@ class Matrix:
         multiplicative, C(D_1(x)) = diag(1, x, ..., x) and C(P_ij(k)) =
         P_ji(-k), so C(A) = diag(1, x, ..., x) P_j1i1(-k1) ... P_jmim(-km):
         m row updates on the rows of the identity, then rows 2 to n scaled
-        by x. A has det x and C gets x^(n-1).
+        by x. A has det x from _word_matrix.
 
         At n >= 4 without a word one elimination of [A | I] gives the rank
         of A and the signed product P of its pivots, the reciprocal of det E
@@ -444,12 +442,12 @@ class Matrix:
             reduced left block; so C = (-1)^(n-1+free) P y x^T with y^T the
             last row of E;
           - rank n - 2 or less: every minor vanishes, so C = 0.
-        A keeps its determinant, P or zero, and C gets det(A)^(n-1). The
-        elimination runs on a copy, so it leaves no echelon form or inverse
-        cached on self."""
+        A keeps its determinant, P or zero. The elimination runs on a copy,
+        so it leaves no echelon form or inverse cached on self."""
         c = self._cof
         if c is None:
             c = _cofactor(self)
+            _set(c, "_det", self.det ** (self.n_rows - 1))
             _set(self, "_cof", c)
         return c
 
@@ -505,7 +503,8 @@ def _fill(m: Matrix, fd: FieldDescriptor, n_rows: int, n_cols: int, rows, irows)
 
 
 def _cofactor(a: Matrix) -> Matrix:
-    """C(a) by the route Matrix.cofactor describes, computed afresh."""
+    """C(a) by the route Matrix.cofactor describes, computed afresh; every
+    route leaves a with its determinant."""
     n = a._require_square("cofactor")
     if n < 2:
         raise DimensionMismatch("cofactor needs size at least two")
@@ -520,34 +519,25 @@ def _cofactor(a: Matrix) -> Matrix:
         c = _new(Matrix)
         vectors = [_reduce_integer_vector(*m, den // v[2]) for m, v in zip(minors, rows)]
         _fill(c, fd, n, n, None, vectors)
-        _set(c, "_det", a._det ** (n - 1))
         return c
     if a._word is not None:
         x, word = a._word
-        _set(a, "_det", x)
         rows = _transvect(_identity_rows(fd, n), [(j, i, -k) for i, j, k in word])
         if not x.is_one:
             rows[1:] = [_scale_row(x, r) for r in rows[1:]]
-        c = Matrix._of(fd, rows)
-        _set(c, "_det", x ** (n - 1))
-        return c
+        return Matrix._of(fd, rows)
     rows, pivots, det = _eliminate(fd, _augment_identity(a), n)
     rank = len(pivots)
     _set(a, "_det", det if rank == n else zero(fd))
     if rank == n:
         # the transpose of det(A) A^-1, the right block of the rows
-        c = Matrix._of(fd, zip(*(_scale_row(det, row[n:]) for row in rows)))
-        _set(c, "_det", det ** (n - 1))
-        return c
+        return Matrix._of(fd, zip(*(_scale_row(det, row[n:]) for row in rows)))
     if rank < n - 1:
-        c = zeros(fd, n)
-    else:
-        free = next(col for col in range(n) if col not in pivots)
-        x = _null_vector(fd, rows, pivots, free, n)
-        scale = -det if (n - 1 + free) % 2 else det
-        c = Matrix._of(fd, [_scale_row(scale * yi, x) for yi in rows[n - 1][n:]])
-    _set(c, "_det", zero(fd))
-    return c
+        return zeros(fd, n)
+    free = next(col for col in range(n) if col not in pivots)
+    x = _null_vector(fd, rows, pivots, free, n)
+    scale = -det if (n - 1 + free) % 2 else det
+    return Matrix._of(fd, [_scale_row(scale * yi, x) for yi in rows[n - 1][n:]])
 
 
 # -- elimination ------------------------------------------------------------------
@@ -589,28 +579,13 @@ def _eliminate(fd: FieldDescriptor, rows: list[list[FieldElem]], n_pivot_cols: i
     return rows, tuple(pivots), det
 
 
-def _bareiss(a: list[list[int]]) -> int:
-    """The determinant of a square integer matrix by fraction-free (Bareiss)
+def _bareiss(d: int, a: list[list[tuple[int, int]]]) -> tuple[int, int]:
+    """The determinant of a square matrix over Z[sqrt d], entries (u, v)
+    standing for u + v sqrt d, d = 0 over Q, by fraction-free (Bareiss)
     elimination: after each step every entry is a minor of a, so dividing
-    by the previous pivot is exact. a itself is not changed."""
-    sign, prev = 1, 1
-    while len(a) > 1:
-        k = next((i for i, r in enumerate(a) if r[0]), None)
-        if k is None:
-            return 0
-        if k:
-            a = [a[k], *a[1:k], a[0], *a[k + 1 :]]
-            sign = -sign
-        (pivot, *top), *rest = a
-        a = [[(x * pivot - r[0] * y) // prev for x, y in zip(r[1:], top)] for r in rest]
-        prev = pivot
-    return sign * a[0][0]
-
-
-def _bareiss_surd(d: int, a: list[list[tuple[int, int]]]) -> tuple[int, int]:
-    """_bareiss over Z[sqrt d], entries (u, v) standing for u + v sqrt d:
-    dividing by the previous pivot u + v sqrt d is multiplying by its
-    conjugate and dividing both coordinates exactly by its norm."""
+    by the previous pivot is exact. Dividing by u + v sqrt d is multiplying
+    by its conjugate and dividing both coordinates exactly by its norm.
+    a itself is not changed."""
     sign, pu, pv, norm = 1, 1, 0, 1
     while len(a) > 1:
         k = next((i for i, r in enumerate(a) if r[0] != (0, 0)), None)
@@ -928,6 +903,8 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix:
     """The unique X with a X = b, for a of full column rank; raises
     SingularMatrix when the columns are dependent or the system has no
     solution."""
+    if not isinstance(a, Matrix) or not isinstance(b, Matrix):
+        raise DimensionMismatch("linear solve needs two matrices")
     if a.field != b.field:
         raise FieldMismatch("mixed-field linear solve")
     if a.n_rows != b.n_rows:
@@ -951,6 +928,8 @@ def split_idempotent_pair(p_zero: Matrix, p_one: Matrix):
     S^-1 p_zero S = diag(0_l, 0, I_s), S^-1 p_one S = diag(I_l, 0, I_s).
     For the pair (0, I) the basis comes out in standard order, so S = I.
     """
+    if not isinstance(p_zero, Matrix) or not isinstance(p_one, Matrix):
+        raise DimensionMismatch("idempotent pair must be matrices")
     k = p_zero._require_square("idempotent splitting")
     if p_one.n_rows != k or not p_one.is_square or p_one.field != p_zero.field:
         raise DimensionMismatch("idempotent pair must be square of equal size")
@@ -987,6 +966,8 @@ def conjugator_from_units(units: list[list[Matrix]]) -> Matrix:
     n = len(units)
     if n < 1 or any(len(row) != n for row in units):
         raise DimensionMismatch("unit family must be square")
+    if not all(isinstance(f, Matrix) for row in units for f in row):
+        raise DimensionMismatch("unit family must hold matrices")
     f11 = units[0][0]
     fd = f11.field
     if f11.n_rows != n:

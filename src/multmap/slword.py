@@ -66,6 +66,8 @@ def evaluate_word(word, fd: FieldDescriptor, n: int) -> Matrix:
     every generator is checked, they act, last first, on the rows of the
     identity from the left. A transvection adds k times row j to row i as
     one fused update per entry, skipping the zero entries of row j."""
+    if not isinstance(word, (list, tuple)):
+        raise ParseError("a word is a list of generators")
     for gen in reversed(word):
         _check_generator(gen, fd, n)
     rows = [list(r) for r in identity(fd, n).rows]
@@ -89,6 +91,8 @@ def decompose_sl(m: Matrix) -> list[Transvection]:
     len(word) <= n^2 + n - 2. Raises NotSpecialLinear when m is not square
     or det m != 1, singular m included.
     """
+    if not isinstance(m, Matrix):
+        raise DimensionMismatch("decomposition needs a matrix")
     n = m.n_rows
     if not m.is_square:
         raise NotSpecialLinear("decomposition needs a square matrix")
@@ -141,6 +145,8 @@ class GlFactorization(Value):
 
 def decompose_gl(m: Matrix) -> GlFactorization:
     """Factor an invertible matrix as D_1(det m) times a transvection word."""
+    if not isinstance(m, Matrix):
+        raise DimensionMismatch("decomposition needs a matrix")
     d = m.det
     if d.is_zero:
         raise SingularMatrix("cannot decompose a singular matrix")
@@ -218,6 +224,8 @@ def random_unitriangular(rng: random.Random, fd: FieldDescriptor, n: int) -> Mat
 
 
 def word_to_doc(word) -> dict:
+    if not isinstance(word, (list, tuple)):
+        raise ParseError("a word is a list of generators")
     gens = []
     for g in word:
         if isinstance(g, Transvection):

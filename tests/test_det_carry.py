@@ -231,8 +231,8 @@ def _counter(monkeypatch, *names) -> list:
 
 
 def _sweep_counter(monkeypatch) -> list:
-    """Count the calls of both fraction-free sweeps."""
-    return _counter(monkeypatch, "_bareiss", "_bareiss_surd")
+    """Count the calls of the fraction-free sweep."""
+    return _counter(monkeypatch, "_bareiss")
 
 
 @pytest.mark.parametrize("fd", FIELDS)

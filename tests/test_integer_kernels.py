@@ -2,7 +2,7 @@
 
 Matrix.__mul__ works on rows and columns held as integers over a common
 denominator, and hands the product its rows in that form; Matrix.det is one
-fraction-free sweep over the integer rows, in Z or Z[sqrt d]. Both are
+fraction-free sweep over the integer rows in Z[sqrt d], d = 0 over Q. Both are
 compared with the per-entry references of helpers.py (ref_product,
 ref_det_inverse and, up to size 5, laplace_det) over Q, Q(sqrt 2), Q(i) and
 Q(sqrt -3) at sizes 1 to 8, on dense, sparse, singular and rank-deficient

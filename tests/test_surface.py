@@ -7,11 +7,25 @@ whole word, in the other modules of the package (the line that defines it
 does not count), the benchmark harness, README.md and the acceptance tests.
 The second parses each module other than __init__.py and reports the names
 it imports but never reads, such as a leftover import of a deleted helper.
+
+The last check calls public entry points with an argument of the wrong
+type, None for a matrix, an expression, a form or a word and an int for a
+scalar: each must raise its MultmapError, DimensionMismatch, FieldMismatch
+or ParseError, at the entry point, and no bare AttributeError or TypeError
+from deeper in.
 """
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
+
+from multmap.errors import DimensionMismatch, FieldMismatch, ParseError
+from multmap.field import RATIONAL
+from multmap.mapexpr import canonical_eq, simplify
+from multmap.matrix import conjugator_from_units, identity, solve_exact, split_idempotent_pair
+from multmap.slword import decompose_gl, decompose_sl, evaluate_word, word_to_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "multmap"
@@ -77,3 +91,38 @@ def test_no_module_imports_a_name_it_never_uses():
         read = _read_names(tree)
         unused += [f"{path.name}: {name}" for name in _imported(tree) if name not in read]
     assert unused == []
+
+
+I3 = identity(RATIONAL, 3)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: split_idempotent_pair(None, I3), DimensionMismatch),
+        (lambda: solve_exact(I3, None), DimensionMismatch),
+        (lambda: conjugator_from_units([[None]]), DimensionMismatch),
+        (lambda: decompose_sl(None), DimensionMismatch),
+        (lambda: decompose_gl(None), DimensionMismatch),
+        (lambda: I3.scale(3), FieldMismatch),
+        (lambda: simplify(None), ParseError),
+        (lambda: canonical_eq(None, None), ParseError),
+        (lambda: word_to_doc(None), ParseError),
+        (lambda: evaluate_word(None, RATIONAL, 3), ParseError),
+    ],
+    ids=[
+        "split_idempotent_pair",
+        "solve_exact",
+        "conjugator_from_units",
+        "decompose_sl",
+        "decompose_gl",
+        "scale",
+        "simplify",
+        "canonical_eq",
+        "word_to_doc",
+        "evaluate_word",
+    ],
+)
+def test_an_argument_of_the_wrong_type_raises_a_multmap_error(call, error):
+    with pytest.raises(error):
+        call()
