@@ -28,7 +28,8 @@ stage runs next, and calls each stage from one place, in this order:
                          A -> S form(A) S^-1, the map the report returns
                          (_reported_map); on an invertible sample, a word
                          D_1(x) P_1 ... P_8, a form with eps = 1 reads the
-                         cofactor off the word with no elimination
+                         cofactor off the word, and a singular sample
+                         carries its cofactor: no elimination either way
 
 Every probe goes through a Session that memoizes, logs and enforces a budget
 of 10 n^2 + 200 oracle calls. Each probe image must match an exact pattern.
@@ -79,7 +80,7 @@ from .matrix import (
     Matrix,
     Swap,
     Transvection,
-    _dilated_word,
+    _singular_sample,
     _word_matrix,
     coidempotent,
     conjugator_from_units,
@@ -105,7 +106,6 @@ from .mapexpr import (
 from .slword import (
     _transvection_triples,
     default_pool,
-    random_gl,
 )
 from .value import Value
 
@@ -318,9 +318,9 @@ def classify(oracle: MapOracle, fd: FieldDescriptor, n: int, seed: int = 0) -> C
             # of the special linear group
             raise NotMultiplicative("a live block smaller than n must kill every transvection")
         else:
-            # the corank one idempotents I - E_jj, built once: the oracle
-            # and the form evaluate the same objects, so a cofactor either
-            # takes of one is kept for the other
+            # the corank one idempotents I - E_jj, built once, each with its
+            # cofactor E_jj: the oracle and the form evaluate the same
+            # objects and read it
             cos = [coidempotent(fd, n, j) for j in range(1, n + 1)]
             if (pattern := _singular_pattern(w, fd, n, cos)) == "units":
                 form, hom_table, lam_table = _recover_units(w, fd, n)
@@ -774,10 +774,13 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
     the form nor the oracle sweeps for it. An invertible sample, a word
     D_1(x) P_1 ... P_8, also carries its word (_word_matrix), so the form
     and an oracle that take its cofactor read it off the word with no
-    elimination. The singular samples carry none: a nondegenerate form
-    with eps = 1 takes the cofactor of each, and the oracle, handed the
-    same object, reads the one it keeps, while a degenerate form and an
-    expression with a DetScale atom send them to zero with no cofactor."""
+    elimination. A singular sample carries no word but its cofactor
+    (_singular_sample): zero at rank n - 2 or less, and at rank n - 1
+    from n = 4 on the product of column n of C(G1) and row n of C(G2),
+    read off their words, so G2 is built by _word_matrix from the draws
+    random_gl makes. The form and the oracle, handed the same object,
+    read that cofactor, while a degenerate form and an expression with a
+    DetScale atom send the sample to zero with no cofactor."""
     rng = random.Random(seed)
     reported = _reported_map(form, s_total)
     lam_pool = _lam_pool(fd)
@@ -786,17 +789,15 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
         x = lam_pool[i % len(lam_pool)]
         a = _word_matrix(fd, n, x, _transvection_triples(rng, fd, n, 8))
         _check_sample(session, reported(a), a)
-    z = zero(fd)
-    zero_row = (z,) * n
     for _ in range(VERIFY_SINGULAR):
         r = rng.randrange(0, n)
-        # G1 = D_1(d1) W1, drawn as random_gl draws it, and G2 after it;
-        # G1 diag(I_r, 0) G2 is G1 applied to G2 with its rows from r on
-        # zero, singular since r < n
+        # G1 = D_1(d1) W1 and G2 after it, each drawn as random_gl draws
+        # it; G1 diag(I_r, 0) G2 is singular since r < n
         d1 = rng.choice(pool)
         w1 = _transvection_triples(rng, fd, n, 4 * n)
-        g2 = random_gl(rng, fd, n)
-        a = _dilated_word(d1, w1, fd, g2.rows[:r] + (zero_row,) * (n - r), z)
+        d2 = rng.choice(pool)
+        g2 = _word_matrix(fd, n, d2, _transvection_triples(rng, fd, n, 4 * n))
+        a = _singular_sample(d1, w1, g2, r)
         _check_sample(session, reported(a), a)
 
 

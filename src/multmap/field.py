@@ -432,8 +432,9 @@ def one(fd: FieldDescriptor) -> FieldElem:
 
 
 def sqrt_gen(fd: FieldDescriptor) -> FieldElem:
-    """The generator sqrt(d) of a quadratic field."""
-    if not fd.is_quadratic:
+    """The generator sqrt(d) of a quadratic field; any other fd, one that is
+    no FieldDescriptor included, raises FieldMismatch."""
+    if not isinstance(fd, FieldDescriptor) or not fd.is_quadratic:
         raise FieldMismatch("sqrt generator exists only in quadratic fields")
     return _raw(fd, 0, 1, 1)
 
@@ -504,8 +505,18 @@ def hom_check(h: RingHom | HomTable, samples) -> bool:
     (x, y) pairs. Nothing passes vacuously: an empty sample list fails, a
     table that maps one probe to two values is no function and fails, and a
     table that misses any operand fails, since a law it cannot be tested on
-    is not passed. Ring homomorphisms never miss."""
-    samples = tuple(samples)
+    is not passed. Ring homomorphisms never miss. Samples that are not an
+    iterable of pairs of field elements raise ParseError."""
+    try:
+        pairs = iter(samples)
+    except TypeError:
+        raise ParseError("hom_check needs an iterable of (x, y) pairs") from None
+    samples = tuple(pairs)
+    if not all(
+        isinstance(s, tuple) and len(s) == 2 and all(isinstance(v, FieldElem) for v in s)
+        for s in samples
+    ):
+        raise ParseError("hom_check needs (x, y) pairs of field elements")
     if not samples:
         return False
     if isinstance(h, HomTable):

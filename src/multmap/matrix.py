@@ -25,13 +25,16 @@ of I_n, then rows 2 to n scaled by x. _word_matrix is the one builder of
 word carriers (transvection and D_1 generator matrices, identity and the
 word samples of classify); an entrywise conjugate carries no word.
 Otherwise it eliminates once.
+A builder that knows the cofactor gives it, and then no route runs (see
+Matrix.cofactor).
 Whatever the route, a matrix keeps its cofactor, so a second call, from
 another caller, reads it. Neither the word nor the kept cofactor takes part
 in equality, hashing, repr or pickling, and no product, conjugate,
 transpose or scaling inherits the cofactor. The
 inverse, the cofactor, products of matrices with known determinants,
-scalings, entrywise conjugates, generator matrices, identity, zeros and
-diag receive their determinants when built, so a matrix sweeps for its
+scalings, entrywise conjugates, generator matrices, identity, zeros,
+diag and the builders that give a cofactor receive their determinants
+when built, so a matrix sweeps for its
 determinant only when nothing gave it one: one fraction-free (Bareiss)
 sweep over the integer rows in Z[sqrt d], d = 0 over Q. Everything is exact
 and no pivot is chosen for numerical reasons, so results are reproducible
@@ -348,8 +351,9 @@ class Matrix:
         cofactor stores its first row's expansion in minors), and the
         inverse, the cofactor, a product of two matrices with known
         determinants, a scaling, the entrywise conjugation, the generator
-        matrices, identity, zeros, diag and the final-verification samples
-        of classify receive theirs when built.
+        matrices, identity, zeros, diag, the builders that give a cofactor
+        (see cofactor) and the final-verification samples of classify
+        receive theirs when built.
         Otherwise it is one fraction-free sweep over the integer rows in
         Z[sqrt d], d = 0 over Q, normalized once: det A = det(P) / (product
         of the row denominators), P the integer numerators."""
@@ -404,7 +408,8 @@ class Matrix:
         matrix and A C(A)^T = det(A) I; defined for size two and up.
 
         Every route below leaves A with its determinant, and C(A) gets
-        det(A)^(n-1) here, the one place that stores it.
+        det(A)^(n-1) from _keep_cofactor, the one place that stores a
+        cofactor and its determinant.
 
         Computed once and kept on A, as the inverse is: every later call
         returns the same object, so map evaluations that take the cofactor
@@ -412,6 +417,12 @@ class Matrix:
         share it. The kept cofactor takes no part in equality, hashing,
         repr or pickling, and no product, conjugate, transpose or scaling of
         A inherits it.
+
+        A builder that knows C(A) keeps it on A, and then no route below
+        runs: a builder that knows rank <= n - 2 gives zeros; I - E_jj gives
+        E_jj; D_i(k) and swaps give theirs. A singular final-verification
+        sample of classify of rank n - 1 gives, from n = 4 on, the product
+        of two cofactor lines read off words (_singular_sample).
 
         At n <= 3 C(A) is read off the signed (n - 1)-minors of the integer
         rows, exact at every rank, with no elimination: for P the integer
@@ -447,8 +458,7 @@ class Matrix:
         c = self._cof
         if c is None:
             c = _cofactor(self)
-            _set(c, "_det", self.det ** (self.n_rows - 1))
-            _set(self, "_cof", c)
+            _keep_cofactor(self, c)
         return c
 
     def is_idempotent(self) -> bool:
@@ -500,6 +510,15 @@ def _fill(m: Matrix, fd: FieldDescriptor, n_rows: int, n_cols: int, rows, irows)
     _set(m, "_icols", None)
     _set(m, "_word", None)
     _set(m, "_cof", None)
+
+
+def _keep_cofactor(a: Matrix, c: Matrix) -> None:
+    """Keep c as the cofactor of a, which knows its determinant, and give c
+    det(a)^(n-1): the one place that stores a cofactor and its determinant,
+    for Matrix.cofactor and for the builders that know C(a)."""
+    det = a.det
+    _set(c, "_det", det if det.is_zero else det ** (a.n_rows - 1))
+    _set(a, "_cof", c)
 
 
 def _cofactor(a: Matrix) -> Matrix:
@@ -736,44 +755,121 @@ def _dilated_word(
     return m
 
 
+def _singular_sample(x: FieldElem, word, g: Matrix, r: int) -> Matrix:
+    """G_1 diag(I_r, 0) G_2 of rank r < n, for G_1 = D_1(x) P_1 ... P_m
+    given by x and its word and a word carrier G_2 = g: G_1 applied to the
+    rows of G_2 with those from r on zero. It carries det zero, and its
+    cofactor: zero at r <= n - 2, and at r = n - 1 from n = 4 on C(G_1)
+    E_nn C(G_2), column n of C(G_1) times row n of C(G_2), both read off
+    the words (at n <= 3 the minors are as cheap)."""
+    fd, n = g.field, g.n_rows
+    z = zero(fd)
+    a = _dilated_word(x, word, fd, g.rows[:r] + ((z,) * n,) * (n - r), z)
+    if r <= n - 2:
+        _keep_cofactor(a, _zero_matrix(fd, n))
+    elif n >= 4:
+        col = _cofactor_line(x, word, fd, n, False)
+        row = _cofactor_line(*g._word, fd, n, True)
+        _keep_cofactor(a, Matrix._of(fd, [_scale_row(c, row) for c in col]))
+    return a
+
+
+def _cofactor_line(x: FieldElem, word, fd: FieldDescriptor, n: int, row: bool) -> list:
+    """Column n of C(G), or row n when row is set, for G = D_1(x) P_1 ...
+    P_m, n >= 2: C(G) = diag(1, x, ..., x) P'_1 ... P'_m with P' = P_ji(-k)
+    for P = P_ij(k), so column n is diag(1, x, ..., x) P'_1 ... P'_m e_n
+    and row n is x (P'_m^T ... P'_1^T e_n)^T: m updates of e_n."""
+    e_n = [(zero(fd),)] * (n - 1) + [(one(fd),)]
+    if row:
+        line = [v for v, in _transvect(e_n, [(i, j, -k) for i, j, k in reversed(word)])]
+        return _scale_row(x, line)
+    line = [v for v, in _transvect(e_n, [(j, i, -k) for i, j, k in word])]
+    return line[:1] + _scale_row(x, line[1:])
+
+
 def zeros(fd: FieldDescriptor, n: int) -> Matrix:
-    """The zero matrix, which knows its determinant, zero."""
+    """The zero matrix, which knows its determinant, zero, and from n = 2 on
+    its cofactor, the zero matrix of _zero_matrix."""
     _check_domain(fd, n, "matrices")
     m = Matrix._of(fd, [[zero(fd)] * n] * n)
     _set(m, "_det", zero(fd))
+    if n >= 2:
+        _keep_cofactor(m, _zero_matrix(fd, n))
+    return m
+
+
+@cache
+def _zero_matrix(fd: FieldDescriptor, n: int) -> Matrix:
+    """The n x n zero matrix, n >= 2, built once per field and size and its
+    own cofactor: the cofactor that every matrix built at rank n - 2 or
+    less carries. Its callers only read it, and matrices are immutable, so
+    sharing it is safe."""
+    m = Matrix._of(fd, [[zero(fd)] * n] * n)
+    _set(m, "_det", zero(fd))
+    _keep_cofactor(m, m)
+    return m
+
+
+def _rank_deficient(m: Matrix) -> Matrix:
+    """m, which its builder knows to have rank at most n - 2, given its
+    determinant and its cofactor, both zero: every minor of size n - 1
+    vanishes."""
+    fd = m.field
+    _set(m, "_det", zero(fd))
+    _keep_cofactor(m, _zero_matrix(fd, m.n_rows))
     return m
 
 
 def from_columns(fd: FieldDescriptor, columns) -> Matrix:
-    cols = list(columns)
-    if not cols:
+    """The matrix with these columns, each a list or tuple of entries of fd.
+    No columns, columns that are no list or tuple of lists or tuples, and
+    columns of unequal lengths raise DimensionMismatch."""
+    if not isinstance(columns, (list, tuple)) or not all(
+        isinstance(c, (list, tuple)) for c in columns
+    ):
+        raise DimensionMismatch("columns must be a list of lists or tuples")
+    if not columns:
         raise DimensionMismatch("need at least one column")
-    return Matrix(fd, [list(row) for row in zip(*cols)])
+    if len({len(c) for c in columns}) != 1:
+        raise DimensionMismatch("columns of unequal lengths")
+    return Matrix(fd, [list(row) for row in zip(*columns)])
 
 
 def unit_matrix(fd: FieldDescriptor, n: int, i: int, j: int) -> Matrix:
-    """E_ij, one-based: 1 in row i column j and 0 elsewhere."""
+    """E_ij, one-based: 1 in row i column j and 0 elsewhere. From n = 3 on
+    its rank, one, is at most n - 2: it carries a zero determinant and a
+    zero cofactor."""
     _check_domain(fd, n, "matrices")
     _check_int_indices("unit matrix", i, j)
     _check_index(n, i, j)
     z = zero(fd)
     rows = [[z] * n for _ in range(n)]
     rows[i - 1][j - 1] = one(fd)
-    return Matrix._of(fd, rows)
+    m = Matrix._of(fd, rows)
+    return _rank_deficient(m) if n >= 3 else m
 
 
 def rank_idempotent(fd: FieldDescriptor, n: int, r: int) -> Matrix:
-    """diag(1 ... 1, 0 ... 0) with r ones."""
+    """diag(1 ... 1, 0 ... 0) with r ones; for r <= n - 2 it carries a zero
+    determinant and a zero cofactor."""
     _check_domain(fd, n, "matrices")
     _check_int_indices("rank idempotent", r)
     if not 0 <= r <= n:
         raise IndexOutOfRange(f"rank {r} outside 0..{n}")
-    return Matrix._of(fd, _diagonal_rows(fd, [one(fd)] * r + [zero(fd)] * (n - r)))
+    m = Matrix._of(fd, _diagonal_rows(fd, [one(fd)] * r + [zero(fd)] * (n - r)))
+    return _rank_deficient(m) if r <= n - 2 else m
 
 
 def coidempotent(fd: FieldDescriptor, n: int, j: int) -> Matrix:
-    """I - E_jj, one-based; the rank n-1 diagonal idempotent with hole j."""
-    return identity(fd, n) - unit_matrix(fd, n, j, j)
+    """I - E_jj, one-based; the rank n-1 diagonal idempotent with hole j.
+    From n = 2 on it carries a zero determinant and its cofactor E_jj, the
+    one minor that survives the hole."""
+    e = unit_matrix(fd, n, j, j)
+    m = identity(fd, n) - e
+    if n >= 2:
+        _set(m, "_det", zero(fd))
+        _keep_cofactor(m, e)
+    return m
 
 
 # -- elementary generators -------------------------------------------------------
@@ -880,7 +976,8 @@ def gen_matrix(gen: Generator, fd: FieldDescriptor, n: int) -> Matrix:
     """Realize an elementary generator as an n x n matrix, which knows its
     determinant: 1, k or -1. A transvection P_ij(k) and a dilation D_1(k)
     are built by _word_matrix, so they carry the words (1, [(i, j, k)]) and
-    (k, []); D_i(k) for i >= 2 and a swap carry none."""
+    (k, []). D_i(k) for i >= 2 and a swap S carry their cofactors, det
+    times the inverse transpose: diag(k, ..., 1 at i, ..., k) and -S."""
     _check_generator(gen, fd, n)
     if isinstance(gen, Transvection):
         return _word_matrix(fd, n, one(fd), ((gen.i, gen.j, gen.k),))
@@ -890,12 +987,15 @@ def gen_matrix(gen: Generator, fd: FieldDescriptor, n: int) -> Matrix:
     if isinstance(gen, DiagUnit):
         m[gen.i - 1][gen.i - 1] = gen.k
         det = gen.k
+        c = _diagonal_rows(fd, [one(fd) if i == gen.i else gen.k for i in range(1, n + 1)])
     else:
         a, b = gen.i - 1, gen.j - 1
         m[a], m[b] = m[b], m[a]
         det = -one(fd)
+        c = [[-x for x in r] for r in m]
     g = Matrix._of(fd, m)
     _set(g, "_det", det)
+    _keep_cofactor(g, Matrix._of(fd, c))
     return g
 
 

@@ -104,6 +104,15 @@ def test_builtin_classify_carries_only_true_values(name, fd, wrong_carries):
     assert wrong_carries == []
 
 
+def test_cofactor_classify_at_six_carries_only_true_values(wrong_carries):
+    # the size and field of the classify-large cofactor op: among the
+    # singular samples of seed 0 is one of rank n - 1, whose cofactor is
+    # read off the words of its two factors
+    fd = quadratic(2)
+    classify(BUILTINS["cofactor"](fd, 6), fd, 6)
+    assert wrong_carries == []
+
+
 def test_random_expression_classify_carries_only_true_values(wrong_carries):
     rng = random.Random(31)
     for fd in (RATIONAL, quadratic(2)):

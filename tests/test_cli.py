@@ -262,6 +262,10 @@ COFACTOR_STDOUT_SHA256 = {
     (3, "quadratic:2"): "fe34daa8b7b8b85649386d31fd8cb3b788522b30726bcebd61bca55905467756",
     (4, "rational"): "6f770c2c8ba82353c5181b049e02c565827f88b7b646bbf18a069306e475a528",
     (4, "quadratic:2"): "1fd41c03a993597c5b00c96b8d31f43a5bbe0802d57b76d991fe1f0ab729de69",
+    # the sizes and fields of the classify-large cofactor ops, where a wrong
+    # carried cofactor reaches the oracle and the form alike
+    (5, "rational"): "9ae4e0512c220fc22ef07b7ead680edd82b57fb3bec4db989ac370163092109f",
+    (6, "quadratic:2"): "77207f0cb9fc042abd3cf6d69a5bb6000a0b6d8288733a86339991d05eec523c",
 }
 
 

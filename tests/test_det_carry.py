@@ -29,9 +29,14 @@ D_1 generator matrices, identity), carry it; an entrywise conjugate carries
 none. From size 4 on the cofactor of a word carrier is read
 off the word: it neither eliminates nor sweeps, so the cofactor oracle, and
 the detscale o cof o conj oracle, whose Cof atom acts on the input first,
-run no elimination on an invertible final-verification sample. On a
-singular sample the reported form and the oracle share the cofactor the
-sample keeps: one elimination for the two calls. The detscale o cof o
+run no elimination on an invertible final-verification sample. A builder
+that knows the cofactor gives it: zeros for rank n - 2 or less (zeros,
+E_ij from size 3 on, rank idempotents, singular samples), E_jj for
+I - E_jj, diag(k, ..., 1 at i, ..., k) for D_i(k) and -S for a swap S, and
+a singular sample of rank n - 1 from size 4 on the product of column n of
+C(G_1) and row n of C(G_2), read off the words of its factors. So no
+singular sample eliminates, nor a singular-pattern, D_i(-1) or swap probe
+of classify at size 5. The detscale o cof o
 conj oracle takes no cofactor of a singular sample at all: the sample
 carries its zero determinant, which sends the value to zero at once. Every carried word
 evaluates back to its matrix; the samplers carry no word, and pickling
@@ -66,15 +71,32 @@ from multmap.matrix import (
     Matrix,
     Swap,
     Transvection,
+    _singular_sample,
     _word_matrix,
+    coidempotent,
     diag,
     gen_matrix,
     identity,
+    rank_idempotent,
+    unit_matrix,
     zeros,
 )
-from multmap.slword import _transvection_triples, evaluate_word, random_gl, random_sl
+from multmap.slword import (
+    _transvection_triples,
+    default_pool,
+    evaluate_word,
+    random_gl,
+    random_sl,
+)
 
-from helpers import laplace_det, rand_elem, rand_invertible, rand_singular, ref_scale
+from helpers import (
+    laplace_det,
+    rand_elem,
+    rand_invertible,
+    rand_singular,
+    ref_cofactor,
+    ref_scale,
+)
 
 classify_module = importlib.import_module("multmap.classify")
 
@@ -386,6 +408,77 @@ def test_the_word_cofactor_neither_eliminates_nor_sweeps(fd, monkeypatch):
             sweeps.clear()
 
 
+def _known_cofactors(rng, fd, n) -> list:
+    """Every kind of matrix whose builder gives it its cofactor: zeros, the
+    rank idempotents of rank at most n - 2, E_ij from size 3 on, I - E_jj,
+    D_i(k) for i >= 2, swaps, and the singular final-verification samples,
+    drawn as classify draws them, of every rank at most n - 2 and, from
+    size 4 on, of rank n - 1."""
+    o = one(fd)
+    built = [zeros(fd, n), coidempotent(fd, n, 1), coidempotent(fd, n, n)]
+    built += [rank_idempotent(fd, n, r) for r in range(n - 1)]
+    if n >= 3:
+        built += [unit_matrix(fd, n, 1, 1), unit_matrix(fd, n, n, 1)]
+    built += [gen_matrix(DiagUnit(n, _unit(rng, fd)), fd, n), gen_matrix(DiagUnit(2, -o), fd, n)]
+    built += [gen_matrix(Swap(1, 2), fd, n), gen_matrix(Swap(n, 1), fd, n)]
+    pool = default_pool(fd)
+    for r in range(n if n >= 4 else n - 1):
+        x, word = rng.choice(pool), _transvection_triples(rng, fd, n, 4 * n)
+        g = _word_matrix(fd, n, rng.choice(pool), _transvection_triples(rng, fd, n, 4 * n))
+        built.append(_singular_sample(x, word, g, r))
+    return built
+
+
+@pytest.mark.parametrize("fd", FIELDS)
+def test_a_builder_that_knows_the_cofactor_carries_it(fd, monkeypatch):
+    # a builder that knows rank <= n - 2 gives zeros, I - E_jj gives E_jj,
+    # D_i(k) and swaps give theirs, and a singular sample of rank n - 1
+    # gives column n of C(G_1) times row n of C(G_2), read off the words:
+    # none of them eliminates or sweeps, and each equals the reference
+    rng = random.Random(12)
+    sweeps = _sweep_counter(monkeypatch)
+    eliminations = _counter(monkeypatch, "_eliminate")
+    built = {n: _known_cofactors(rng, fd, n) for n in (2, 3, 4, 5, 6)}
+    cofactors = {n: [a.cofactor() for a in mats] for n, mats in built.items()}
+    assert not eliminations and not sweeps
+    for n, mats in built.items():
+        for a, c in zip(mats, cofactors[n]):
+            assert a._cof is c and a._det is not None
+            assert c == ref_cofactor(_fresh(a))
+            assert c._det == a._det ** (n - 1)
+            _assert_carried(a)
+            _assert_carried(c)
+    # the sample of rank n - 1 at size 4 and up: both words are read
+    rank_n_1 = built[6][-1]
+    assert _fresh(rank_n_1).rank == 5 and not rank_n_1._cof.is_zero
+
+
+def test_the_singular_and_generator_probes_of_classify_eliminate_nothing(monkeypatch):
+    # at n = 5 the cofactor oracle takes the cofactor of every probe; those
+    # of the singular-pattern test (I - E_jj, E_11, E_12 and the rank
+    # idempotents) and of GL recovery's D_i(-1) and adjacent swaps carry it
+    n, fd = 5, RATIONAL
+    o = one(fd)
+    probes = [coidempotent(fd, n, j) for j in range(1, n + 1)]
+    probes += [unit_matrix(fd, n, 1, 1), unit_matrix(fd, n, 1, 2)]
+    probes += [rank_idempotent(fd, n, r) for r in range(2, n - 1)]
+    probes += [gen_matrix(DiagUnit(i, -o), fd, n) for i in range(1, n + 1)]
+    probes += [gen_matrix(Swap(i, i + 1), fd, n) for i in range(1, n)]
+    evaluate = MapExpr(n, fd, (Cof(),)).evaluate
+    eliminations = _counter(monkeypatch, "_eliminate")
+    per_probe = {}
+
+    def oracle(a):
+        before = len(eliminations)
+        out = evaluate(a)
+        if a in probes:
+            per_probe[probes.index(a)] = len(eliminations) - before
+        return out
+
+    classify(oracle, fd, n)
+    assert per_probe == {i: 0 for i in range(len(probes))}
+
+
 def _eliminations_per_sample(monkeypatch, oracle, fd, n) -> list:
     """(reported, checked, probed before) for each final-verification
     sample of classify(oracle), in sample order: the eliminations the
@@ -427,12 +520,12 @@ def test_the_cofactor_oracle_eliminates_on_no_invertible_sample(monkeypatch):
     invertible = classify_module.VERIFY_INVERTIBLE
     assert len(per_sample) == invertible + classify_module.VERIFY_SINGULAR
     assert [(r, c) for r, c, _ in per_sample[:invertible]] == [(0, 0)] * invertible
-    # the singular samples carry no word, so the reported form eliminates
-    # once for the cofactor of each, and the oracle reads the cofactor the
-    # sample keeps: one elimination per sample across both calls, where
-    # each used to take its own
+    # each singular sample carries its cofactor from the draw: zero at rank
+    # n - 2 or less, and at rank n - 1 column n of C(G_1) times row n of
+    # C(G_2), read off the words; the reported form and the oracle both
+    # read it, so neither eliminates
     singular = per_sample[invertible:]
-    assert [(r, c) for r, c, _ in singular] == [(1, 0)] * classify_module.VERIFY_SINGULAR
+    assert [(r, c) for r, c, _ in singular] == [(0, 0)] * classify_module.VERIFY_SINGULAR
     assert not all(seen for _, _, seen in singular)
 
 

@@ -22,9 +22,15 @@ from pathlib import Path
 import pytest
 
 from multmap.errors import DimensionMismatch, FieldMismatch, ParseError
-from multmap.field import RATIONAL
+from multmap.field import IDENTITY_HOM, RATIONAL, hom_check, sqrt_gen
 from multmap.mapexpr import canonical_eq, simplify
-from multmap.matrix import conjugator_from_units, identity, solve_exact, split_idempotent_pair
+from multmap.matrix import (
+    conjugator_from_units,
+    from_columns,
+    identity,
+    solve_exact,
+    split_idempotent_pair,
+)
 from multmap.slword import decompose_gl, decompose_sl, evaluate_word, word_to_doc
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -109,6 +115,11 @@ I3 = identity(RATIONAL, 3)
         (lambda: canonical_eq(None, None), ParseError),
         (lambda: word_to_doc(None), ParseError),
         (lambda: evaluate_word(None, RATIONAL, 3), ParseError),
+        (lambda: sqrt_gen(None), FieldMismatch),
+        (lambda: hom_check(IDENTITY_HOM, None), ParseError),
+        (lambda: hom_check(IDENTITY_HOM, [(1, 2)]), ParseError),
+        (lambda: from_columns(RATIONAL, None), DimensionMismatch),
+        (lambda: from_columns(RATIONAL, [I3.rows[0], I3.rows[1][:2]]), DimensionMismatch),
     ],
     ids=[
         "split_idempotent_pair",
@@ -121,6 +132,11 @@ I3 = identity(RATIONAL, 3)
         "canonical_eq",
         "word_to_doc",
         "evaluate_word",
+        "sqrt_gen",
+        "hom_check",
+        "hom_check-ints",
+        "from_columns",
+        "from_columns-ragged",
     ],
 )
 def test_an_argument_of_the_wrong_type_raises_a_multmap_error(call, error):
