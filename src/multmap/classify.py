@@ -104,8 +104,9 @@ from .mapexpr import (
     TrivialForm,
 )
 from .slword import (
+    _gl_word,
     _transvection_triples,
-    default_pool,
+    random_gl,
 )
 from .value import Value
 
@@ -318,9 +319,9 @@ def classify(oracle: MapOracle, fd: FieldDescriptor, n: int, seed: int = 0) -> C
             # of the special linear group
             raise NotMultiplicative("a live block smaller than n must kill every transvection")
         else:
-            # the corank one idempotents I - E_jj, built once, each with its
-            # cofactor E_jj: the oracle and the form evaluate the same
-            # objects and read it
+            # the corank one idempotents I - E_jj, built once: the oracle
+            # and the form evaluate the same objects, so each cofactor E_jj
+            # is computed once
             cos = [coidempotent(fd, n, j) for j in range(1, n + 1)]
             if (pattern := _singular_pattern(w, fd, n, cos)) == "units":
                 form, hom_table, lam_table = _recover_units(w, fd, n)
@@ -774,30 +775,24 @@ def _final_verification(session, s_total: Matrix, form, fd: FieldDescriptor, n: 
     the form nor the oracle sweeps for it. An invertible sample, a word
     D_1(x) P_1 ... P_8, also carries its word (_word_matrix), so the form
     and an oracle that take its cofactor read it off the word with no
-    elimination. A singular sample carries no word but its cofactor
-    (_singular_sample): zero at rank n - 2 or less, and at rank n - 1
-    from n = 4 on the product of column n of C(G1) and row n of C(G2),
-    read off their words, so G2 is built by _word_matrix from the draws
-    random_gl makes. The form and the oracle, handed the same object,
-    read that cofactor, while a degenerate form and an expression with a
+    elimination. A singular sample G1 diag(I_r, 0) G2, G1 and G2 drawn
+    as random_gl draws them, is no single word and carries its cofactor
+    (_singular_sample): zero at rank n - 2 or less, and at rank n - 1 from
+    n = 4 on the product of column n of C(G1) and row n of C(G2), read off
+    their words. The form and the oracle, handed the same object, read
+    that cofactor, while a degenerate form and an expression with a
     DetScale atom send the sample to zero with no cofactor."""
     rng = random.Random(seed)
     reported = _reported_map(form, s_total)
     lam_pool = _lam_pool(fd)
-    pool = default_pool(fd)
     for i in range(VERIFY_INVERTIBLE):
         x = lam_pool[i % len(lam_pool)]
-        a = _word_matrix(fd, n, x, _transvection_triples(rng, fd, n, 8))
+        a = _word_matrix(fd, n, ((0, x),), _transvection_triples(rng, fd, n, 8))
         _check_sample(session, reported(a), a)
     for _ in range(VERIFY_SINGULAR):
         r = rng.randrange(0, n)
-        # G1 = D_1(d1) W1 and G2 after it, each drawn as random_gl draws
-        # it; G1 diag(I_r, 0) G2 is singular since r < n
-        d1 = rng.choice(pool)
-        w1 = _transvection_triples(rng, fd, n, 4 * n)
-        d2 = rng.choice(pool)
-        g2 = _word_matrix(fd, n, d2, _transvection_triples(rng, fd, n, 4 * n))
-        a = _singular_sample(d1, w1, g2, r)
+        d1, w1 = _gl_word(rng, fd, n)
+        a = _singular_sample(d1, w1, random_gl(rng, fd, n), r)
         _check_sample(session, reported(a), a)
 
 

@@ -5,51 +5,60 @@ rows, tuples of FieldElem, and integer rows, every row as integers over
 the row's least common denominator. Each matrix computes at most once, and
 caches, the form it lacks, its columns over the least common denominator
 of the whole matrix, its determinant, its reduced row echelon rows with
-their pivots, its inverse and its cofactor. A product reads the integer rows of its left
-operand and the integer columns of its right one, so every entry is one
-integer sum. A product, and a scalar multiple of any matrix, keeps only
-its integer rows, each reduced by one gcd: its FieldElem entries are built
-on the first read of rows (directly or through indexing, hash, repr,
-to_doc or elimination). The next product, the determinant, is_identity,
-and equality with a matrix that has no entries yet read the integer rows
-alone. Rank, kernels, inverses, solves and the cofactor at n >= 4 of a
-matrix with no word run exact Gauss-Jordan elimination, one loop, which
-also gives the signed product of its pivots: the inverse and that cofactor
-keep it on their input as its determinant. The cofactor takes one of three
-routes. At n <= 3 it runs no elimination: it reads the signed minors off
-the integer rows, exact at every rank, keeps only its integer rows like a
-product, and gives its input the determinant of its first row's expansion.
-At n >= 4 on a matrix that carries a generator word D_1(x) P_1 ... P_m
-it runs none either: C(A) is read off the word: m row updates on the rows
-of I_n, then rows 2 to n scaled by x. _word_matrix is the one builder of
-word carriers (transvection and D_1 generator matrices, identity and the
-word samples of classify); an entrywise conjugate carries no word.
-Otherwise it eliminates once.
-A builder that knows the cofactor gives it, and then no route runs (see
-Matrix.cofactor).
+their pivots, its inverse and its cofactor. A product reads the integer
+rows of its left operand and the integer columns of its right one, so
+every entry is one integer sum. A product, and a scalar multiple of any
+matrix, keeps only its integer rows, each reduced by one gcd: its
+FieldElem entries are built on the first read of rows (directly or
+through indexing, hash, repr, to_doc or elimination). The next product,
+the determinant, is_identity, and equality with a matrix that has no
+entries yet read the integer rows alone.
+
+Every structured matrix has one builder, _word_matrix, and is a diagonal
+word diag(e) P_1 ... P_m: transvections P_ij(k) acting on the rows of I_n,
+then the diagonal e scaling the rows. identity, zeros, diag, the rank
+idempotents, I - E_jj, the matrix units (E_ij = diag(delta_i) P_ij(1)
+P_ji(-1) for i != j), the three generators (D_i(k), P_ij(k) and the swap
+S_ij = D_j(-1) P_ij(1) P_ji(-1) P_ij(1)), random_sl, random_gl and the
+invertible final-verification samples of classify are all built so. Each
+carries its word, with e kept as the pairs whose e_i != 1, and det = the
+product of the e_i. Builders state what a matrix is, never a value derived
+from it.
+
+The cofactor has one rule for every such matrix. C is multiplicative, so
+C(diag(e) P_1 ... P_m) = diag(c) P'_1 ... P'_m, with c_i the product of the
+e_k for k != i and P' = P_ji(-k) for P = P_ij(k): m row updates on the rows
+of I_n, then one scaling per row. It is zero once two e_i vanish. The
+cofactor takes one of three routes. At n <= 3 it reads the signed minors
+off the integer rows, exact at every rank, with no elimination, keeps only
+its integer rows like a product, and gives an input that has no
+determinant the expansion of its first row. At n >= 4 a matrix with a word
+has its cofactor read off the word. Any other matrix at n >= 4 eliminates
+once, which also gives the signed product of its pivots: the inverse and
+that cofactor keep it on their input as its determinant. A conjugate,
+product, scaling or transpose carries no word. Only the singular samples
+of classify, G_1 diag(I_r, 0) G_2, which are no single word, are built
+with a cofactor their builder computes (_singular_sample).
 Whatever the route, a matrix keeps its cofactor, so a second call, from
 another caller, reads it. Neither the word nor the kept cofactor takes part
 in equality, hashing, repr or pickling, and no product, conjugate,
-transpose or scaling inherits the cofactor. The
-inverse, the cofactor, products of matrices with known determinants,
-scalings, entrywise conjugates, generator matrices, identity, zeros,
-diag and the builders that give a cofactor receive their determinants
-when built, so a matrix sweeps for its
-determinant only when nothing gave it one: one fraction-free (Bareiss)
-sweep over the integer rows in Z[sqrt d], d = 0 over Q. Everything is exact
-and no pivot is chosen for numerical reasons, so results are reproducible
-bit for bit.
+transpose or scaling inherits the cofactor. The inverse, the cofactor,
+products of matrices with known determinants, scalings, entrywise
+conjugates and every word receive their determinants when built, so a
+matrix sweeps for its determinant only when nothing gave it one: one
+fraction-free (Bareiss) sweep over the integer rows in Z[sqrt d], d = 0
+over Q. Everything is exact and no pivot is chosen for numerical reasons,
+so results are reproducible bit for bit.
 
 Matrix(fd, rows) checks its input: nonempty, rectangular, every entry a
 FieldElem of fd. The private Matrix._of(fd, rows) runs none of these checks.
 It is only for matrices whose every entry the package built itself from
 operands of one already-checked field: sums, negations, conjugates,
-transposes, inverses, cofactors, generator matrices, the entrywise hom
-and word evaluations of mapexpr and slword, and the rows decompose_gl scales
-by the inverse determinant. identity, zeros, unit_matrix and rank_idempotent
-check their field, size and indices and then build through it too, since
-their every entry is zero(fd) or one(fd). Everything read from outside goes
-through the checked constructor.
+transposes, inverses, cofactors, words, the entrywise hom and word
+evaluations of mapexpr and slword, and the rows decompose_gl scales by the
+inverse determinant. identity, zeros, unit_matrix, rank_idempotent and
+coidempotent check their field, size and indices before they build.
+Everything read from outside goes through the checked constructor.
 
 Row scalings and row updates (elimination, words and the scale factors of
 the cofactor) run through the row kernels of the field layer. A product with
@@ -350,10 +359,9 @@ class Matrix:
         stores the signed product of the pivots on it (at n <= 3 the
         cofactor stores its first row's expansion in minors), and the
         inverse, the cofactor, a product of two matrices with known
-        determinants, a scaling, the entrywise conjugation, the generator
-        matrices, identity, zeros, diag, the builders that give a cofactor
-        (see cofactor) and the final-verification samples of classify
-        receive theirs when built.
+        determinants, a scaling, the entrywise conjugation, every word
+        _word_matrix builds and the singular samples of classify receive
+        theirs when built.
         Otherwise it is one fraction-free sweep over the integer rows in
         Z[sqrt d], d = 0 over Q, normalized once: det A = det(P) / (product
         of the row denominators), P the integer numerators."""
@@ -416,13 +424,9 @@ class Matrix:
         of one input (an expression's Cof atoms and a form with eps = 1)
         share it. The kept cofactor takes no part in equality, hashing,
         repr or pickling, and no product, conjugate, transpose or scaling of
-        A inherits it.
-
-        A builder that knows C(A) keeps it on A, and then no route below
-        runs: a builder that knows rank <= n - 2 gives zeros; I - E_jj gives
-        E_jj; D_i(k) and swaps give theirs. A singular final-verification
-        sample of classify of rank n - 1 gives, from n = 4 on, the product
-        of two cofactor lines read off words (_singular_sample).
+        A inherits it. Only a singular final-verification sample of
+        classify is built with its cofactor (_singular_sample), and then no
+        route below runs.
 
         At n <= 3 C(A) is read off the signed (n - 1)-minors of the integer
         rows, exact at every rank, with no elimination: for P the integer
@@ -432,15 +436,15 @@ class Matrix:
         knows no determinant gets det A = (row 0 of P).(row 0 of C(P)) /
         (product of the den_i).
 
-        At n >= 4 a matrix the package built from a generator word carries
-        it, as _word = (x, triples) with A = D_1(x) P_i1j1(k1) ... P_imjm(km);
-        _word_matrix, through which gen_matrix and identity build, is its
-        one setter, and a conjugate carries no word. Then C(A)
-        is read off the word with no elimination and no sweep: C is
-        multiplicative, C(D_1(x)) = diag(1, x, ..., x) and C(P_ij(k)) =
-        P_ji(-k), so C(A) = diag(1, x, ..., x) P_j1i1(-k1) ... P_jmim(-km):
-        m row updates on the rows of the identity, then rows 2 to n scaled
-        by x. A has det x from _word_matrix.
+        At n >= 4 a matrix that _word_matrix built carries its word, as
+        _word = (e, triples) with A = diag(e) P_i1j1(k1) ... P_imjm(km), e
+        the zero-based (i, e_i) pairs whose e_i != 1, and has det A = the
+        product of the e_i. C(A) is read off the word with no elimination
+        and no sweep: C is multiplicative, C(diag(e)) = diag(c) with c_i
+        the product of the e_k for k != i, and C(P_ij(k)) = P_ji(-k), so
+        C(A) = diag(c) P_j1i1(-k1) ... P_jmim(-km): m row updates on the
+        rows of the identity, then row i scaled by c_i. Two zeros in e make
+        every c_i zero, and one zero at i leaves only row i.
 
         At n >= 4 without a word one elimination of [A | I] gives the rank
         of A and the signed product P of its pivots, the reciprocal of det E
@@ -515,7 +519,7 @@ def _fill(m: Matrix, fd: FieldDescriptor, n_rows: int, n_cols: int, rows, irows)
 def _keep_cofactor(a: Matrix, c: Matrix) -> None:
     """Keep c as the cofactor of a, which knows its determinant, and give c
     det(a)^(n-1): the one place that stores a cofactor and its determinant,
-    for Matrix.cofactor and for the builders that know C(a)."""
+    for Matrix.cofactor and for _singular_sample."""
     det = a.det
     _set(c, "_det", det if det.is_zero else det ** (a.n_rows - 1))
     _set(a, "_cof", c)
@@ -540,11 +544,12 @@ def _cofactor(a: Matrix) -> Matrix:
         _fill(c, fd, n, n, None, vectors)
         return c
     if a._word is not None:
-        x, word = a._word
+        e, word = a._word
+        if sum(x.is_zero for _, x in e) > 1:
+            return _zero_matrix(fd, n)
         rows = _transvect(_identity_rows(fd, n), [(j, i, -k) for i, j, k in word])
-        if not x.is_one:
-            rows[1:] = [_scale_row(x, r) for r in rows[1:]]
-        return Matrix._of(fd, rows)
+        c = _cofactor_diagonal(fd, n, e)
+        return Matrix._of(fd, [r if x.is_one else _scale_row(x, r) for x, r in zip(c, rows)])
     rows, pivots, det = _eliminate(fd, _augment_identity(a), n)
     rank = len(pivots)
     _set(a, "_det", det if rank == n else zero(fd))
@@ -671,6 +676,28 @@ def _transvect(rows, word) -> list:
     return rows
 
 
+def _cofactor_diagonal(fd: FieldDescriptor, n: int, e) -> list:
+    """c with C(diag(e)) = diag(c), for the zero-based (i, e_i) pairs e of
+    a diagonal whose other entries are one: c_i is the product of the e_k
+    with k != i."""
+    o = one(fd)
+    c = [_product(e, o)] * n
+    for t, (i, _) in enumerate(e):
+        c[i] = _product(e[:t] + e[t + 1 :], o)
+    return c
+
+
+def _product(e, o: FieldElem) -> FieldElem:
+    """The product of the e_i of the (i, e_i) pairs e, o when there are
+    none, with no multiplication by o and none past a zero factor."""
+    p = o
+    for _, x in e:
+        if x.is_zero:
+            return x
+        p = x if p is o else p * x
+    return p
+
+
 def _null_vector(fd: FieldDescriptor, rows, pivots, free: int, width: int) -> list[FieldElem]:
     """The null vector of the reduced rows with a one at the free column
     and zeros at the other free columns."""
@@ -699,125 +726,98 @@ def _check_domain(fd, n, what: str) -> None:
         raise DimensionMismatch(f"{what} need n >= 1")
 
 
-def _diagonal_rows(fd: FieldDescriptor, entries: list) -> list:
-    """The rows of the square matrix with this diagonal."""
-    z = zero(fd)
-    return [[x if i == j else z for j in range(len(entries))] for i, x in enumerate(entries)]
-
-
 @cache
 def _identity_rows(fd: FieldDescriptor, n: int) -> tuple:
     """The rows of I_n, as tuples, built once per field and size; the
     callers only read them."""
-    return tuple(map(tuple, _diagonal_rows(fd, [one(fd)] * n)))
+    o, z = one(fd), zero(fd)
+    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+
+
+def _word_matrix(fd: FieldDescriptor, n: int, e, word=()) -> Matrix:
+    """diag(e) P_1 ... P_m, n x n, the one builder of every structured
+    matrix, for e zero-based (i, e_i) pairs of distinct i, each e_i of fd
+    (every index e does not name has entry one), and a word of one-based
+    (i, j, k) triples standing for P_ij(k), as _transvection_triples draws
+    them: the transvections act on the rows of I_n, last first, and then
+    e_i scales row i; with no letters the rows are the diagonal itself.
+    The matrix carries det = the product of the e_i and its word (e, word),
+    e keeping only the pairs whose e_i != 1, from which its cofactor is
+    read with no elimination (see Matrix.cofactor)."""
+    rows = _transvect(_identity_rows(fd, n), word)
+    kept = []
+    for i, x in e:
+        if not x.is_one:
+            kept.append((i, x))
+            rows[i] = _scale_row(x, rows[i]) if word else rows[i][:i] + (x,) + rows[i][i + 1 :]
+    m = Matrix._of(fd, rows)
+    _set(m, "_det", _product(kept, one(fd)))
+    _set(m, "_word", (tuple(kept), tuple(word)))
+    return m
 
 
 def diag(fd: FieldDescriptor, entries) -> Matrix:
-    """The square matrix with the given diagonal and zeros elsewhere; it
-    knows its determinant, the product of the diagonal."""
-    entries = list(entries)
-    m = Matrix(fd, _diagonal_rows(fd, entries))
-    _set(m, "_det", prod(entries, start=one(fd)))
-    return m
+    """The square matrix with this diagonal, entries of fd the package
+    built: a word with no letters."""
+    entries = tuple(entries)
+    return _word_matrix(fd, len(entries), enumerate(entries))
 
 
 def identity(fd: FieldDescriptor, n: int) -> Matrix:
-    """I_n, which knows its determinant, one, and carries the empty word."""
+    """I_n, the empty word."""
     _check_domain(fd, n, "matrices")
-    return _word_matrix(fd, n, one(fd), ())
+    return _word_matrix(fd, n, ())
 
 
-def _word_matrix(fd: FieldDescriptor, n: int, x: FieldElem, word) -> Matrix:
-    """D_1(x) P_1 ... P_m, n x n, for a nonzero x of fd and a word of one-based
-    (i, j, k) triples standing for P_ij(k), as _transvection_triples draws
-    them: the transvections act on the rows of I_n, last first, and x
-    scales the first row. The matrix carries det x and the word, from which
-    its cofactor is read with no elimination."""
-    m = _dilated_word(x, word, fd, _identity_rows(fd, n), x)
-    _set(m, "_word", (x, tuple(word)))
-    return m
+def zeros(fd: FieldDescriptor, n: int) -> Matrix:
+    """The zero matrix, diag(0, ..., 0)."""
+    _check_domain(fd, n, "matrices")
+    return diag(fd, [zero(fd)] * n)
 
 
-def _dilated_word(
-    x: FieldElem, word, fd: FieldDescriptor, rows, det: FieldElem | None = None
-) -> Matrix:
-    """D_1(x) P_1 ... P_m M for a word of (i, j, k) triples and the rows of
-    M: the transvections act on the rows, and the dilation scales the first
-    row last. A det given by the caller, x det M, is carried as the
-    determinant of the result. The result carries no word, even on the rows
-    of the identity: _word_matrix sets it on the matrices it builds."""
-    rows = _transvect(rows, word)
-    if not x.is_one:
-        rows[0] = _scale_row(x, rows[0])
-    m = Matrix._of(fd, rows)
-    if det is not None:
-        _set(m, "_det", det)
-    return m
+@cache
+def _zero_matrix(fd: FieldDescriptor, n: int) -> Matrix:
+    """zeros(fd, n), built once per field and size: the cofactor of every
+    word with two zeros in e and of every singular sample of rank n - 2 or
+    less. Its callers only read it, so the maps that take such a cofactor
+    reuse its integer rows and columns in their products."""
+    return zeros(fd, n)
 
 
 def _singular_sample(x: FieldElem, word, g: Matrix, r: int) -> Matrix:
     """G_1 diag(I_r, 0) G_2 of rank r < n, for G_1 = D_1(x) P_1 ... P_m
     given by x and its word and a word carrier G_2 = g: G_1 applied to the
-    rows of G_2 with those from r on zero. It carries det zero, and its
-    cofactor: zero at r <= n - 2, and at r = n - 1 from n = 4 on C(G_1)
-    E_nn C(G_2), column n of C(G_1) times row n of C(G_2), both read off
-    the words (at n <= 3 the minors are as cheap)."""
+    rows of G_2 with those from r on zero. No single word, it carries det
+    zero and a cofactor computed here: zero at r <= n - 2, and at r = n - 1
+    from n = 4 on C(G_1) E_nn C(G_2), column n of C(G_1) times row n of
+    C(G_2), both read off the words (at n <= 3 the minors are as cheap)."""
     fd, n = g.field, g.n_rows
     z = zero(fd)
-    a = _dilated_word(x, word, fd, g.rows[:r] + ((z,) * n,) * (n - r), z)
+    rows = _transvect(g.rows[:r] + ((z,) * n,) * (n - r), word)
+    rows[0] = _scale_row(x, rows[0])
+    a = Matrix._of(fd, rows)
+    _set(a, "_det", z)
     if r <= n - 2:
         _keep_cofactor(a, _zero_matrix(fd, n))
     elif n >= 4:
-        col = _cofactor_line(x, word, fd, n, False)
+        col = _cofactor_line(((0, x),), word, fd, n, False)
         row = _cofactor_line(*g._word, fd, n, True)
         _keep_cofactor(a, Matrix._of(fd, [_scale_row(c, row) for c in col]))
     return a
 
 
-def _cofactor_line(x: FieldElem, word, fd: FieldDescriptor, n: int, row: bool) -> list:
-    """Column n of C(G), or row n when row is set, for G = D_1(x) P_1 ...
-    P_m, n >= 2: C(G) = diag(1, x, ..., x) P'_1 ... P'_m with P' = P_ji(-k)
-    for P = P_ij(k), so column n is diag(1, x, ..., x) P'_1 ... P'_m e_n
-    and row n is x (P'_m^T ... P'_1^T e_n)^T: m updates of e_n."""
+def _cofactor_line(e, word, fd: FieldDescriptor, n: int, row: bool) -> list:
+    """Column n of C(G), or row n when row is set, for G = diag(e) P_1 ...
+    P_m, n >= 2: C(G) = diag(c) P'_1 ... P'_m with P' = P_ji(-k) for P =
+    P_ij(k) and c from _cofactor_diagonal, so column n is diag(c) P'_1 ...
+    P'_m e_n and row n is c_n (P'_m^T ... P'_1^T e_n)^T: m updates of
+    e_n."""
+    c = _cofactor_diagonal(fd, n, e)
     e_n = [(zero(fd),)] * (n - 1) + [(one(fd),)]
     if row:
         line = [v for v, in _transvect(e_n, [(i, j, -k) for i, j, k in reversed(word)])]
-        return _scale_row(x, line)
-    line = [v for v, in _transvect(e_n, [(j, i, -k) for i, j, k in word])]
-    return line[:1] + _scale_row(x, line[1:])
-
-
-def zeros(fd: FieldDescriptor, n: int) -> Matrix:
-    """The zero matrix, which knows its determinant, zero, and from n = 2 on
-    its cofactor, the zero matrix of _zero_matrix."""
-    _check_domain(fd, n, "matrices")
-    m = Matrix._of(fd, [[zero(fd)] * n] * n)
-    _set(m, "_det", zero(fd))
-    if n >= 2:
-        _keep_cofactor(m, _zero_matrix(fd, n))
-    return m
-
-
-@cache
-def _zero_matrix(fd: FieldDescriptor, n: int) -> Matrix:
-    """The n x n zero matrix, n >= 2, built once per field and size and its
-    own cofactor: the cofactor that every matrix built at rank n - 2 or
-    less carries. Its callers only read it, and matrices are immutable, so
-    sharing it is safe."""
-    m = Matrix._of(fd, [[zero(fd)] * n] * n)
-    _set(m, "_det", zero(fd))
-    _keep_cofactor(m, m)
-    return m
-
-
-def _rank_deficient(m: Matrix) -> Matrix:
-    """m, which its builder knows to have rank at most n - 2, given its
-    determinant and its cofactor, both zero: every minor of size n - 1
-    vanishes."""
-    fd = m.field
-    _set(m, "_det", zero(fd))
-    _keep_cofactor(m, _zero_matrix(fd, m.n_rows))
-    return m
+        return _scale_row(c[-1], line)
+    return [x * v for x, (v,) in zip(c, _transvect(e_n, [(j, i, -k) for i, j, k in word]))]
 
 
 def from_columns(fd: FieldDescriptor, columns) -> Matrix:
@@ -836,40 +836,31 @@ def from_columns(fd: FieldDescriptor, columns) -> Matrix:
 
 
 def unit_matrix(fd: FieldDescriptor, n: int, i: int, j: int) -> Matrix:
-    """E_ij, one-based: 1 in row i column j and 0 elsewhere. From n = 3 on
-    its rank, one, is at most n - 2: it carries a zero determinant and a
-    zero cofactor."""
+    """E_ij, one-based: 1 in row i column j and 0 elsewhere; diag(delta_i)
+    for i = j and diag(delta_i) P_ij(1) P_ji(-1) otherwise."""
     _check_domain(fd, n, "matrices")
     _check_int_indices("unit matrix", i, j)
     _check_index(n, i, j)
-    z = zero(fd)
-    rows = [[z] * n for _ in range(n)]
-    rows[i - 1][j - 1] = one(fd)
-    m = Matrix._of(fd, rows)
-    return _rank_deficient(m) if n >= 3 else m
+    z, o = zero(fd), one(fd)
+    e = [(k, z) for k in range(n) if k != i - 1]
+    return _word_matrix(fd, n, e, () if i == j else ((i, j, o), (j, i, -o)))
 
 
 def rank_idempotent(fd: FieldDescriptor, n: int, r: int) -> Matrix:
-    """diag(1 ... 1, 0 ... 0) with r ones; for r <= n - 2 it carries a zero
-    determinant and a zero cofactor."""
+    """diag(1 ... 1, 0 ... 0) with r ones."""
     _check_domain(fd, n, "matrices")
     _check_int_indices("rank idempotent", r)
     if not 0 <= r <= n:
         raise IndexOutOfRange(f"rank {r} outside 0..{n}")
-    m = Matrix._of(fd, _diagonal_rows(fd, [one(fd)] * r + [zero(fd)] * (n - r)))
-    return _rank_deficient(m) if r <= n - 2 else m
+    return _word_matrix(fd, n, [(k, zero(fd)) for k in range(r, n)])
 
 
 def coidempotent(fd: FieldDescriptor, n: int, j: int) -> Matrix:
-    """I - E_jj, one-based; the rank n-1 diagonal idempotent with hole j.
-    From n = 2 on it carries a zero determinant and its cofactor E_jj, the
-    one minor that survives the hole."""
-    e = unit_matrix(fd, n, j, j)
-    m = identity(fd, n) - e
-    if n >= 2:
-        _set(m, "_det", zero(fd))
-        _keep_cofactor(m, e)
-    return m
+    """I - E_jj, one-based; the rank n-1 diagonal idempotent with hole j."""
+    _check_domain(fd, n, "matrices")
+    _check_int_indices("unit matrix", j)
+    _check_index(n, j)
+    return _word_matrix(fd, n, ((j - 1, zero(fd)),))
 
 
 # -- elementary generators -------------------------------------------------------
@@ -973,30 +964,16 @@ def _check_generator(gen: Generator, fd: FieldDescriptor, n: int) -> None:
 
 
 def gen_matrix(gen: Generator, fd: FieldDescriptor, n: int) -> Matrix:
-    """Realize an elementary generator as an n x n matrix, which knows its
-    determinant: 1, k or -1. A transvection P_ij(k) and a dilation D_1(k)
-    are built by _word_matrix, so they carry the words (1, [(i, j, k)]) and
-    (k, []). D_i(k) for i >= 2 and a swap S carry their cofactors, det
-    times the inverse transpose: diag(k, ..., 1 at i, ..., k) and -S."""
+    """Realize an elementary generator as an n x n word: P_ij(k), D_i(k)
+    = diag(..., k at i, ...) and the swap S_ij = D_j(-1) P_ij(1) P_ji(-1)
+    P_ij(1), with determinants 1, k and -1."""
     _check_generator(gen, fd, n)
     if isinstance(gen, Transvection):
-        return _word_matrix(fd, n, one(fd), ((gen.i, gen.j, gen.k),))
-    if isinstance(gen, DiagUnit) and gen.i == 1:
-        return _word_matrix(fd, n, gen.k, ())
-    m = [list(r) for r in _identity_rows(fd, n)]
+        return _word_matrix(fd, n, (), ((gen.i, gen.j, gen.k),))
     if isinstance(gen, DiagUnit):
-        m[gen.i - 1][gen.i - 1] = gen.k
-        det = gen.k
-        c = _diagonal_rows(fd, [one(fd) if i == gen.i else gen.k for i in range(1, n + 1)])
-    else:
-        a, b = gen.i - 1, gen.j - 1
-        m[a], m[b] = m[b], m[a]
-        det = -one(fd)
-        c = [[-x for x in r] for r in m]
-    g = Matrix._of(fd, m)
-    _set(g, "_det", det)
-    _keep_cofactor(g, Matrix._of(fd, c))
-    return g
+        return _word_matrix(fd, n, ((gen.i - 1, gen.k),))
+    i, j, o = gen.i, gen.j, one(fd)
+    return _word_matrix(fd, n, ((j - 1, -o),), ((i, j, o), (j, i, -o), (i, j, o)))
 
 
 def solve_exact(a: Matrix, b: Matrix) -> Matrix:

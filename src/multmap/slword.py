@@ -47,8 +47,7 @@ from .matrix import (
     Transvection,
     _check_domain,
     _check_generator,
-    _dilated_word,
-    _transvect,
+    _word_matrix,
     identity,
 )
 from .value import Value
@@ -198,15 +197,20 @@ def random_transvection_word(
 
 
 def random_sl(rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None) -> Matrix:
-    word = _transvection_triples(rng, fd, n, _word_length(fd, n, length))
-    return Matrix._of(fd, _transvect(identity(fd, n).rows, word))
+    return _word_matrix(fd, n, (), _transvection_triples(rng, fd, n, _word_length(fd, n, length)))
+
+
+def _gl_word(rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None):
+    """The one draw of random_gl, as (d, triples): d from the default pool
+    first, then a transvection word of the given length (4n when None)."""
+    length = _word_length(fd, n, length)
+    return rng.choice(default_pool(fd)), _transvection_triples(rng, fd, n, length)
 
 
 def random_gl(rng: random.Random, fd: FieldDescriptor, n: int, length: int | None = None) -> Matrix:
-    """D_1(d) times random_sl's product, d drawn from the pool first."""
-    length = _word_length(fd, n, length)
-    d = rng.choice(default_pool(fd))
-    return _dilated_word(d, _transvection_triples(rng, fd, n, length), fd, identity(fd, n).rows)
+    """D_1(d) times random_sl's product, drawn by _gl_word."""
+    d, word = _gl_word(rng, fd, n, length)
+    return _word_matrix(fd, n, ((0, d),), word)
 
 
 def random_unitriangular(rng: random.Random, fd: FieldDescriptor, n: int) -> Matrix:

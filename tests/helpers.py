@@ -11,7 +11,7 @@ a + b*sqrt(d) held as two Fractions. ref_product and ref_det_inverse redo
 the matrix product and Gauss-Jordan elimination on RefElem, one scalar
 operation per entry, as references for the differential tests of the
 integer triples, of the integer product and of the fraction-free
-determinant.
+determinant; ref_det is the determinant alone, by forward elimination.
 
 ref_decompose_sl, ref_decompose_gl and ref_gl_evaluate are the
 factorization path as it was before decompose_sl read its determinant check
@@ -24,6 +24,8 @@ elimination, matrix scaling, the cofactor and word evaluation as they were
 before the row kernels: one FieldElem operation per entry, with the
 identity and the scalar one multiplied out like any other operand. They are
 the references for the differential tests of the row kernels.
+ref_diagonal_word rebuilds a carried diagonal word diag(e) P_1 ... P_m the
+same way.
 
 ref_evaluate is MapExpr.evaluate as it was before it applied the Cof
 atoms to the input first: the atoms one by one, the last first, each on
@@ -332,6 +334,29 @@ def ref_det_inverse(a: list[list[RefElem]]):
     return det, [r[n:] for r in rows]
 
 
+def ref_det(a: list[list[RefElem]]) -> RefElem:
+    """The determinant of a square matrix by forward elimination of a
+    alone: each pivot clears the rows below it, and no inverse is built."""
+    n = len(a)
+    fd = a[0][0].field
+    rows = [list(r) for r in a]
+    det = RefElem(fd, Fraction(1))
+    for c in range(n):
+        p = next((i for i in range(c, n) if not rows[i][c].is_zero), None)
+        if p is None:
+            return RefElem(fd, Fraction(0))
+        if p != c:
+            rows[p], rows[c] = rows[c], rows[p]
+            det = -det
+        det = det * rows[c][c]
+        pivot_inv = rows[c][c].inv()
+        for i in range(c + 1, n):
+            f = rows[i][c] * pivot_inv
+            if not f.is_zero:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
 def ref_decompose_sl(m: Matrix) -> list[Transvection]:
     n = m.n_rows
     if not m.is_square:
@@ -487,6 +512,16 @@ def ref_apply_word(word, fd: FieldDescriptor, n: int) -> Matrix:
         else:
             a, b = gen.i - 1, gen.j - 1
             rows[a], rows[b] = rows[b], rows[a]
+    return Matrix(fd, rows)
+
+
+def ref_diagonal_word(e, triples, fd: FieldDescriptor, n: int) -> Matrix:
+    """diag(e) P_1 ... P_m for a carried word (e, triples): ref_apply_word
+    multiplies out the transvections, and then each e_i, zero allowed,
+    scales row i one entry at a time."""
+    rows = [list(r) for r in ref_apply_word([Transvection(*t) for t in triples], fd, n).rows]
+    for i, x in e:
+        rows[i] = [x * y for y in rows[i]]
     return Matrix(fd, rows)
 
 

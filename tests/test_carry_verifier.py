@@ -8,10 +8,15 @@ stored with a value, the value is recomputed on a fresh copy of the matrix
 that carries nothing, by the references of helpers.py rather than by the
 sweep or the elimination of the package:
 
-  - _det against ref_det_inverse;
+  - _det against ref_det;
   - _cof against ref_cofactor;
   - _inv by A A^-1 = I, multiplied out by ref_product;
-  - _word by rebuilding the rows from the word with ref_apply_word.
+  - _word = (e, triples) by rebuilding diag(e) P_1 ... P_m with
+    ref_diagonal_word: ref_apply_word multiplies out the transvections, and
+    e, whose entries may be zero, scales the rows one entry at a time.
+
+Each distinct matrix has its reference determinant and cofactor computed
+once, since classify stores the same values on many equal matrices.
 
 A re-entrancy guard lets the stores that the recomputation itself makes go
 through unchecked.
@@ -31,14 +36,14 @@ import multmap.matrix as matrix_module
 from multmap.classify import classify
 from multmap.cli import BUILTINS
 from multmap.field import RATIONAL, quadratic
-from multmap.matrix import DiagUnit, Matrix, Transvection
+from multmap.matrix import Matrix
 
 from helpers import (
     RefElem,
     random_mapexpr,
-    ref_apply_word,
     ref_cofactor,
-    ref_det_inverse,
+    ref_det,
+    ref_diagonal_word,
     ref_of,
     ref_product,
 )
@@ -54,24 +59,21 @@ def _fresh(m: Matrix) -> Matrix:
     return Matrix(m.field, m.rows)
 
 
-def _wrong(m: Matrix, name: str, value, dets: dict) -> bool:
+def _wrong(m: Matrix, name: str, value, refs: dict) -> bool:
     """Whether value, stored as m.name, differs from its recomputation;
-    dets keeps the reference determinant of each matrix value once."""
+    refs keeps the reference determinant and cofactor of each matrix once."""
     fd, n = m.field, m.n_rows
-    if name == "_det":
-        fresh = _fresh(m)
-        if fresh not in dets:
-            dets[fresh] = ref_det_inverse(_ref_rows(fresh))[0]
-        return ref_of(value) != dets[fresh]
-    if name == "_cof":
-        return value != ref_cofactor(_fresh(m))
     if name == "_inv":
         o, z = RefElem(fd, Fraction(1)), RefElem(fd, Fraction(0))
         unit = [[o if i == j else z for j in range(n)] for i in range(n)]
         return ref_product(_ref_rows(m), _ref_rows(value)) != unit
-    x, triples = value
-    word = [DiagUnit(1, x), *(Transvection(i, j, k) for i, j, k in triples)]
-    return ref_apply_word(word, fd, n) != _fresh(m)
+    fresh = _fresh(m)
+    if name == "_word":
+        return ref_diagonal_word(*value, fd, n) != fresh
+    key = (name, fresh)
+    if key not in refs:
+        refs[key] = ref_det(_ref_rows(fresh)) if name == "_det" else ref_cofactor(fresh)
+    return (ref_of(value) if name == "_det" else value) != refs[key]
 
 
 @pytest.fixture
@@ -79,7 +81,7 @@ def wrong_carries(monkeypatch) -> list:
     """Patch matrix._set to check every carried value it stores; the list
     collects (name, n, field) of each value that differs."""
     store = matrix_module._set
-    found, busy, dets = [], [], {}
+    found, busy, refs = [], [], {}
 
     def checked(obj, name, value):
         store(obj, name, value)
@@ -87,7 +89,7 @@ def wrong_carries(monkeypatch) -> list:
             return
         busy.append(1)
         try:
-            if _wrong(obj, name, value, dets):
+            if _wrong(obj, name, value, refs):
                 found.append((name, obj.n_rows, obj.field.to_doc()))
         finally:
             busy.pop()

@@ -54,6 +54,7 @@ from multmap.matrix import (
     Matrix,
     Swap,
     Transvection,
+    _word_matrix,
     coidempotent,
     diag,
     gen_matrix,
@@ -75,7 +76,7 @@ from multmap.mapexpr import (
     canonical_eq,
     simplify,
 )
-from multmap.slword import _dilated_word, _transvection_triples, random_gl
+from multmap.slword import _transvection_triples, random_gl
 
 from helpers import (
     assert_report_matches_its_log,
@@ -677,7 +678,7 @@ def _verification_sample(fd, n, seed, index):
     pool = _lam_pool(fd)
     for _ in range(index + 1):
         word = _transvection_triples(rng, fd, n, 8)
-    return _dilated_word(pool[index % len(pool)], word, fd, identity(fd, n).rows)
+    return _word_matrix(fd, n, ((0, pool[index % len(pool)]),), word)
 
 
 def test_liar_caught_by_final_verification():
@@ -1036,6 +1037,20 @@ def test_whole_reports_are_pinned():
         doc = report.to_doc()
         digests[name] = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digests == REPORT_SHA256
+
+
+def test_every_nontrivial_pinned_report_has_no_pre_conjugator():
+    # a degenerate or nondegenerate report has l = n, which forces k = n,
+    # Phi(0) = 0 and Phi(I) = I, and split_idempotent_pair returns S = I for
+    # the pair (0, I): the S-sandwich of the reported map is two identity
+    # short-circuits around the form
+    kinds = set()
+    for name, oracle, fd, n, seed in report_corpus():
+        report = classify(oracle, fd, n, seed=seed)
+        if report.form.kind != "trivial":
+            assert report.pre_conjugator.is_identity, name
+            kinds.add(report.form.kind)
+    assert kinds == {"degenerate", "nondegenerate"}
 
 
 def _acceptance_reports(criterion: str):

@@ -23,30 +23,30 @@ final-verification sample of classify carries its determinant from the
 draw, so final verification of a detscale or a trivialdet oracle never
 sweeps.
 
-Matrices built from a generator word by _word_matrix, the one builder of
-word carriers (the invertible final-verification samples, transvection and
-D_1 generator matrices, identity), carry it; an entrywise conjugate carries
-none. From size 4 on the cofactor of a word carrier is read
-off the word: it neither eliminates nor sweeps, so the cofactor oracle, and
-the detscale o cof o conj oracle, whose Cof atom acts on the input first,
-run no elimination on an invertible final-verification sample. A builder
-that knows the cofactor gives it: zeros for rank n - 2 or less (zeros,
-E_ij from size 3 on, rank idempotents, singular samples), E_jj for
-I - E_jj, diag(k, ..., 1 at i, ..., k) for D_i(k) and -S for a swap S, and
-a singular sample of rank n - 1 from size 4 on the product of column n of
-C(G_1) and row n of C(G_2), read off the words of its factors. So no
-singular sample eliminates, nor a singular-pattern, D_i(-1) or swap probe
-of classify at size 5. The detscale o cof o
-conj oracle takes no cofactor of a singular sample at all: the sample
-carries its zero determinant, which sends the value to zero at once. Every carried word
-evaluates back to its matrix; the samplers carry no word, and pickling
-drops it.
+Every structured matrix is a diagonal word diag(e) P_1 ... P_m that
+_word_matrix builds, and carries it: identity, zeros, diag, the matrix
+units, the rank idempotents, I - E_jj, every generator matrix, the
+samplers and the invertible final-verification samples; an entrywise
+conjugate carries none. From size 4 on the cofactor of a word carrier is
+read off the word: it neither eliminates nor sweeps, so the cofactor
+oracle, and the detscale o cof o conj oracle, whose Cof atom acts on the
+input first, run no elimination on an invertible final-verification sample,
+and no singular-pattern, D_i(-1), swap or unimodular dilation probe of
+classify at size 5 eliminates. Only the singular final-verification
+samples, no single word, are built with a cofactor: zero at rank n - 2 or
+less, and at rank n - 1 from size 4 on the product of column n of C(G_1)
+and row n of C(G_2), read off the words of its factors, so no singular
+sample eliminates either. The detscale o cof o conj oracle takes no
+cofactor of a singular sample at all: the sample carries its zero
+determinant, which sends the value to zero at once. Every carried word
+evaluates back to its matrix, and pickling drops it.
 """
 
 import importlib
 import pickle
 import random
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -82,9 +82,8 @@ from multmap.matrix import (
     zeros,
 )
 from multmap.slword import (
+    _gl_word,
     _transvection_triples,
-    default_pool,
-    evaluate_word,
     random_gl,
     random_sl,
 )
@@ -95,6 +94,7 @@ from helpers import (
     rand_invertible,
     rand_singular,
     ref_cofactor,
+    ref_diagonal_word,
     ref_scale,
 )
 
@@ -374,21 +374,35 @@ def test_final_verification_samples_carry_their_determinant(fd, monkeypatch):
         for a in samples:
             assert a._det is not None
             _assert_carried(a)
-    # the samplers carry none: the fuzz reads no determinant, and no word
+    # the samplers are words too: each carries its determinant and its word
     rng = random.Random(1)
     for sampled in (random_gl(rng, fd, n) for n in (3, 5)), (random_sl(rng, fd, n) for n in (3, 5)):
         for a in sampled:
-            assert a._det is None and a._word is None
+            assert a._det is not None and a._word is not None
+            _assert_carried(a)
 
 
 def _word_carriers(rng, fd, n):
-    """Every kind of matrix that carries a word."""
+    """A matrix of every builder, each a word carrier: an invertible
+    final-verification sample, each generator kind, identity, zeros, diag
+    with a zero, the matrix units, a rank idempotent, I - E_jj and both
+    samplers."""
     pool = classify_module._lam_pool(fd)
     return [
-        _word_matrix(fd, n, pool[1], _transvection_triples(rng, fd, n, 8)),
+        _word_matrix(fd, n, ((0, pool[1]),), _transvection_triples(rng, fd, n, 8)),
         gen_matrix(Transvection(2, 1, _unit(rng, fd)), fd, n),
         gen_matrix(DiagUnit(1, _unit(rng, fd)), fd, n),
+        gen_matrix(DiagUnit(n, -one(fd)), fd, n),
+        gen_matrix(Swap(n, 1), fd, n),
         identity(fd, n),
+        zeros(fd, n),
+        diag(fd, [zero(fd)] + list(pool[: n - 1])),
+        unit_matrix(fd, n, 1, 1),
+        unit_matrix(fd, n, n, 1),
+        rank_idempotent(fd, n, n - 2),
+        coidempotent(fd, n, n),
+        random_sl(rng, fd, n),
+        random_gl(rng, fd, n),
     ]
 
 
@@ -402,43 +416,41 @@ def test_the_word_cofactor_neither_eliminates_nor_sweeps(fd, monkeypatch):
             assert a._word is not None
             c = a.cofactor()
             assert not eliminations and not sweeps
-            assert c._det == a._det ** (n - 1) and c._word is None
+            assert c._det == a._det ** (n - 1)
+            # a cofactor carries no word, but for the one shared zero
+            # matrix, itself a word, that stands for every zero cofactor
+            assert c._word is None or c is matrix_module._zero_matrix(fd, n)
             _assert_carried(a)
             _assert_carried(c)
             sweeps.clear()
 
 
-def _known_cofactors(rng, fd, n) -> list:
-    """Every kind of matrix whose builder gives it its cofactor: zeros, the
-    rank idempotents of rank at most n - 2, E_ij from size 3 on, I - E_jj,
-    D_i(k) for i >= 2, swaps, and the singular final-verification samples,
-    drawn as classify draws them, of every rank at most n - 2 and, from
-    size 4 on, of rank n - 1."""
-    o = one(fd)
-    built = [zeros(fd, n), coidempotent(fd, n, 1), coidempotent(fd, n, n)]
-    built += [rank_idempotent(fd, n, r) for r in range(n - 1)]
-    if n >= 3:
-        built += [unit_matrix(fd, n, 1, 1), unit_matrix(fd, n, n, 1)]
-    built += [gen_matrix(DiagUnit(n, _unit(rng, fd)), fd, n), gen_matrix(DiagUnit(2, -o), fd, n)]
-    built += [gen_matrix(Swap(1, 2), fd, n), gen_matrix(Swap(n, 1), fd, n)]
-    pool = default_pool(fd)
+def _singular_samples(rng, fd, n) -> list:
+    """The singular final-verification samples, drawn as classify draws
+    them, of every rank at most n - 2 and, from size 4 on, of rank n - 1."""
+    built = []
     for r in range(n if n >= 4 else n - 1):
-        x, word = rng.choice(pool), _transvection_triples(rng, fd, n, 4 * n)
-        g = _word_matrix(fd, n, rng.choice(pool), _transvection_triples(rng, fd, n, 4 * n))
-        built.append(_singular_sample(x, word, g, r))
+        d, word = _gl_word(rng, fd, n)
+        built.append(_singular_sample(d, word, random_gl(rng, fd, n), r))
     return built
 
 
 @pytest.mark.parametrize("fd", FIELDS)
 def test_a_builder_that_knows_the_cofactor_carries_it(fd, monkeypatch):
-    # a builder that knows rank <= n - 2 gives zeros, I - E_jj gives E_jj,
-    # D_i(k) and swaps give theirs, and a singular sample of rank n - 1
-    # gives column n of C(G_1) times row n of C(G_2), read off the words:
-    # none of them eliminates or sweeps, and each equals the reference
+    # only the singular samples, no single word, are built with their
+    # cofactor: zeros at rank n - 2 or less, and at rank n - 1 column n of
+    # C(G_1) times row n of C(G_2), read off the words; every other builder
+    # gives none, and its cofactor is read off its word or, at n <= 3, the
+    # minors. None of them eliminates or sweeps, and each equals the
+    # reference
     rng = random.Random(12)
     sweeps = _sweep_counter(monkeypatch)
     eliminations = _counter(monkeypatch, "_eliminate")
-    built = {n: _known_cofactors(rng, fd, n) for n in (2, 3, 4, 5, 6)}
+    samples = {n: _singular_samples(rng, fd, n) for n in (2, 3, 4, 5, 6)}
+    words = {n: _word_carriers(rng, fd, n) for n in (2, 3, 4, 5, 6)}
+    assert all(a._cof is not None for mats in samples.values() for a in mats)
+    assert all(a._cof is None for mats in words.values() for a in mats)
+    built = {n: samples[n] + words[n] for n in samples}
     cofactors = {n: [a.cofactor() for a in mats] for n, mats in built.items()}
     assert not eliminations and not sweeps
     for n, mats in built.items():
@@ -449,14 +461,15 @@ def test_a_builder_that_knows_the_cofactor_carries_it(fd, monkeypatch):
             _assert_carried(a)
             _assert_carried(c)
     # the sample of rank n - 1 at size 4 and up: both words are read
-    rank_n_1 = built[6][-1]
+    rank_n_1 = samples[6][-1]
     assert _fresh(rank_n_1).rank == 5 and not rank_n_1._cof.is_zero
 
 
 def test_the_singular_and_generator_probes_of_classify_eliminate_nothing(monkeypatch):
     # at n = 5 the cofactor oracle takes the cofactor of every probe; those
     # of the singular-pattern test (I - E_jj, E_11, E_12 and the rank
-    # idempotents) and of GL recovery's D_i(-1) and adjacent swaps carry it
+    # idempotents) and of GL recovery (D_i(-1), adjacent swaps and the
+    # unimodular dilations diag(x^-1, x, 1, ...)) are words, read off
     n, fd = 5, RATIONAL
     o = one(fd)
     probes = [coidempotent(fd, n, j) for j in range(1, n + 1)]
@@ -464,6 +477,7 @@ def test_the_singular_and_generator_probes_of_classify_eliminate_nothing(monkeyp
     probes += [rank_idempotent(fd, n, r) for r in range(2, n - 1)]
     probes += [gen_matrix(DiagUnit(i, -o), fd, n) for i in range(1, n + 1)]
     probes += [gen_matrix(Swap(i, i + 1), fd, n) for i in range(1, n)]
+    probes += [diag(fd, [x.inv(), x] + [o] * (n - 2)) for x in classify_module._lam_pool(fd)]
     evaluate = MapExpr(n, fd, (Cof(),)).evaluate
     eliminations = _counter(monkeypatch, "_eliminate")
     per_probe = {}
@@ -598,10 +612,9 @@ def test_every_carried_word_evaluates_back_to_its_matrix(fd, kind, monkeypatch):
     classify(oracle, fd, n)
     assert carriers
     for a in carriers:
-        x, word = a._word
-        gens = [DiagUnit(1, x), *(Transvection(i, j, k) for i, j, k in word)]
-        assert evaluate_word(gens, fd, n) == a
-        assert a._det == x
+        e, word = a._word
+        assert ref_diagonal_word(e, word, fd, n) == a
+        assert a._det == prod((x for _, x in e), start=one(fd))
 
 
 @pytest.mark.parametrize("fd", FIELDS)

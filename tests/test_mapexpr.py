@@ -256,7 +256,7 @@ def _drawn_input(rng, fd, n, rank, word):
     x = rand_elem(rng, fd, 2)
     while x.is_zero:
         x = rand_elem(rng, fd, 2)
-    return _word_matrix(fd, n, x, _transvection_triples(rng, fd, n, 6))
+    return _word_matrix(fd, n, ((0, x),), _transvection_triples(rng, fd, n, 6))
 
 
 @settings(max_examples=300, deadline=None)

@@ -227,8 +227,9 @@ def test_cofactor_size_guard():
 
 def _cofactor_inputs(fd, n):
     """One matrix of each cofactor route at size n: invertible and singular
-    inputs with entries, a product with integer rows only, and a word
-    carrier, whose cofactor is read off its word from n = 4 on."""
+    inputs with entries, a product with integer rows only, and two word
+    carriers, invertible and of rank n - 1, whose cofactor is read off the
+    word from n = 4 on."""
     rng = random.Random(n)
     built = [
         Matrix(fd, rand_invertible(rng, fd, n).rows),
@@ -237,7 +238,10 @@ def _cofactor_inputs(fd, n):
         rand_invertible(rng, fd, n) * rand_singular(rng, fd, n, n - 1),
     ]
     word = ((1, 2, one(fd)), (n, 1, as_elem(fd, -1)))
-    return built + [_word_matrix(fd, n, as_elem(fd, 2), word)]
+    return built + [
+        _word_matrix(fd, n, ((0, as_elem(fd, 2)),), word),
+        _word_matrix(fd, n, ((n - 1, zero(fd)), (0, as_elem(fd, 3))), word),
+    ]
 
 
 @pytest.mark.parametrize("fd", [RATIONAL, Q2])
