@@ -46,7 +46,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 from .errors import (
     CharacterOutOfBound,
@@ -69,6 +69,7 @@ from .field import (
     FieldDescriptor,
     FieldElem,
     RingHom,
+    _norm,
     format_scalar,
     hom_apply,
     one,
@@ -82,6 +83,7 @@ from .matrix import (
     Transvection,
     _singular_sample,
     _word_matrix,
+    _zero_matrix,
     coidempotent,
     conjugator_from_units,
     diag,
@@ -146,11 +148,14 @@ UNIT_MULT_PAIRS = (((2, 3), (2, HALF)), ((S, S),))
 class Session:
     """Memoizing, budgeted wrapper around a raw oracle.
 
-    Repeat probes are free; distinct probes count against the budget. The
-    image size k is pinned by the first call and every later output must
-    match it. An fd that is no FieldDescriptor raises FieldMismatch, an n
-    that is no int (bools included) DimensionMismatch, and an n below 2
-    UnsupportedDimension, before anything reads n.
+    Repeat probes are free; distinct probes count against the budget. A
+    probe's rows are hashed once per call: the memo maps that hash to the
+    (rows, image) pairs of the probes that share it, and rows are compared
+    whole only inside that short list. The image size k is pinned by the
+    first call and every later output must match it. An fd that is no
+    FieldDescriptor raises FieldMismatch, an n that is no int (bools
+    included) DimensionMismatch, and an n below 2 UnsupportedDimension,
+    before anything reads n.
     """
 
     def __init__(self, oracle: MapOracle, fd: FieldDescriptor, n: int) -> None:
@@ -166,13 +171,14 @@ class Session:
         self.budget = 10 * n * n + 200
         self.k: int | None = None
         self.log: list[tuple[Matrix, Matrix]] = []
-        self._memo: dict[tuple, Matrix] = {}
+        self._memo: dict[int, list[tuple[tuple, Matrix]]] = {}
 
     def call(self, a: Matrix) -> Matrix:
-        key = a.rows
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        rows = a.rows
+        bucket = self._memo.setdefault(hash(rows), [])
+        for seen, out in bucket:
+            if seen == rows:
+                return out
         if len(self.log) >= self.budget:
             raise OracleBudgetExceeded(
                 f"probe budget {self.budget} exhausted for n = {self.n}"
@@ -187,7 +193,7 @@ class Session:
         elif out.n_rows != self.k:
             raise NotMultiplicative("oracle output size is inconsistent")
         self.log.append((a, out))
-        self._memo[key] = out
+        bucket.append((rows, out))
         return out
 
 
@@ -225,13 +231,33 @@ class _Working:
 def _read(image: Matrix, background: Matrix, free, law: str) -> list[FieldElem]:
     """The entries of image at the free positions (zero-based, in the order
     given), after checking that every other entry equals the background's;
-    a stray entry breaks the named law."""
-    skip = set(free)
-    for i, (row, expected) in enumerate(zip(image.rows, background.rows)):
-        for j, (x, y) in enumerate(zip(row, expected)):
-            if x != y and (i, j) not in skip:
+    a stray entry breaks the named law. Both are read as integer rows
+    (ps, qs, den), which are canonical: a row with no free position must
+    equal the background's row whole, and a row that holds one is compared
+    entry by entry over cross-multiplied denominators. Only the free
+    entries are built as FieldElem."""
+    cols = {}
+    for i, j in free:
+        cols.setdefault(i, set()).add(j)
+    rows = image._int_rows()
+    for i, (x, y) in enumerate(zip(rows, background._int_rows())):
+        skip = cols.get(i)
+        if skip is None:
+            if x != y:
                 raise NotMultiplicative(law)
-    return [image[i, j] for i, j in free]
+            continue
+        (xp, xq, xd), (yp, yq, yd) = x, y
+        # the rational parts, then the surd parts when either row has them
+        for us, vs in ((xp, yp), (xq, yq)) if xq or yq else ((xp, yp),):
+            for j, (u, v) in enumerate(zip(us or repeat(0), vs or repeat(0))):
+                if u * yd != v * xd and j not in skip:
+                    raise NotMultiplicative(law)
+    fd = image.field
+    entries = []
+    for i, j in free:
+        ps, qs, den = rows[i]
+        entries.append(_norm(fd, ps[j], qs[j] if qs else 0, den))
+    return entries
 
 
 class ClassifyReport(Value):
@@ -592,7 +618,7 @@ def _classify_gl(w, fd: FieldDescriptor, n: int):
             if entry.at(1, 3, xy) != hom_apply(phi, xy):
                 raise NotMultiplicative("entry map is not multiplicative")
 
-    zero_mat = zeros(fd, n)
+    zero_mat = _zero_matrix(fd, n)
     diagonal = [(i, i) for i in range(n)]
     lam_values = []
     for x in lam_pool:
@@ -687,7 +713,7 @@ def _singular_pattern(w, fd: FieldDescriptor, n: int, cos: list[Matrix]) -> str:
     corank one idempotent dies, "units" when E_11 survives, and "cofactor"
     when E_11, ranks 2 to n - 2 and E_12 die but no corank one idempotent.
     cos holds the corank one idempotents I - E_jj, j = 1 to n."""
-    zero_mat = zeros(fd, n)
+    zero_mat = _zero_matrix(fd, n)
     f_cos = [w(co) for co in cos]
     if all(f == zero_mat for f in f_cos):
         return "degenerate"
@@ -708,7 +734,7 @@ def _singular_pattern(w, fd: FieldDescriptor, n: int, cos: list[Matrix]) -> str:
 def _recover_units(w, fd: FieldDescriptor, n: int):
     """Recover a map whose rank one units survive: their images are matrix
     units and fix the conjugator directly."""
-    zero_mat = zeros(fd, n)
+    zero_mat = _zero_matrix(fd, n)
     units = [
         [w(unit_matrix(fd, n, i, j)) for j in range(1, n + 1)]
         for i in range(1, n + 1)

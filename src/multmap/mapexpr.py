@@ -60,7 +60,15 @@ from .field import (
     one,
     zero,
 )
-from .matrix import MAX_SIZE, Matrix, _check_domain, diag, identity, normalize_scale, zeros
+from .matrix import (
+    MAX_SIZE,
+    Matrix,
+    _check_domain,
+    _zero_matrix,
+    diag,
+    identity,
+    normalize_scale,
+)
 from .value import Value, _set
 
 
@@ -302,7 +310,7 @@ class MapExpr(Value):
         if d is not None and d.is_zero and any(atom.__class__ is DetScale for atom in self.atoms):
             # every atom keeps a singular matrix singular and sends zero to
             # zero, and the DetScale atom sends a singular matrix to zero
-            return zeros(self.field, self.n)
+            return _zero_matrix(self.field, self.n)
         out = a
         cofs = 0
         for atom in self.atoms:
@@ -364,7 +372,7 @@ def _apply_atom(atom: Atom, a: Matrix, fd: FieldDescriptor, cofs: int = 0) -> Ma
     if isinstance(atom, DetScale):
         d = a.det
         if d.is_zero:
-            return zeros(fd, a.n_rows)
+            return _zero_matrix(fd, a.n_rows)
         return atom.character.evaluate(d) * a
     d = a.det
     z = zero(fd)
@@ -500,7 +508,7 @@ class DegenerateForm(Value):
     def evaluate(self, a: Matrix) -> Matrix:
         d = a.det
         if d.is_zero:
-            return zeros(self.field, self.n)
+            return _zero_matrix(self.field, self.n)
         scale = self.lam.evaluate(d)
         return scale * _core_evaluate(self, a)
 

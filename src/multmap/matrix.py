@@ -7,8 +7,9 @@ caches, the form it lacks, its columns over the least common denominator
 of the whole matrix, its determinant, its reduced row echelon rows with
 their pivots, its inverse and its cofactor. A product reads the integer
 rows of its left operand and the integer columns of its right one, so
-every entry is one integer sum. A product, and a scalar multiple of any
-matrix, keeps only its integer rows, each reduced by one gcd: its
+every entry is one integer sum. A product, a scalar multiple of any
+matrix and an entrywise conjugate keep only their integer rows, each
+reduced by one gcd (the conjugate negates the surd numerators): their
 FieldElem entries are built on the first read of rows (directly or
 through indexing, hash, repr, to_doc or elimination). The next product,
 the determinant, is_identity, and equality with a matrix that has no
@@ -53,11 +54,11 @@ so results are reproducible bit for bit.
 Matrix(fd, rows) checks its input: nonempty, rectangular, every entry a
 FieldElem of fd. The private Matrix._of(fd, rows) runs none of these checks.
 It is only for matrices whose every entry the package built itself from
-operands of one already-checked field: sums, negations, conjugates,
-transposes, inverses, cofactors, words, the entrywise hom and word
-evaluations of mapexpr and slword, and the rows decompose_gl scales by the
-inverse determinant. identity, zeros, unit_matrix, rank_idempotent and
-coidempotent check their field, size and indices before they build.
+operands of one already-checked field: sums, negations, transposes,
+inverses, cofactors, words, the word evaluations of slword, and the rows
+decompose_gl scales by the inverse determinant. identity, zeros,
+unit_matrix, rank_idempotent and coidempotent check their field, size and
+indices before they build.
 Everything read from outside goes through the checked constructor.
 
 Row scalings and row updates (elimination, words and the scale factors of
@@ -330,11 +331,15 @@ class Matrix:
         return Matrix._of(self.field, zip(*self.rows))
 
     def conjugate(self) -> "Matrix":
-        """The entrywise conjugate, sqrt d -> -sqrt d; a known determinant
-        gives its conjugate. The conjugate carries no word, even when self
-        does: every cofactor is taken of a map's input (see cofactor), never
-        of a conjugate."""
-        m = Matrix._of(self.field, [[x.conjugate() for x in r] for r in self.rows])
+        """The entrywise conjugate, sqrt d -> -sqrt d, from the integer rows:
+        (ps, qs, den) gives (ps, -qs, den), still reduced. Like a product,
+        it keeps only its integer rows, and a known determinant gives its
+        conjugate. The conjugate carries no word, even when self does: every
+        cofactor is taken of a map's input (see cofactor), never of a
+        conjugate."""
+        m = _new(Matrix)
+        vectors = [(ps, qs and [-q for q in qs], den) for ps, qs, den in self._int_rows()]
+        _fill(m, self.field, self.n_rows, self.n_cols, None, vectors)
         if self._det is not None:
             _set(m, "_det", self._det.conjugate())
         return m
@@ -779,8 +784,10 @@ def zeros(fd: FieldDescriptor, n: int) -> Matrix:
 def _zero_matrix(fd: FieldDescriptor, n: int) -> Matrix:
     """zeros(fd, n), built once per field and size: the cofactor of every
     word with two zeros in e and of every singular sample of rank n - 2 or
-    less. Its callers only read it, so the maps that take such a cofactor
-    reuse its integer rows and columns in their products."""
+    less, the value of a DetScale atom and of a degenerate form at a
+    singular input, and the background classify reads images against. Its
+    callers only read it, so they reuse its integer rows and columns in
+    their products and comparisons."""
     return zeros(fd, n)
 
 

@@ -30,8 +30,14 @@ same way.
 ref_evaluate is MapExpr.evaluate as it was before it applied the Cof
 atoms to the input first: the atoms one by one, the last first, each on
 the value of the one before, with every cofactor and determinant computed
-afresh (ref_cofactor, and a sweep on a fresh copy). It is the reference for
-the differential test of that evaluation.
+afresh (ref_cofactor, and a sweep on a fresh copy) and every conjugate
+taken entry by entry (ref_conjugate). It is the reference for the
+differential test of that evaluation.
+
+ref_conjugate and ref_read are Matrix.conjugate and classify._read as they
+were before they worked on integer rows: one FieldElem conjugate, resp. one
+FieldElem comparison, per entry. They are the references for the
+differential tests of the probe path.
 
 ref_conjugator_from_units is matrix unit recovery as it was before it
 checked the conjugator it returns: every relation F_ij F_kl = delta_jk F_il
@@ -481,7 +487,7 @@ def ref_evaluate(expr: MapExpr, a: Matrix) -> Matrix:
         elif isinstance(atom, Cof):
             out = ref_cofactor(out)
         elif isinstance(atom, Hom):
-            out = out.conjugate() if atom.phi.kind == "conj" else out
+            out = ref_conjugate(out) if atom.phi.kind == "conj" else out
         else:
             d = Matrix(fd, out.rows).det
             if isinstance(atom, DetScale):
@@ -523,6 +529,23 @@ def ref_diagonal_word(e, triples, fd: FieldDescriptor, n: int) -> Matrix:
     for i, x in e:
         rows[i] = [x * y for y in rows[i]]
     return Matrix(fd, rows)
+
+
+def ref_conjugate(m: Matrix) -> Matrix:
+    """The entrywise conjugate, one FieldElem.conjugate per entry."""
+    return Matrix(m.field, [[x.conjugate() for x in r] for r in m.rows])
+
+
+def ref_read(image: Matrix, background: Matrix, free, law: str) -> list:
+    """The entries of image at the free positions, in the order given,
+    after checking every other entry against the background's, one
+    FieldElem comparison per entry."""
+    skip = set(free)
+    for i, (row, expected) in enumerate(zip(image.rows, background.rows)):
+        for j, (x, y) in enumerate(zip(row, expected)):
+            if x != y and (i, j) not in skip:
+                raise NotMultiplicative(law)
+    return [image[i, j] for i, j in free]
 
 
 def ref_conjugator_from_units(units: list[list[Matrix]]) -> Matrix:
